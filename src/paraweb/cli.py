@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .report import InputError, analyze_batch, dumps_report
+from .report import InputError, analyze_batch, write_report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,13 +47,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    payload = dumps_report(report)
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_report(report, fh)
         for line in _summary_lines(report):
             print(line)
     else:
-        sys.stdout.write(payload)
+        write_report(report, sys.stdout)
         for line in _summary_lines(report):
             print(line, file=sys.stderr)
     return code
@@ -62,7 +62,9 @@ def main(argv: list[str] | None = None) -> int:
 def _summary_lines(report: dict) -> list[str]:
     lines = []
     for idx, entry in enumerate(report.get("reports", [])):
-        problem = entry.get("problem", {})
+        problem = entry.get("problem")
+        if not isinstance(problem, dict):
+            problem = {}
         kind = problem.get("kind", "?")
         if entry.get("status") == "error":
             lines.append(f"[{idx}] {kind}: ERROR {entry.get('error')}")

@@ -739,84 +739,125 @@ def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing.  The output is valid input for paraweb.parser and printing a
 # canonical expression then reparsing it is a fixed point.
+#
+# The text is that of the expression tree, so a subexpression shared in the
+# DAG appears once per occurrence.  Within one call each distinct node is
+# rendered once: a first pass counts how often its text will be asked for,
+# and the text is kept only until its last request.  What is kept per node
+# is its signed form (sign, body), whose text is body, or "-" + body for a
+# negative sign; a sum pulls that sign out as " - ".
 
 def to_string(e: Expr) -> str:
-    k = e.kind
-    if k == RAT:
-        v = e.payload
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if k == SYM:
-        return e.payload
-    if k == OPAQUE:
-        return symbol_name(e)
-    if k == FUN:
-        return f"{e.payload}({to_string(e.children[0])})"
-    if k == POW:
-        n = e.payload
-        base = _atom_string(e.children[0])
-        if n > 0:
-            return f"{base}^{n}"
-        # a bare negative power prints as a quotient
-        return f"1/{base}" if n == -1 else f"1/{base}^{-n}"
-    if k == MUL:
-        s, body = _signed_product_string(e)
-        return "-" + body if s < 0 else body
-    # ADD
-    parts: list[str] = []
-    for t in e.children:
-        s, body = _signed_term_string(t)
-        if not parts:
-            parts.append("-" + body if s < 0 else body)
-        else:
-            parts.append((" - " if s < 0 else " + ") + body)
-    return "".join(parts)
+    """Render ``e`` in the grammar of ``paraweb.parser``."""
+    return _text(e, _request_counts(e), {})
 
 
-def _atom_string(e: Expr) -> str:
-    s = to_string(e)
-    if e.kind in (ADD, MUL) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
-        return "(" + s + ")"
-    if e.kind == POW:
-        return "(" + s + ")"
-    return s
+def _request_counts(root: Expr) -> dict[int, int]:
+    """How many times rendering ``root`` asks for each node's signed form.
+
+    Follows the printer: a product folds in its rational coefficient and
+    renders the base of each negative power directly.
+    """
+    counts: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        e = stack.pop()
+        seen = counts.get(e.uid, 0)
+        counts[e.uid] = seen + 1
+        if seen:
+            continue
+        k = e.kind
+        if k == MUL:
+            for c in e.children:
+                if c.kind == POW and c.payload < 0:
+                    stack.append(c.children[0])
+                elif c.kind != RAT:
+                    stack.append(c)
+        elif k != RAT:
+            stack.extend(e.children)
+    return counts
 
 
-def _signed_term_string(e: Expr) -> tuple[int, str]:
-    if e.kind == RAT:
-        v = e.payload
-        body = str(abs(v.numerator)) if v.denominator == 1 else f"{abs(v.numerator)}/{v.denominator}"
-        return (-1 if v < 0 else 1), body
-    if e.kind == MUL:
-        return _signed_product_string(e)
-    return 1, to_string(e)
+def _signed(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
+    uid = e.uid
+    out = memo.get(uid)
+    if out is None:
+        k = e.kind
+        if k == RAT:
+            v = e.payload
+            n = abs(v.numerator)
+            out = (-1 if v < 0 else 1), (str(n) if v.denominator == 1 else f"{n}/{v.denominator}")
+        elif k == SYM:
+            out = 1, e.payload
+        elif k == OPAQUE:
+            out = 1, symbol_name(e)
+        elif k == FUN:
+            out = 1, f"{e.payload}({_text(e.children[0], counts, memo)})"
+        elif k == POW:
+            n = e.payload
+            base = _atom(e.children[0], counts, memo)
+            if n > 0:
+                out = 1, f"{base}^{n}"
+            else:
+                # a bare negative power prints as a quotient
+                out = 1, ("1/" + base if n == -1 else f"1/{base}^{-n}")
+        elif k == MUL:
+            out = _signed_product(e, counts, memo)
+        else:  # ADD
+            parts: list[str] = []
+            for t in e.children:
+                s, body = _signed(t, counts, memo)
+                if parts:
+                    parts.append(" - " if s < 0 else " + ")
+                elif s < 0:
+                    parts.append("-")
+                parts.append(body)
+            out = 1, "".join(parts)
+    left = counts[uid] - 1
+    if left:
+        counts[uid] = left
+        memo[uid] = out
+    else:
+        memo.pop(uid, None)
+    return out
 
 
-def _signed_product_string(e: Expr) -> tuple[int, str]:
-    coeff = Fraction(1)
+def _text(e: Expr, counts: dict[int, int], memo: dict) -> str:
+    sign, body = _signed(e, counts, memo)
+    return "-" + body if sign < 0 else body
+
+
+def _atom(e: Expr, counts: dict[int, int], memo: dict) -> str:
+    """The text of ``e``, parenthesised unless it binds tighter than ``^``."""
+    text = _text(e, counts, memo)
+    if e.kind in (ADD, MUL, POW) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
+        return "(" + text + ")"
+    return text
+
+
+def _signed_product(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
+    coeff = _ONE_FRACTION
     num: list[str] = []
     den: list[str] = []
-    den_count = 0
     for c in e.children:
         if c.kind == RAT:
             coeff *= c.payload
         elif c.kind == POW and c.payload < 0:
-            n = -c.payload
-            b = _atom_string(c.children[0])
-            den.append(b if n == 1 else f"{b}^{n}")
-            den_count += 1
+            b = _atom(c.children[0], counts, memo)
+            den.append(b if c.payload == -1 else f"{b}^{-c.payload}")
+        elif c.kind == ADD:
+            num.append(_atom(c, counts, memo))
         else:
-            num.append(_atom_string(c) if c.kind == ADD else to_string(c))
+            num.append(_text(c, counts, memo))
     sign = -1 if coeff < 0 else 1
     coeff = abs(coeff)
     if coeff.numerator != 1 or not num:
         num.insert(0, str(coeff.numerator))
     if coeff.denominator != 1:
         den.insert(0, str(coeff.denominator))
-        den_count += 1
     body = "*".join(num)
-    if den:
-        den_body = "*".join(den)
-        if den_count > 1:
-            den_body = "(" + den_body + ")"
-        body = f"{body}/{den_body}"
+    if len(den) == 1:
+        body = f"{body}/{den[0]}"
+    elif den:
+        body = f"{body}/({'*'.join(den)})"
     return sign, body

@@ -11,9 +11,10 @@ parser accepts, so reports double as regression fixtures.  Identical
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, TextIO
 
 from .expr import Expr, mul, rational, sub, to_string
 from .invariants import (
@@ -56,6 +57,7 @@ __all__ = [
     "analyze_problem",
     "analyze_batch",
     "dumps_report",
+    "write_report",
 ]
 
 CLASS_TOTALLY_GEODESIC = "totally-geodesic paraconformal"
@@ -77,6 +79,13 @@ def _parse_fraction(text: Any) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {text!r}") from exc
     raise InputError(f"rationals must be strings like 'p/q', got {text!r}")
+
+
+def _int_option(options: dict, name: str, default: int) -> int:
+    value = options.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _frac_str(q: Fraction) -> str:
@@ -105,10 +114,17 @@ class ProblemSpec:
         if kind not in ("ode", "web"):
             raise InputError(f"kind must be 'ode' or 'web', got {kind!r}")
         options = dict(defaults or {})
-        options.update(raw.get("options") or {})
-        trials = int(options.get("trials", 8))
-        tolerance = float(options.get("tolerance", 1e-9))
-        seed = int(options.get("seed", 0))
+        raw_options = raw.get("options") or {}
+        if not isinstance(raw_options, dict):
+            raise InputError("options must be an object")
+        options.update(raw_options)
+        trials = _int_option(options, "trials", 8)
+        seed = _int_option(options, "seed", 0)
+        tolerance = options.get("tolerance", 1e-9)
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) \
+                or not 0 <= tolerance <= sys.float_info.max:
+            raise InputError(f"tolerance must be a finite non-negative number, got {tolerance!r}")
+        tolerance = float(tolerance)
         if trials < 1:
             raise InputError("trials must be at least 1")
         if kind == "ode":
@@ -341,7 +357,7 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     Returns (report document, exit code): 0 clean, 1 if any problem had
     an input error, 2 on an internal extraction failure.
     """
-    if "problems" in document:
+    if isinstance(document, dict) and "problems" in document:
         raw_problems = document["problems"]
         if not isinstance(raw_problems, list):
             raise InputError("'problems' must be a list")
@@ -362,5 +378,16 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     return {"reports": reports}, code
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, indent=2)
+
+
 def dumps_report(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    """The report text: sorted keys, two-space indent, a final newline."""
+    return _ENCODER.encode(document) + "\n"
+
+
+def write_report(document: dict, stream: TextIO) -> None:
+    """Write the text of ``dumps_report`` to ``stream`` as it is encoded."""
+    for chunk in _ENCODER.iterencode(document):
+        stream.write(chunk)
+    stream.write("\n")

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .expr import (
+    EvalDomainError,
     Expr,
     ZERO,
     add_iter,
@@ -84,6 +85,10 @@ __all__ = [
     "schouten_residuals",
     "pencil_affinity_exact",
 ]
+
+# What a random base point may hit, so that drawing another is the right
+# answer: a pole, or a value too large for float().
+_RESAMPLE_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError)
 
 
 class WebError(ValueError):
@@ -838,7 +843,7 @@ def ricci_null_residuals(
                     i: {c: float(eval_numeric(e, trial_env)) for c, e in nc.fields[i].comps.items()}
                     for i in range(k + 1)
                 }
-            except Exception:
+            except _RESAMPLE_ERRORS:
                 continue
             env = (ric_num, v_num)
             break
@@ -1085,7 +1090,7 @@ def schouten_residuals(
             env = {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}
             try:
                 vals = [abs(float(eval_numeric(e, env))) for e in exprs]
-            except Exception:
+            except _RESAMPLE_ERRORS:
                 continue
             out.extend(vals if vals else [0.0])
             break

@@ -356,4 +356,9 @@ def test_criterion_9_determinism_and_roundtrip():
         assert again is e, text
         assert to_string(again) == text
         count += 1
+
+    # large shared DAGs: the order-5 abstract curvatures (0.4 MB of text)
+    ode = OdeProblem.from_rhs(5, "abstract")
+    for k in curvature_chain(ode, ZT).curvatures:
+        assert parse_expr(to_string(k), ode.context) is k
     _passed(9, "byte-stable golden reports and print/parse fixed point")

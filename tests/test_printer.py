@@ -1,0 +1,177 @@
+"""The DAG printer against a plain tree printer, and the report serialiser.
+
+``_tree_to_string`` is the straightforward recursive printer: it renders
+every occurrence of a shared subexpression again.  ``expr.to_string``
+renders each distinct node once per call and must give the same text.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import paraweb.report as report_mod
+from paraweb.cli import main as cli_main
+from paraweb.expr import ADD, FUN, MUL, OPAQUE, POW, RAT, SYM, Expr, symbol_name, to_string
+from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
+from paraweb.jet import OdeProblem
+from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report, write_report
+from paraweb.zerotest import ZeroTester
+
+from test_expr import _random_expr
+
+DATA = Path(__file__).parent / "data"
+
+
+# ---------------------------------------------------------------------------
+# Reference tree printer
+
+
+def _tree_to_string(e: Expr) -> str:
+    k = e.kind
+    if k == RAT:
+        v = e.payload
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if k == SYM:
+        return e.payload
+    if k == OPAQUE:
+        return symbol_name(e)
+    if k == FUN:
+        return f"{e.payload}({_tree_to_string(e.children[0])})"
+    if k == POW:
+        n = e.payload
+        base = _tree_atom(e.children[0])
+        if n > 0:
+            return f"{base}^{n}"
+        return f"1/{base}" if n == -1 else f"1/{base}^{-n}"
+    if k == MUL:
+        s, body = _tree_signed_product(e)
+        return "-" + body if s < 0 else body
+    parts: list[str] = []
+    for t in e.children:
+        s, body = _tree_signed_term(t)
+        if not parts:
+            parts.append("-" + body if s < 0 else body)
+        else:
+            parts.append((" - " if s < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def _tree_atom(e: Expr) -> str:
+    s = _tree_to_string(e)
+    if e.kind in (ADD, MUL) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
+        return "(" + s + ")"
+    if e.kind == POW:
+        return "(" + s + ")"
+    return s
+
+
+def _tree_signed_term(e: Expr) -> tuple[int, str]:
+    if e.kind == RAT:
+        v = e.payload
+        body = str(abs(v.numerator)) if v.denominator == 1 else f"{abs(v.numerator)}/{v.denominator}"
+        return (-1 if v < 0 else 1), body
+    if e.kind == MUL:
+        return _tree_signed_product(e)
+    return 1, _tree_to_string(e)
+
+
+def _tree_signed_product(e: Expr) -> tuple[int, str]:
+    coeff = Fraction(1)
+    num: list[str] = []
+    den: list[str] = []
+    den_count = 0
+    for c in e.children:
+        if c.kind == RAT:
+            coeff *= c.payload
+        elif c.kind == POW and c.payload < 0:
+            n = -c.payload
+            b = _tree_atom(c.children[0])
+            den.append(b if n == 1 else f"{b}^{n}")
+            den_count += 1
+        else:
+            num.append(_tree_atom(c) if c.kind == ADD else _tree_to_string(c))
+    sign = -1 if coeff < 0 else 1
+    coeff = abs(coeff)
+    if coeff.numerator != 1 or not num:
+        num.insert(0, str(coeff.numerator))
+    if coeff.denominator != 1:
+        den.insert(0, str(coeff.denominator))
+        den_count += 1
+    body = "*".join(num)
+    if den:
+        den_body = "*".join(den)
+        if den_count > 1:
+            den_body = "(" + den_body + ")"
+        body = f"{body}/{den_body}"
+    return sign, body
+
+
+# ---------------------------------------------------------------------------
+# Printer
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_abstract_chain_prints_as_tree(order):
+    zt = ZeroTester()
+    ode = OdeProblem.from_rhs(order, "abstract")
+    chain = curvature_chain(ode, zt)
+    exprs = list(chain.curvatures)
+    exprs += [r.expr for r in wunschmann_residuals(ode, chain, zt)]
+    exprs += [r.expr for r in cartan_residuals(ode, chain, zt)]
+    for e in exprs:
+        assert to_string(e) == _tree_to_string(e)
+
+
+def test_golden_batch_expressions_print_as_tree(monkeypatch):
+    rendered: list[tuple[Expr, str]] = []
+
+    def recording(e):
+        text = to_string(e)
+        rendered.append((e, text))
+        return text
+
+    monkeypatch.setattr(report_mod, "to_string", recording)
+    analyze_batch(json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")))
+    assert max(len(text) for _, text in rendered) > 400
+    for e, text in rendered:
+        assert text == _tree_to_string(e)
+
+
+def test_random_expressions_print_as_tree():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        e = _random_expr(rng)
+        assert to_string(e) == _tree_to_string(e)
+
+
+# ---------------------------------------------------------------------------
+# Serialiser
+
+
+def _golden_report() -> dict:
+    report, _ = analyze_batch(json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")))
+    return report
+
+
+def test_write_report_matches_dumps_report():
+    order5 = {"reports": [analyze_ode(ProblemSpec.from_dict({"kind": "ode", "order": 5, "rhs": "abstract"}))]}
+    for document in (_golden_report(), order5):
+        stream = io.StringIO()
+        write_report(document, stream)
+        assert stream.getvalue() == dumps_report(document)
+
+
+def test_cli_writes_golden_report(tmp_path, capsys):
+    golden = (DATA / "golden_report.json").read_text(encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli_main(["analyze", str(DATA / "golden_problems.json"), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == golden
+    capsys.readouterr()
+    assert cli_main(["analyze", str(DATA / "golden_problems.json")]) == 0
+    assert capsys.readouterr().out == golden

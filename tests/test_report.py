@@ -48,6 +48,27 @@ class TestProblemSpec:
                   defaults={"seed": 5})
         assert s2.seed == 9
 
+    @pytest.mark.parametrize("name,value", [
+        ("trials", "abc"),
+        ("seed", [1]),
+        ("trials", True),
+        ("tolerance", -1e-9),
+    ])
+    def test_bad_option_value_is_an_error_entry(self, name, value):
+        with pytest.raises(InputError, match=name):
+            spec({"kind": "ode", "order": 3, "rhs": "0", "options": {name: value}})
+        doc = {"problems": [
+            {"kind": "ode", "order": 3, "rhs": "0", "options": {name: value}},
+            {"kind": "ode", "order": 3, "rhs": "0"},
+        ]}
+        report, code = analyze_batch(doc)
+        assert code == 1
+        assert [r["status"] for r in report["reports"]] == ["error", "ok"]
+
+    def test_options_must_be_an_object(self):
+        with pytest.raises(InputError, match="options"):
+            spec({"kind": "ode", "order": 3, "rhs": "0", "options": [["seed", 1]]})
+
     def test_rational_parsing(self):
         s = spec({"kind": "web", "k": 1, "w": "x0+x1", "t_params": ["1/2", "-3", "5/4"]})
         from fractions import Fraction
@@ -161,6 +182,16 @@ class TestBatchAndCli:
         assert code == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert len(data["reports"]) == 2
+
+    @pytest.mark.parametrize("document", [[{"kind": "ode", "order": 3, "rhs": "0"}], 5, "problems"])
+    def test_cli_top_level_non_object(self, tmp_path, capsys, document):
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps(document), encoding="utf-8")
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["error"]
+        assert "ERROR" in capsys.readouterr().out
 
     def test_cli_missing_file(self, capsys):
         assert cli_main(["analyze", "/nonexistent/problems.json"]) == 1

@@ -423,6 +423,23 @@ class TestRicci:
         conn = canonical_connection(web, ZT)
         assert all(e is ZERO for e in ricci_tensor(conn).values())
 
+    def test_resampling_does_not_hide_bugs(self, monkeypatch):
+        # only poles and overflow make a base point resample; any other
+        # error is a bug and must surface, not read as "no pole-free point"
+        import paraweb.webs as webs_mod
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        web = make_web(2, NONFLAT_W[2])
+        conn = canonical_connection(web, ZT)
+        off_solution = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
+        monkeypatch.setattr(webs_mod, "eval_numeric", broken)
+        with pytest.raises(TypeError, match="injected"):
+            ricci_null_residuals(web, conn, seed=3)
+        with pytest.raises(TypeError, match="injected"):
+            schouten_residuals(off_solution, Fraction(1, 2), point_samples=1, seed=7)
+
 
 class TestBryant:
     def test_requires_k3(self):
