@@ -52,7 +52,6 @@ from .jet import (
 from .invariants import (
     CurvatureChain,
     ExtractionError,
-    InvariantReport,
     Residual,
     beta_coefficient,
     cartan_residuals,
@@ -60,7 +59,6 @@ from .invariants import (
     connection_residuals,
     curvature_chain,
     gamma_k,
-    invariant_report,
     wunschmann_residuals,
 )
 from .webs import (

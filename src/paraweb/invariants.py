@@ -51,7 +51,6 @@ __all__ = [
     "ExtractionError",
     "CurvatureChain",
     "Residual",
-    "InvariantReport",
     "curvature_chain",
     "gamma_k",
     "wunschmann_residuals",
@@ -62,7 +61,6 @@ __all__ = [
     "coordinate_cartan_order2",
     "coordinate_cartan_order3",
     "coordinate_wunschmann_order3",
-    "invariant_report",
 ]
 
 
@@ -474,39 +472,3 @@ def coordinate_cartan_order3(ode: OdeProblem) -> Expr:
     d02 = _f_partial(ode, x0=1, x2=1)
     return add_iter([x.apply(x.apply(d22)), neg(x.apply(d12)), d02])
 
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Bundle of residuals and derived data for one equation."""
-
-    order: int
-    gamma: Fraction
-    curvatures: tuple[Expr, ...]
-    wunschmann: tuple[Residual, ...]
-    cartan: tuple[Residual, ...]
-    beta_b: Expr | None
-
-    @property
-    def wunschmann_holds(self) -> bool:
-        return all(r.is_zero for r in self.wunschmann)
-
-    @property
-    def cartan_holds(self) -> bool:
-        return all(r.is_zero for r in self.cartan)
-
-
-def invariant_report(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> InvariantReport:
-    chain = curvature_chain(ode, zero)
-    wun = tuple(wunschmann_residuals(ode, chain, zero))
-    car = tuple(cartan_residuals(ode, chain, zero))
-    beta_b = None
-    if ode.order >= 4 and all(r.is_zero for r in wun) and all(r.is_zero for r in car):
-        beta_b = beta_coefficient(ode, chain, zero)[0]
-    return InvariantReport(
-        order=ode.order,
-        gamma=gamma_k(ode.k),
-        curvatures=chain.curvatures,
-        wunschmann=wun,
-        cartan=car,
-        beta_b=beta_b,
-    )

@@ -10,16 +10,16 @@ frame-agnostic: the geometry-specific normalisations live downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (
+    ONE,
     Expr,
     ZERO,
     add_iter,
     differentiate,
     div,
     mul,
-    pow_int,
     rational,
     sub,
     sym,
@@ -326,6 +326,38 @@ def _probably_nonzero(e: Expr, zero: ZeroTester) -> bool:
     return ZeroTester(trials=2, tolerance=zero.tolerance, seed=zero.seed).verdict(e) is Verdict.NONZERO
 
 
+def _gauss_jordan(matrix: list[list], one, zero, pivot_tests: Sequence[Callable] = ()) -> list[list]:
+    """Inverse of a square matrix by Gauss-Jordan elimination on [A | I].
+
+    The entries are Fractions or expressions: the elimination uses only
+    field arithmetic, with ``one`` and ``zero`` the units of that field.
+    ``pivot_tests`` (by default just ``!= zero``) are tried in order; a
+    column's pivot is its first entry at or below the diagonal that
+    passes the earliest test any such entry passes.  A column where none
+    passes any test makes the matrix singular.
+    """
+    n = len(matrix)
+    tests = pivot_tests or (lambda v: v != zero,)
+    a = list(matrix)  # rows are replaced below, never changed in place
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((row for test in tests for row in range(col, n) if test(a[row][col])), None)
+        if piv is None:
+            raise SingularFrameError(f"singular matrix: no usable pivot in column {col}")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = one / a[col][col]
+        a[col] = [scale * v for v in a[col]]
+        inv[col] = [scale * v for v in inv[col]]
+        for row in range(n):
+            if row == col or a[row][col] == zero:
+                continue
+            factor = a[row][col]
+            a[row] = [v - factor * p for v, p in zip(a[row], a[col])]
+            inv[row] = [v - factor * p for v, p in zip(inv[row], inv[col])]
+    return inv
+
+
 def dual_coframe(
     fields: Sequence[VectorField],
     coords: Sequence[str] | None = None,
@@ -350,33 +382,12 @@ def dual_coframe(
         for c in f.comps:
             if c not in cols:
                 raise FrameError(f"field has a component on {c!r} outside the coframe span")
-    # Gauss-Jordan on [A | I] where A[j][c] = fields[j]^c.
-    a = [[f.comp(c) for c in cols] for f in fields]
-    inv = [[rational(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if a[row][col].kind == 0 and a[row][col] is not ZERO:
-                piv = row
-                break
-        if piv is None:
-            for row in range(col, n):
-                if _probably_nonzero(a[row][col], zero):
-                    piv = row
-                    break
-        if piv is None:
-            raise SingularFrameError("component matrix is singular at all sample points")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = pow_int(a[col][col], -1)
-        a[col] = [mul(scale, v) for v in a[col]]
-        inv[col] = [mul(scale, v) for v in inv[col]]
-        for row in range(n):
-            if row == col or a[row][col] is ZERO:
-                continue
-            factor = a[row][col]
-            a[row] = [sub(v, mul(factor, p)) for v, p in zip(a[row], a[col])]
-            inv[row] = [sub(v, mul(factor, p)) for v, p in zip(inv[row], inv[col])]
+    inv = _gauss_jordan(
+        [[f.comp(c) for c in cols] for f in fields],
+        ONE,
+        ZERO,
+        (lambda e: e.kind == 0 and e is not ZERO, lambda e: _probably_nonzero(e, zero)),
+    )
     # Theta_i,c solves sum_c Theta_i,c A_j,c = delta_ij, i.e. Theta = (A^-1)^T read
     # column-wise: Theta_i,c = (A^-1)_{c,i}.
     thetas = []

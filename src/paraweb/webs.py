@@ -20,12 +20,12 @@ evaluation at rational spectral values is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from typing import Sequence
 
 from .expr import (
-    EvalDomainError,
     Expr,
     ZERO,
     add_iter,
@@ -42,12 +42,13 @@ from .expr import (
 from .jet import (
     OneForm,
     VectorField,
+    _gauss_jordan,
     exterior_derivative,
     lie_bracket,
     wedge3,
 )
 from .parser import Context, parse_expr
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
+from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
 __all__ = [
     "WebError",
@@ -83,12 +84,7 @@ __all__ = [
     "zakharevich_verdict",
     "poisson_pencil_components",
     "schouten_residuals",
-    "pencil_affinity_exact",
 ]
-
-# What a random base point may hit, so that drawing another is the right
-# answer: a pole, or a value too large for float().
-_RESAMPLE_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError)
 
 
 class WebError(ValueError):
@@ -222,17 +218,21 @@ def omega_coefficient_forms(web: VeroneseWeb) -> list[OneForm]:
     return out
 
 
+def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
+    """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
+    an exact rational t."""
+    tval = Fraction(tval)
+    acc = type(coeffs[0])(coeffs[0].frame, {})
+    for m in range(order, len(coeffs)):
+        c = Fraction(factorial(m), factorial(m - order)) * tval ** (m - order)
+        if c:
+            acc = acc.plus(coeffs[m].scaled(rational(c)))
+    return acc
+
+
 def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:
     """omega(t), or its order-th t-derivative, at an exact rational t."""
-    forms = omega_coefficient_forms(web)
-    tval = Fraction(tval)
-    acc = OneForm(web.coords, {})
-    for m in range(order, web.k + 1):
-        fall = Fraction(1)
-        for d in range(order):
-            fall *= m - d
-        acc = acc.plus(forms[m].scaled(rational(fall * tval ** (m - order))))
-    return acc
+    return _spectral_at(omega_coefficient_forms(web), tval, order)
 
 
 def _null_denominator(web: VeroneseWeb, j: int) -> Fraction:
@@ -254,7 +254,16 @@ class NullCurve:
     """
 
     web: VeroneseWeb
-    fields: tuple[VectorField, ...]
+    fields: tuple[VectorField, ...] = field(init=False)
+
+    def __post_init__(self):
+        web = self.web
+        fields = tuple(
+            VectorField(web.coords, {f"x{j}": mul(rational(c), pow_int(web.dw(j), -1))
+                                     for j, c in enumerate(row)})
+            for row in self.coefficient_matrix()
+        )
+        object.__setattr__(self, "fields", fields)
 
     def coefficient_matrix(self) -> list[list[Fraction]]:
         """Rational parts r[i][j]: V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j."""
@@ -269,29 +278,12 @@ class NullCurve:
         ]
 
     def at(self, tval: Fraction, order: int = 0) -> VectorField:
-        k = self.web.k
-        tval = Fraction(tval)
-        acc = VectorField(self.web.coords, {})
-        for i in range(order, k + 1):
-            fall = Fraction(1)
-            for d in range(order):
-                fall *= i - d
-            c = fall * tval ** (i - order)
-            if c:
-                acc = acc.plus(self.fields[i].scaled(rational(c)))
-        return acc
+        """V(t), or its order-th t-derivative, at an exact rational t."""
+        return _spectral_at(self.fields, tval, order)
 
 
 def null_curve(web: VeroneseWeb) -> NullCurve:
-    k, t = web.k, web.t_params
-    fields = []
-    for i in range(k + 1):
-        comps = {}
-        for j in range(k + 1):
-            c = Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / _null_denominator(web, j)
-            comps[f"x{j}"] = mul(rational(c), pow_int(web.dw(j), -1))
-        fields.append(VectorField(web.coords, comps))
-    return NullCurve(web, tuple(fields))
+    return NullCurve(web)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +335,8 @@ def eq1_residuals(
     return out
 
 
-def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
-    """L_1(t)..L_k(t), tangent to the web foliation at spectral value t:
+def _lax_pencil(web: VeroneseWeb) -> list[tuple[VectorField, VectorField]]:
+    """(base, direction) with L_i(t) = base + t * direction, for i = 1..k:
 
         L_i(t) = -(t - t_0) (dw/dx_i / dw/dx_0) d/dx_0 + a_i (t - t_i) d/dx_i.
 
@@ -352,33 +344,25 @@ def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
     cancel identically; without it the fields are affine in t but fail
     both tangency and the commutation criterion.
     """
-    tval = Fraction(tval)
-    d0 = web.dw(0)
     out = []
     for i in range(1, web.k + 1):
-        comps = {
-            "x0": mul(rational(-(tval - web.t_params[0])), div(web.dw(i), d0)),
-            f"x{i}": rational(web.a_i(i) * (tval - web.t_params[i])),
-        }
-        out.append(VectorField(web.coords, comps))
+        ratio = div(web.dw(i), web.dw(0))
+        base = VectorField(
+            web.coords,
+            {
+                "x0": mul(rational(web.t_params[0]), ratio),
+                f"x{i}": rational(-web.a_i(i) * web.t_params[i]),
+            },
+        )
+        direction = VectorField(web.coords, {"x0": neg(ratio), f"x{i}": rational(web.a_i(i))})
+        out.append((base, direction))
     return out
 
 
-def _lax_affine(web: VeroneseWeb, i: int) -> tuple[VectorField, VectorField]:
-    """L_i(t) = base + t * direction with a t-free direction."""
-    ratio = div(web.dw(i), web.dw(0))
-    base = VectorField(
-        web.coords,
-        {
-            "x0": mul(rational(web.t_params[0]), ratio),
-            f"x{i}": rational(-web.a_i(i) * web.t_params[i]),
-        },
-    )
-    direction = VectorField(
-        web.coords,
-        {"x0": neg(ratio), f"x{i}": rational(web.a_i(i))},
-    )
-    return base, direction
+def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
+    """L_1(t)..L_k(t), tangent to the web foliation at spectral value t."""
+    t = rational(Fraction(tval))
+    return [base.plus(direction.scaled(t)) for base, direction in _lax_pencil(web)]
 
 
 def lax_commutator_residuals(
@@ -387,11 +371,11 @@ def lax_commutator_residuals(
     """Coefficients of [L_i, L_j] as polynomials in t, keyed
     (i, j, coordinate, t-degree), each with a verdict."""
     out = {}
-    parts = {i: _lax_affine(web, i) for i in range(1, web.k + 1)}
+    parts = _lax_pencil(web)
     for i in range(1, web.k + 1):
         for j in range(i + 1, web.k + 1):
-            b_i, d_i = parts[i]
-            b_j, d_j = parts[j]
+            b_i, d_i = parts[i - 1]
+            b_j, d_j = parts[j - 1]
             by_degree = {
                 0: lie_bracket(b_i, b_j),
                 1: lie_bracket(b_i, d_j).plus(lie_bracket(d_i, b_j)),
@@ -416,9 +400,11 @@ class WebConnection:
 
     ``kind`` is "diagonal" for the canonical connection
     nabla d/dx_i = (d(dw/dx_i)/(dw/dx_i) + alpha) (x) d/dx_i (cases k = 1
-    and k > 2), or "weyl" for the unique torsion-free Einstein-Weyl
+    and k > 2), "weyl" for the unique torsion-free Einstein-Weyl
     connection at k = 2, which also records the scalar f (beta(t) =
-    f * omega(t)) and the t-free part alpha_tilde of alpha(t).
+    f * omega(t)) and the t-free part alpha_tilde of alpha(t), or
+    "bryant" for the k = 3 connection of ``bryant_forms``.  The last two
+    carry their Christoffel symbols as a table.
     """
 
     web: VeroneseWeb
@@ -430,33 +416,12 @@ class WebConnection:
 
     def christoffel(self, a: str, b: str, c: str) -> Expr:
         """Coefficient of d/dx_c in nabla_{d/dx_a} d/dx_b."""
-        if self.kind == "diagonal":
-            if c != b:
-                return ZERO
-            ia, ib = int(a[1:]), int(b[1:])
-            return div(self.web.dw2(ia, ib), self.web.dw(ib)) + self.alpha.comp(a)
-        return self.christoffel_table.get((a, b, c), ZERO)
-
-
-def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise WebError("singular rational matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        s = a[col][col]
-        a[col] = [v / s for v in a[col]]
-        inv[col] = [v / s for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
-                inv[r] = [v - f * p for v, p in zip(inv[r], inv[col])]
-    return inv
+        if self.christoffel_table is not None:
+            return self.christoffel_table.get((a, b, c), ZERO)
+        if c != b:
+            return ZERO
+        ia, ib = int(a[1:]), int(b[1:])
+        return div(self.web.dw2(ia, ib), self.web.dw(ib)) + self.alpha.comp(a)
 
 
 def _spectral_nodes(web: VeroneseWeb, count: int, start: int = 0) -> list[Fraction]:
@@ -540,7 +505,7 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester, attempt: int = 0) -
         [(web.t_params[j] - s) ** k / _null_denominator(web, j) for j in range(k + 1)]
         for s in solve_nodes
     ]
-    dinv = _invert_rational(d)
+    dinv = _gauss_jordan(d, Fraction(1), Fraction(0))
     comps = {}
     for j in range(k + 1):
         combo = add_iter(mul(rational(dinv[j][s]), hs[s]) for s in range(k + 1))
@@ -548,7 +513,7 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester, attempt: int = 0) -
     return WebConnection(web, "diagonal", alpha=OneForm(web.coords, comps))
 
 
-def torsion(conn: WebConnection, zero: ZeroTester = DEFAULT_TESTER) -> dict[tuple[str, str], VectorField]:
+def torsion(conn: WebConnection) -> dict[tuple[str, str], VectorField]:
     """T(d/dx_a, d/dx_b) for a < b, as vector fields."""
     web = conn.web
     out = {}
@@ -570,7 +535,7 @@ def flatness_verdict(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> boo
     if web.k <= 2:
         raise WebError("flatness via torsion of the canonical connection needs k > 2")
     conn = canonical_connection(web, zero)
-    return all(f.is_zero_field(zero) for f in torsion(conn, zero).values())
+    return all(f.is_zero_field(zero) for f in torsion(conn).values())
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +593,6 @@ def _paraconformal_christoffels(
     """
     k = web.k
     beta0, beta1, beta2 = betas
-    zero_form = OneForm(web.coords, {})
     psi: dict[tuple[int, int], OneForm] = {}
     for i in range(k + 1):
         psi[(i, i)] = alpha0.plus(beta1.scaled(rational(i)))
@@ -637,8 +601,7 @@ def _paraconformal_christoffels(
         if i + 1 <= k:
             psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
 
-    r = nc.coefficient_matrix()
-    rinv = _invert_rational(r)
+    rinv = _gauss_jordan(nc.coefficient_matrix(), Fraction(1), Fraction(0))
     # d/dx_b = sum_i xi[b][i] V_i with xi[b][i] = dw/dx_b * rinv[b][i]
     xi = [[mul(web.dw(b), rational(rinv[b][i])) for i in range(k + 1)] for b in range(k + 1)]
 
@@ -802,6 +765,17 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
     return out
 
 
+def _base_point_values(rng: random.Random, symbols, evaluate):
+    """``evaluate`` at a pole-free random base point: 40 attempts in the box
+    of numerators -8..8 over denominators 4..12."""
+    values = _pole_free(
+        lambda: {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}, evaluate, 40
+    )
+    if values is None:
+        raise WebError("could not sample a pole-free base point")
+    return values
+
+
 def ricci_null_residuals(
     web: VeroneseWeb,
     conn: WebConnection,
@@ -830,26 +804,17 @@ def ricci_null_residuals(
             symbols.update(free_symbols(e))
     symbols = sorted(symbols, key=lambda s: s.key)
 
+    def evaluate(env):
+        ric_num = {key: float(eval_numeric(e, env)) for key, e in ric.items()}
+        v_num = {
+            i: {c: float(eval_numeric(e, env)) for c, e in nc.fields[i].comps.items()}
+            for i in range(k + 1)
+        }
+        return ric_num, v_num
+
     out = []
     for _ in range(point_samples):
-        env = None
-        for _attempt in range(40):
-            trial_env = {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}
-            try:
-                ric_num = {
-                    key: float(eval_numeric(e, trial_env)) for key, e in ric.items()
-                }
-                v_num = {
-                    i: {c: float(eval_numeric(e, trial_env)) for c, e in nc.fields[i].comps.items()}
-                    for i in range(k + 1)
-                }
-            except _RESAMPLE_ERRORS:
-                continue
-            env = (ric_num, v_num)
-            break
-        if env is None:
-            raise WebError("could not sample a pole-free base point")
-        ric_num, v_num = env
+        ric_num, v_num = _base_point_values(rng, symbols, evaluate)
         for tval in tvals:
             t = float(tval)
             vt = {c: 0.0 for c in web.coords}
@@ -897,8 +862,7 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
     if not is_hirota_solution(web, zero):
         raise NotAWebError("the function does not satisfy the Hirota system")
     nc = null_curve(web)
-    r = nc.coefficient_matrix()
-    rinv = _invert_rational(r)
+    rinv = _gauss_jordan(nc.coefficient_matrix(), Fraction(1), Fraction(0))
     # eta_l = sum_j dw/dx_j rinv[j][l] dx_j  (dual to the V-frame)
     eta = []
     for l in range(4):
@@ -921,60 +885,43 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
         return neg(c[(j, i, l)])
 
     third = rational(Fraction(1, 3))
-    beta0 = add_forms(
-        [
-            eta[0].scaled(mul(third, cc(0, 2, 3))),
-            eta[1].scaled(mul(third, cc(1, 2, 3))),
-            eta[2].scaled(sub(mul(rational(2), cc(0, 3, 2)), cc(0, 2, 1))),
-            eta[3].scaled(neg(cc(0, 3, 1))),
-        ]
+    beta0 = (
+        eta[0].scaled(mul(third, cc(0, 2, 3)))
+        .plus(eta[1].scaled(mul(third, cc(1, 2, 3))))
+        .plus(eta[2].scaled(sub(mul(rational(2), cc(0, 3, 2)), cc(0, 2, 1))))
+        .plus(eta[3].scaled(neg(cc(0, 3, 1))))
     )
-    beta1 = add_forms(
-        [
-            eta[0].scaled(sub(cc(0, 3, 3), cc(0, 2, 2))),
-            eta[1].scaled(
-                add_iter([mul(third, cc(0, 1, 0)), mul(third, cc(1, 3, 3)), neg(cc(0, 3, 2))])
-            ),
-            eta[2].scaled(
-                add_iter([mul(third, cc(2, 3, 3)), mul(third, cc(0, 2, 0)), neg(cc(0, 3, 1))])
-            ),
-            eta[3].scaled(sub(cc(0, 3, 0), cc(1, 3, 1))),
-        ]
+    beta1 = (
+        eta[0].scaled(sub(cc(0, 3, 3), cc(0, 2, 2)))
+        .plus(eta[1].scaled(
+            add_iter([mul(third, cc(0, 1, 0)), mul(third, cc(1, 3, 3)), neg(cc(0, 3, 2))])))
+        .plus(eta[2].scaled(
+            add_iter([mul(third, cc(2, 3, 3)), mul(third, cc(0, 2, 0)), neg(cc(0, 3, 1))])))
+        .plus(eta[3].scaled(sub(cc(0, 3, 0), cc(1, 3, 1))))
     )
-    beta2 = add_forms(
-        [
-            eta[0].scaled(neg(cc(0, 3, 2))),
-            eta[1].scaled(sub(mul(rational(2), cc(0, 3, 1)), cc(1, 3, 2))),
-            eta[2].scaled(mul(third, cc(1, 2, 0))),
-            eta[3].scaled(mul(third, cc(1, 3, 0))),
-        ]
+    beta2 = (
+        eta[0].scaled(neg(cc(0, 3, 2)))
+        .plus(eta[1].scaled(sub(mul(rational(2), cc(0, 3, 1)), cc(1, 3, 2))))
+        .plus(eta[2].scaled(mul(third, cc(1, 2, 0))))
+        .plus(eta[3].scaled(mul(third, cc(1, 3, 0))))
     )
-    alpha = add_forms(
-        [
-            eta[0].scaled(sub(mul(rational(3), cc(0, 2, 2)), mul(rational(2), cc(0, 3, 3)))),
-            eta[1].scaled(sub(mul(rational(3), cc(0, 3, 2)), cc(0, 1, 0))),
-            eta[2].scaled(neg(cc(0, 2, 0))),
-            eta[3].scaled(neg(cc(0, 3, 0))),
-        ]
+    alpha = (
+        eta[0].scaled(sub(mul(rational(3), cc(0, 2, 2)), mul(rational(2), cc(0, 3, 3))))
+        .plus(eta[1].scaled(sub(mul(rational(3), cc(0, 3, 2)), cc(0, 1, 0))))
+        .plus(eta[2].scaled(neg(cc(0, 2, 0))))
+        .plus(eta[3].scaled(neg(cc(0, 3, 0))))
     )
     table = _paraconformal_christoffels(web, nc, alpha, [beta0, beta1, beta2])
     return BryantForms(web, c, tuple(eta), beta0, beta1, beta2, alpha, table)
-
-
-def add_forms(forms: list[OneForm]) -> OneForm:
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = acc.plus(f)
-    return acc
 
 
 def bryant_torsion_residuals(
     bf: BryantForms, zero: ZeroTester = DEFAULT_TESTER
 ) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
     """Torsion components of the Bryant connection in coordinates."""
-    conn = WebConnection(bf.web, "weyl", christoffel_table=bf.christoffel_table)
+    conn = WebConnection(bf.web, "bryant", christoffel_table=bf.christoffel_table)
     out = {}
-    for (a, b), fieldv in torsion(conn, zero).items():
+    for (a, b), fieldv in torsion(conn).items():
         for cname, e in fieldv.comps.items():
             out[(a, b, cname)] = (e, zero.verdict(e))
     return out
@@ -1086,34 +1033,9 @@ def schouten_residuals(
     rng = random.Random(seed)
     out = []
     for _ in range(point_samples):
-        for _attempt in range(40):
-            env = {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}
-            try:
-                vals = [abs(float(eval_numeric(e, env))) for e in exprs]
-            except _RESAMPLE_ERRORS:
-                continue
-            out.extend(vals if vals else [0.0])
-            break
-        else:
-            raise WebError("could not sample a pole-free base point")
+        vals = _base_point_values(
+            rng, symbols, lambda env: [abs(float(eval_numeric(e, env))) for e in exprs]
+        )
+        out.extend(vals if vals else [0.0])
     return out
 
-
-def pencil_affinity_exact(web: VeroneseWeb, samples: list[Fraction] | None = None) -> bool:
-    """Exact check that Pi(t) is affine in t:
-    Pi(t) - Pi(0) - t (Pi(1) - Pi(0)) = 0 componentwise."""
-    if samples is None:
-        samples = [Fraction(1, 2), Fraction(3), Fraction(-2, 7)]
-    p0 = poisson_pencil_components(web, Fraction(0))
-    p1 = poisson_pencil_components(web, Fraction(1))
-    keys = set(p0) | set(p1)
-    for tval in samples:
-        pt = poisson_pencil_components(web, Fraction(tval))
-        for key in keys | set(pt):
-            lhs = pt.get(key, ZERO)
-            base = p0.get(key, ZERO)
-            lin = sub(p1.get(key, ZERO), base)
-            rhs = base + mul(rational(Fraction(tval)), lin)
-            if sub(lhs, rhs) is not ZERO:
-                return False
-    return True

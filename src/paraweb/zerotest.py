@@ -44,6 +44,22 @@ _FLOAT_NUM = 48
 _FLOAT_DEN = 16
 _MAX_RESAMPLES = 60
 
+# What a random point may hit, so that drawing another is the right
+# answer: a pole, a domain error, or a value too large for float().
+_RESAMPLE_ERRORS = (EvalDomainError, ZeroDivisionError, OverflowError)
+
+
+def _pole_free(draw, evaluate, attempts: int):
+    """``evaluate(draw())`` at the first drawn point that raises none of
+    ``_RESAMPLE_ERRORS``; None if all ``attempts`` points do."""
+    for _ in range(attempts):
+        point = draw()
+        try:
+            return evaluate(point)
+        except _RESAMPLE_ERRORS:
+            continue
+    return None
+
 
 class Verdict(str, enum.Enum):
     ZERO = "zero"
@@ -99,18 +115,16 @@ class ZeroTester:
         return int.from_bytes(h.digest(), "big")
 
     def _sample(self, e, symbols, rng, exact):
-        for _ in range(_MAX_RESAMPLES):
-            env = {s: self._draw(rng, exact) for s in symbols}
-            try:
-                if exact:
-                    return eval_numeric(e, env), 0.0
-                fenv = {s: float(v) for s, v in env.items()}
-                val = eval_numeric(e, fenv)
-                scale = magnitude_estimate(e, fenv)
-                return float(val), scale
-            except (EvalDomainError, ZeroDivisionError, OverflowError):
-                continue
-        return None
+        def evaluate(env):
+            if exact:
+                return eval_numeric(e, env), 0.0
+            fenv = {s: float(v) for s, v in env.items()}
+            val = eval_numeric(e, fenv)
+            scale = magnitude_estimate(e, fenv)
+            return float(val), scale
+
+        return _pole_free(lambda: {s: self._draw(rng, exact) for s in symbols}, evaluate,
+                          _MAX_RESAMPLES)
 
     def _draw(self, rng: random.Random, exact: bool) -> Fraction:
         if exact:

@@ -9,7 +9,7 @@ import pytest
 
 from paraweb.expr import eval_numeric, free_symbols
 from paraweb.webs import VeroneseWeb
-from paraweb.zerotest import ZeroTester
+from paraweb.zerotest import ZeroTester, _pole_free
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
 # (0, 1, ..., k+1) the two-exponential ansatz
@@ -78,17 +78,25 @@ def tester():
 
 
 def sample_point(web: VeroneseWeb, exprs, rng: random.Random, scale: int = 4):
-    """A pole-free random rational assignment for all symbols in exprs."""
+    """A pole-free random rational assignment for all symbols in exprs.
+
+    Only the errors the engine resamples on (poles, domain errors,
+    overflow) draw another point; anything else is a fault and escapes.
+    """
     symbols = set()
     for e in exprs:
         symbols.update(free_symbols(e))
     symbols = sorted(symbols, key=lambda s: s.key)
-    for _ in range(80):
-        env = {s: Fraction(rng.randint(-scale, scale), rng.randint(scale, 3 * scale)) for s in symbols}
-        try:
-            for e in exprs:
-                eval_numeric(e, env)
-        except Exception:
-            continue
+
+    def draw():
+        return {s: Fraction(rng.randint(-scale, scale), rng.randint(scale, 3 * scale)) for s in symbols}
+
+    def evaluate(env):
+        for e in exprs:
+            eval_numeric(e, env)
         return env
-    raise RuntimeError("could not find a pole-free sample point")
+
+    env = _pole_free(draw, evaluate, 80)
+    if env is None:
+        raise RuntimeError("could not find a pole-free sample point")
+    return env

@@ -33,10 +33,15 @@ from paraweb.invariants import (
     coordinate_wunschmann_order3,
     curvature_chain,
     gamma_k,
-    invariant_report,
     wunschmann_residuals,
 )
 from paraweb.jet import OdeProblem, OneForm, ScalingRule, dual_coframe, total_derivative_field
+from paraweb.report import (
+    CLASS_TOTALLY_GEODESIC,
+    CLASS_WUNSCHMANN_ONLY,
+    ProblemSpec,
+    analyze_ode,
+)
 from paraweb.zerotest import Verdict, ZeroTester
 
 ZT = ZeroTester()
@@ -382,13 +387,33 @@ class TestConnection:
         assert forms == {}
 
 
+def invariant_report(ode):
+    """Oracle for analyze_ode's classification (orders 2-4) and beta_b:
+    (Wunschmann holds, Cartan holds, b or None), straight from the
+    residual and beta functions."""
+    chain = curvature_chain(ode, ZT)
+    wun = all(r.is_zero for r in wunschmann_residuals(ode, chain, ZT))
+    car = all(r.is_zero for r in cartan_residuals(ode, chain, ZT))
+    beta_b = beta_coefficient(ode, chain, ZT)[0] if ode.order >= 4 and wun and car else None
+    return wun, car, beta_b
+
+
+def analyzed(order, rhs):
+    """analyze_ode's classification and beta_b, next to the oracle's."""
+    report = analyze_ode(ProblemSpec("ode", order=order, rhs=rhs))
+    return report["classification"], report["derived"].get("beta_b"), \
+        invariant_report(OdeProblem.from_rhs(order, rhs))
+
+
 class TestReportBundle:
     def test_invariant_report_flat(self):
-        rep = invariant_report(OdeProblem.from_rhs(4, "0"), ZT)
-        assert rep.wunschmann_holds and rep.cartan_holds
-        assert rep.beta_b is ZERO
+        classification, beta_b, (wun, car, oracle_b) = analyzed(4, "0")
+        assert wun and car and oracle_b is ZERO
+        assert classification == CLASS_TOTALLY_GEODESIC
+        assert beta_b == "0"
 
     def test_invariant_report_wunschmann_only(self):
-        rep = invariant_report(OdeProblem.from_rhs(3, "x2^3"), ZT)
-        assert rep.wunschmann_holds and not rep.cartan_holds
-        assert rep.beta_b is None
+        classification, beta_b, (wun, car, oracle_b) = analyzed(3, "x2^3")
+        assert wun and not car and oracle_b is None
+        assert classification == CLASS_WUNSCHMANN_ONLY
+        assert beta_b is None

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from paraweb.cli import main as cli_main
+from paraweb.jet import FrameError, SingularFrameError
 from paraweb.report import (
     InputError,
     ProblemSpec,
@@ -16,6 +18,9 @@ from paraweb.report import (
     analyze_web,
     dumps_report,
 )
+from paraweb.webs import InterpolationError, NotAWebError, WebError
+
+from conftest import random_polynomial_w
 
 DATA = Path(__file__).parent / "data"
 
@@ -136,6 +141,15 @@ class TestAnalyzeWeb:
         assert "connection" not in rep["derived"]
         assert "ricci_null_max" not in rep["derived"]
 
+    def test_pencil_affine_for_webs_and_non_webs(self):
+        rng = random.Random(11)
+        cases = [(random_polynomial_w(k, rng), k, False) for k in (2, 3)]
+        cases.append(("x0 + x1^2/2 + x2", 2, True))
+        for w, k, hirota in cases:
+            rep = analyze_web(spec({"kind": "web", "k": k, "w": w}))
+            assert rep["verdicts"]["hirota"] is hirota, w
+            assert rep["verdicts"]["pencil_affine"] is True, w
+
     def test_k3_solution_emits_bryant_and_flatness(self):
         rep = analyze_web(spec({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
         assert rep["verdicts"]["flat"] is True
@@ -170,6 +184,39 @@ class TestBatchAndCli:
         report, code = report_mod.analyze_batch(doc)
         assert code == 2
         assert "extraction failure" in report["reports"][0]["error"]
+
+    def test_failure_after_validation_is_an_error_entry(self, tmp_path, capsys):
+        # The zero test's float box reaches x0 > 2, so this is a separable
+        # web, but the base-point box of the Ricci check (x0 <= 2) never
+        # gives sqrt(x0 - 2) a real value.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "web", "k": 2, "w": "sqrt(x0-2) + x1 + x2"},
+            {"kind": "ode", "order": 3, "rhs": "0"},
+        ]}), encoding="utf-8")
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 2
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["error", "ok"]
+        assert "pole-free base point" in data["reports"][0]["error"]
+        assert "ERROR analysis failure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [
+        InterpolationError, NotAWebError, WebError, FrameError, SingularFrameError])
+    def test_analysis_failures_exit_2(self, monkeypatch, error):
+        import paraweb.report as report_mod
+
+        def boom(spec):
+            raise error("synthetic")
+
+        monkeypatch.setattr(report_mod, "analyze_web", boom)
+        doc = {"problems": [{"kind": "web", "k": 2, "w": "x0+x1+x2"},
+                            {"kind": "ode", "order": 3, "rhs": "0"}]}
+        report, code = report_mod.analyze_batch(doc)
+        assert code == 2
+        assert report["reports"][0] == {"problem": doc["problems"][0], "status": "error",
+                                        "error": "analysis failure: synthetic"}
+        assert report["reports"][1]["status"] == "ok"
 
     def test_cli_roundtrip(self, tmp_path):
         src = tmp_path / "problems.json"

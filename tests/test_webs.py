@@ -28,7 +28,7 @@ from paraweb.expr import (
     sub,
     sym,
 )
-from paraweb.jet import VectorField, exterior_derivative, lie_bracket, wedge3
+from paraweb.jet import VectorField, _gauss_jordan, exterior_derivative, lie_bracket, wedge3
 from paraweb.webs import (
     DegenerateWebError,
     NotAWebError,
@@ -47,7 +47,6 @@ from paraweb.webs import (
     make_web,
     null_curve,
     omega_at,
-    pencil_affinity_exact,
     poisson_pencil_components,
     ricci_null_residuals,
     ricci_tensor,
@@ -115,7 +114,38 @@ class TestOmega:
             assert all(v is ZERO for v in three.comps.values())
 
 
+def invert_rational(matrix):
+    """Oracle: the Fraction-exact Gauss-Jordan inverse."""
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        s = a[col][col]
+        a[col] = [v / s for v in a[col]]
+        inv[col] = [v / s for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
+                inv[r] = [v - f * p for v, p in zip(inv[r], inv[col])]
+    return inv
+
+
 class TestNullCurve:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_coefficient_matrix_inverse_is_exact(self, k):
+        w = " + ".join(f"x{i}" for i in range(k + 1))
+        for t_params in (None, [Fraction(3 * n * n - 7, n + 2) for n in range(k + 2)]):
+            r = null_curve(make_web(k, w, t_params)).coefficient_matrix()
+            want = invert_rational(r)
+            assert _gauss_jordan(r, Fraction(1), Fraction(0)) == want
+            # the same elimination over rational expressions
+            got = _gauss_jordan([[rational(v) for v in row] for row in r], rational(1), ZERO)
+            assert [[e.payload for e in row] for row in got] == want
+
     def test_duality_table(self):
         # omega^(i)(t)(V^(j)(t)) = 0 for i+j < k and (-1)^j k! at i+j = k
         for k, w in ((2, "x0+x1+x2"), (3, NONFLAT_W[3])):
@@ -240,7 +270,7 @@ class TestCanonicalConnection:
         web = make_web(3, NONFLAT_W[3])
         conn = canonical_connection(web, ZT)
         nc = null_curve(web)
-        tor = torsion(conn, ZT)
+        tor = torsion(conn)
         for tv in (Fraction(6), Fraction(-1, 3)):
             v, vp = nc.at(tv), nc.at(tv, order=1)
             tcomp = {c: ZERO for c in web.coords}
@@ -322,7 +352,7 @@ class TestWeylStructure:
         web = make_web(2, "x0+x1+x2")
         conn = canonical_connection(web, ZT)
         assert ZT.verdict(conn.f) is Verdict.ZERO
-        assert all(f.is_zero_field(ZT) for f in torsion(conn, ZT).values())
+        assert all(f.is_zero_field(ZT) for f in torsion(conn).values())
         res = weyl_compatibility_residuals(web, conn, zero=ZT)
         assert all(v is Verdict.ZERO for _, v in res.values())
 
@@ -330,7 +360,7 @@ class TestWeylStructure:
         web = make_web(2, NONFLAT_W[2])
         conn = canonical_connection(web, ZT)
         assert ZT.verdict(conn.f) is Verdict.NONZERO
-        assert all(f.is_zero_field(ZT) for f in torsion(conn, ZT).values())
+        assert all(f.is_zero_field(ZT) for f in torsion(conn).values())
         res = weyl_compatibility_residuals(web, conn, zero=ZT)
         assert all(v is Verdict.ZERO for _, v in res.values())
 
@@ -492,10 +522,32 @@ class TestZakharevich:
             zakharevich_verdict(web, [Fraction(4), Fraction(4), Fraction(5), Fraction(6), Fraction(7)], ZT)
 
 
+def pencil_affinity_exact(web, samples=(Fraction(1, 2), Fraction(3), Fraction(-2, 7))):
+    """Oracle: Pi(t) - Pi(0) - t (Pi(1) - Pi(0)) = 0 componentwise, exactly."""
+    p0 = poisson_pencil_components(web, Fraction(0))
+    p1 = poisson_pencil_components(web, Fraction(1))
+    keys = set(p0) | set(p1)
+    for tval in samples:
+        pt = poisson_pencil_components(web, tval)
+        for key in keys | set(pt):
+            base = p0.get(key, ZERO)
+            rhs = base + mul(rational(tval), sub(p1.get(key, ZERO), base))
+            if sub(pt.get(key, ZERO), rhs) is not ZERO:
+                return False
+    return True
+
+
 class TestBiHamiltonian:
     def test_pencil_is_affine(self):
-        for k in (2, 3):
-            assert pencil_affinity_exact(make_web(k, NONFLAT_W[k]))
+        # Affinity in t is by construction, so it holds for solutions and
+        # non-solutions alike, and for any spectral constants.
+        webs = [make_web(1, "x0 + x1^2/2"), make_web(1, "x0*x1 + x0 + x1")]
+        webs += [make_web(k, NONFLAT_W[k]) for k in (2, 3, 4)]
+        webs.append(make_web(2, "x0*x1*x2 + x0 + x1 + x2"))
+        webs.append(make_web(3, NONFLAT_W[3], t_params=(Fraction(-1, 2), 2, 5, Fraction(7, 3), 11)))
+        webs.append(make_web(4, "x0 + x1 + x2 + x3 + x4 + 2*x0*x3", t_params=(3, -1, 0, 4, 9, 2)))
+        for web in webs:
+            assert pencil_affinity_exact(web), (web.k, web.t_params)
 
     def test_schouten_vanishes_on_solutions(self):
         for k in (2, 3):
