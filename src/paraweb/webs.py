@@ -109,6 +109,8 @@ class VeroneseWeb:
     context: Context
     w: Expr
     t_params: tuple[Fraction, ...]
+    # Objects built once per web instance (the null curve, the omega forms).
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -201,8 +203,20 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def omega_coefficient_forms(web: VeroneseWeb) -> list[OneForm]:
+def _once(web: VeroneseWeb, name: str, build):
+    """``build(web)``, made on the first call for this web instance only."""
+    got = web._derived.get(name)
+    if got is None:
+        got = web._derived[name] = build(web)
+    return got
+
+
+def omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
     """One-forms omega_0..omega_k with omega(t) = sum_m t^m omega_m."""
+    return _once(web, "omega", _omega_coefficient_forms)
+
+
+def _omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
     k, t = web.k, web.t_params
     per_i = []
     for i in range(k + 1):
@@ -215,7 +229,7 @@ def omega_coefficient_forms(web: VeroneseWeb) -> list[OneForm]:
             if c:
                 comps[f"x{i}"] = mul(rational(c), web.dw(i))
         out.append(OneForm(web.coords, comps))
-    return out
+    return tuple(out)
 
 
 def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
@@ -283,7 +297,7 @@ class NullCurve:
 
 
 def null_curve(web: VeroneseWeb) -> NullCurve:
-    return NullCurve(web)
+    return _once(web, "null_curve", NullCurve)
 
 
 # ---------------------------------------------------------------------------
@@ -752,28 +766,39 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
         for c in coords
     }
     out = {}
+    # A term with a zero factor adds nothing to the (sorted) sum, so it is
+    # never built: a diagonal connection has (k+1)^2 nonzero symbols of
+    # (k+1)^3.
     for b in coords:
         for c in coords:
             terms = []
             for a in coords:
-                terms.append(differentiate(gam[(b, c, a)], a))
-                terms.append(neg(differentiate(gam[(a, c, a)], b)))
+                if gam[(b, c, a)] is not ZERO:
+                    terms.append(differentiate(gam[(b, c, a)], a))
+                if gam[(a, c, a)] is not ZERO:
+                    terms.append(neg(differentiate(gam[(a, c, a)], b)))
                 for m in coords:
-                    terms.append(mul(gam[(a, m, a)], gam[(b, c, m)]))
-                    terms.append(neg(mul(gam[(b, m, a)], gam[(a, c, m)])))
+                    if gam[(a, m, a)] is not ZERO and gam[(b, c, m)] is not ZERO:
+                        terms.append(mul(gam[(a, m, a)], gam[(b, c, m)]))
+                    if gam[(b, m, a)] is not ZERO and gam[(a, c, m)] is not ZERO:
+                        terms.append(neg(mul(gam[(b, m, a)], gam[(a, c, m)])))
             out[(b, c)] = add_iter(terms)
     return out
 
 
 def _base_point_values(rng: random.Random, symbols, evaluate):
     """``evaluate`` at a pole-free random base point: 40 attempts in the box
-    of numerators -8..8 over denominators 4..12."""
-    values = _pole_free(
-        lambda: {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}, evaluate, 40
-    )
-    if values is None:
-        raise WebError("could not sample a pole-free base point")
-    return values
+    of numerators -8..8 over denominators 4..12, then 40 in the box of
+    numerators -64..64 over 4..12 (|x| <= 16), which reaches webs defined
+    only away from the origin."""
+    for bound in (8, 64):
+        values = _pole_free(
+            lambda: {s: Fraction(rng.randint(-bound, bound), rng.randint(4, 12)) for s in symbols},
+            evaluate, 40,
+        )
+        if values is not None:
+            return values
+    raise WebError("could not sample a pole-free base point")
 
 
 def ricci_null_residuals(
@@ -805,9 +830,11 @@ def ricci_null_residuals(
     symbols = sorted(symbols, key=lambda s: s.key)
 
     def evaluate(env):
-        ric_num = {key: float(eval_numeric(e, env)) for key, e in ric.items()}
+        # One memo for the point: the components share most of their nodes.
+        memo: dict = {}
+        ric_num = {key: float(eval_numeric(e, env, memo)) for key, e in ric.items()}
         v_num = {
-            i: {c: float(eval_numeric(e, env)) for c, e in nc.fields[i].comps.items()}
+            i: {c: float(eval_numeric(e, env, memo)) for c, e in nc.fields[i].comps.items()}
             for i in range(k + 1)
         }
         return ric_num, v_num

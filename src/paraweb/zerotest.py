@@ -13,7 +13,8 @@ point against a relative tolerance.
 Sampling is deterministic: the RNG for an expression is derived from the
 configured seed and the expression's structural hash, so verdicts do not
 depend on call order and independent samples may be evaluated in
-parallel.
+parallel.  For the same reason a tester keeps each node's verdict once
+it is sampled: asking again can only give the same answer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
@@ -69,17 +70,28 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ZeroTester:
-    """Zero test with a fixed policy (trials, float tolerance, seed)."""
+    """Zero test with a fixed policy (trials, float tolerance, seed).
+
+    Each sampled ``(verdict, samples)`` is kept per node for the life of
+    the tester; a tester made per problem frees them with the problem.
+    """
 
     trials: int = 8
     tolerance: float = 1e-9
     seed: int = 0
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def verdict(self, e: Expr) -> Verdict:
         return self.verdict_stats(e)[0]
 
     def verdict_stats(self, e: Expr) -> tuple[Verdict, int]:
         """Verdict together with the number of samples actually evaluated."""
+        got = self._verdicts.get(e)
+        if got is None:
+            got = self._verdicts[e] = self._sampled_verdict(e)
+        return got
+
+    def _sampled_verdict(self, e: Expr) -> tuple[Verdict, int]:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if e.kind == RAT:

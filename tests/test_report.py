@@ -185,14 +185,17 @@ class TestBatchAndCli:
         assert code == 2
         assert "extraction failure" in report["reports"][0]["error"]
 
-    def test_failure_after_validation_is_an_error_entry(self, tmp_path, capsys):
-        # The zero test's float box reaches x0 > 2, so this is a separable
-        # web, but the base-point box of the Ricci check (x0 <= 2) never
-        # gives sqrt(x0 - 2) a real value.
+    def test_failure_after_validation_is_an_error_entry(self, tmp_path, capsys, monkeypatch):
+        # A base-point sampler that never finds a pole-free point: the web
+        # passes validation and every symbolic check, then the Ricci
+        # samples fail.
+        import paraweb.webs as webs_mod
+
+        monkeypatch.setattr(webs_mod, "_pole_free", lambda draw, evaluate, attempts: None)
         src = tmp_path / "problems.json"
         out = tmp_path / "report.json"
         src.write_text(json.dumps({"problems": [
-            {"kind": "web", "k": 2, "w": "sqrt(x0-2) + x1 + x2"},
+            {"kind": "web", "k": 2, "w": "x0 + x1^2/2 + x2"},
             {"kind": "ode", "order": 3, "rhs": "0"},
         ]}), encoding="utf-8")
         assert cli_main(["analyze", str(src), "--out", str(out)]) == 2
@@ -200,6 +203,16 @@ class TestBatchAndCli:
         assert [r["status"] for r in data["reports"]] == ["error", "ok"]
         assert "pole-free base point" in data["reports"][0]["error"]
         assert "ERROR analysis failure" in capsys.readouterr().out
+
+    def test_web_defined_away_from_the_origin_is_sampled(self):
+        # sqrt(x0 - 2) is real only for x0 > 2, outside the first
+        # base-point box (|x| <= 2); the wider box reaches it.
+        report, code = analyze_batch({"kind": "web", "k": 2, "w": "sqrt(x0-2) + x1 + x2"})
+        (entry,) = report["reports"]
+        assert code == 0 and entry["status"] == "ok"
+        assert entry["verdicts"]["hirota"] and entry["derived"]["connection"]["type"] == "weyl"
+        assert entry["derived"]["ricci_null_max"] < 1e-9
+        assert entry["derived"]["jacobi_max"] < 1e-9
 
     @pytest.mark.parametrize("error", [
         InterpolationError, NotAWebError, WebError, FrameError, SingularFrameError])
