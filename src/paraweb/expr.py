@@ -13,13 +13,18 @@ expression vanishes is the job of randomized identity testing (see
 
 All values are immutable and all operations are pure, so expressions can
 be shared and evaluated from multiple threads; the intern table is only
-mutated through atomic ``dict.setdefault`` calls.
+mutated through atomic ``dict.setdefault`` calls.  The one field filled
+after construction, a product's (coefficient, monomial) ``split``, is
+written with a single attribute store of a finished pair: threads that
+race to fill it compute equal pairs with the same interned monomial, and
+a reader sees either None or one of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -86,7 +91,9 @@ class Expr:
     """A canonical, interned expression node.  Use the module-level
     constructors; never instantiate directly."""
 
-    __slots__ = ("kind", "payload", "children", "key", "shash", "has_fun", "uid")
+    # ``split`` is a product's (coefficient, monomial) pair, filled by
+    # ``_coeff_mono`` on first use; it is None until then and on other kinds.
+    __slots__ = ("kind", "payload", "children", "key", "shash", "has_fun", "uid", "split")
 
     kind: int
     children: tuple["Expr", ...]
@@ -192,9 +199,18 @@ def _structural_hash(kind: int, payload, children: tuple[Expr, ...]) -> int:
     return h
 
 
+def _plain(q: Fraction) -> Number:
+    """``q`` as an int when it is integral, else ``q`` itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+_key = operator.attrgetter("key")
+
+
 def _sort_key(kind: int, payload, children: tuple[Expr, ...]):
     if kind == RAT:
-        return (RAT, payload)
+        # An int orders like the equal Fraction but compares much faster.
+        return (RAT, _plain(payload))
     if kind == SYM:
         return (SYM, payload)
     if kind == OPAQUE:
@@ -208,7 +224,9 @@ def _sort_key(kind: int, payload, children: tuple[Expr, ...]):
 
 
 def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
-    ident = (kind, payload, tuple(id(c) for c in children))
+    # Children hash and compare by identity, so this key is as exact as one
+    # built from their ids.
+    ident = (kind, payload, children)
     node = _INTERN.get(ident)
     if node is not None:
         return node
@@ -220,6 +238,7 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
     node.shash = _structural_hash(kind, payload, children)
     node.has_fun = kind == FUN or any(c.has_fun for c in children)
     node.uid = next(_UID)
+    node.split = None
     return _INTERN.setdefault(ident, node)
 
 
@@ -303,16 +322,26 @@ def _isqrt_exact(n: int) -> int | None:
 _ONE_FRACTION = Fraction(1)
 
 
-def _coeff_mono(t: Expr) -> tuple[Fraction, Expr]:
-    """Split a non-rational canonical term into (rational coefficient, monomial)."""
-    if t.kind == MUL and t.children[0].kind == RAT:
-        rest = t.children[1:]
-        monomial = rest[0] if len(rest) == 1 else _make(MUL, None, rest)
-        return t.children[0].payload, monomial
-    return _ONE_FRACTION, t
+def _coeff_mono(t: Expr) -> tuple[Number, Expr]:
+    """Split a non-rational canonical term into (rational coefficient, monomial).
+
+    The coefficient is an int when integral (see ``_plain``).  A product
+    keeps its split in ``t.split``, so its monomial is interned once.
+    """
+    if t.kind != MUL:
+        return 1, t
+    split = t.split
+    if split is None:
+        first, rest = t.children[0], t.children[1:]
+        if first.kind == RAT:
+            split = _plain(first.payload), (rest[0] if len(rest) == 1 else _make(MUL, None, rest))
+        else:
+            split = 1, t
+        t.split = split
+    return split
 
 
-def _scale_mono(c: Fraction, m: Expr) -> Expr:
+def _scale_mono(c: Number, m: Expr) -> Expr:
     """Attach a nonzero, non-unit rational coefficient to a coefficient-free monomial."""
     coeff = rational(c)
     if m.kind == MUL:
@@ -325,8 +354,9 @@ def add(*terms: Expr) -> Expr:
 
 
 def add_iter(terms: Iterable[Expr]) -> Expr:
-    const = Fraction(0)
-    by_mono: dict[Expr, Fraction] = {}
+    const = 0
+    # monomial -> [coefficient, the term itself while it is the only one]
+    by_mono: dict[Expr, list] = {}
     stack = list(terms)
     stack.reverse()
     while stack:
@@ -335,7 +365,7 @@ def add_iter(terms: Iterable[Expr]) -> Expr:
             stack.extend(reversed(t.children))
             continue
         if t.kind == RAT:
-            const += t.payload
+            const += _plain(t.payload)
             continue
         c, m = _coeff_mono(t)
         if m.kind == ADD:
@@ -343,19 +373,24 @@ def add_iter(terms: Iterable[Expr]) -> Expr:
             stack.extend(mul(rational(c), ch) for ch in m.children)
             continue
         acc = by_mono.get(m)
-        by_mono[m] = c if acc is None else acc + c
+        if acc is None:
+            by_mono[m] = [c, t]
+        else:
+            acc[0] += c
+            acc[1] = None
     out: list[Expr] = []
-    for m, c in by_mono.items():
-        if c == 0:
-            continue
-        out.append(m if c == 1 else _scale_mono(c, m))
-    if const != 0:
+    for m, (c, t) in by_mono.items():
+        if t is not None:
+            out.append(t)
+        elif c:
+            out.append(m if c == 1 else _scale_mono(c, m))
+    if const:
         out.append(rational(const))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e.key)
+    out.sort(key=_key)
     return _make(ADD, None, tuple(out))
 
 
@@ -364,7 +399,9 @@ def mul(*factors: Expr) -> Expr:
 
 
 def mul_iter(factors: Iterable[Expr]) -> Expr:
-    coeff = Fraction(1)
+    coeff = 1
+    # the rational factor, while it is the only one
+    coeff_node = None
     by_base: dict[Expr, int] = {}
     stack = list(factors)
     stack.reverse()
@@ -373,13 +410,16 @@ def mul_iter(factors: Iterable[Expr]) -> Expr:
         if f.kind == MUL:
             stack.extend(reversed(f.children))
         elif f.kind == RAT:
-            coeff *= f.payload
+            if coeff_node is None and coeff == 1:
+                coeff_node, coeff = f, _plain(f.payload)
+            else:
+                coeff_node, coeff = None, coeff * _plain(f.payload)
         elif f.kind == POW:
             base, n = f.children[0], f.payload
             by_base[base] = by_base.get(base, 0) + n
         else:
             by_base[f] = by_base.get(f, 0) + 1
-    if coeff == 0:
+    if not coeff:
         return ZERO
     out: list[Expr] = []
     for base, n in by_base.items():
@@ -387,16 +427,16 @@ def mul_iter(factors: Iterable[Expr]) -> Expr:
             continue
         p = pow_int(base, n)
         if p.kind == RAT:
-            coeff *= p.payload
+            coeff_node, coeff = None, coeff * _plain(p.payload)
         else:
             out.append(p)
     if not out:
-        return rational(coeff)
+        return coeff_node or rational(coeff)
     if coeff != 1:
-        out.insert(0, rational(coeff))
+        out.insert(0, coeff_node or rational(coeff))
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e.key)
+    out.sort(key=_key)
     return _make(MUL, None, tuple(out))
 
 
@@ -841,7 +881,8 @@ def _signed_product(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, s
     den: list[str] = []
     for c in e.children:
         if c.kind == RAT:
-            coeff *= c.payload
+            # a canonical product has at most one rational factor
+            coeff = c.payload
         elif c.kind == POW and c.payload < 0:
             b = _atom(c.children[0], counts, memo)
             den.append(b if c.payload == -1 else f"{b}^{-c.payload}")

@@ -30,7 +30,7 @@ from paraweb.expr import (
     sym,
     to_string,
 )
-from paraweb.parser import Context, ParseError, parse_expr
+from paraweb.parser import MAX_EXPONENT, Context, ParseError, parse_expr
 from paraweb.zerotest import Verdict, ZeroTester, is_zero
 
 CTX = Context(
@@ -93,6 +93,13 @@ class TestParsing:
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             p("tanh(x1)")
+
+    def test_exponent_bound(self):
+        assert p("x1^1000") is pow_int(sym("x1"), MAX_EXPONENT)
+        assert p("x1^-0001000") is pow_int(sym("x1"), -MAX_EXPONENT)
+        for text in ("x1^1001", "x1^-1001", "x1^100000000", "2^" + "9" * 5000):
+            with pytest.raises(ParseError, match="budget exceeded"):
+                p(text)
 
 
 class TestDifferentiation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,22 @@ class TestBatchAndCli:
         assert report["reports"][0] == {"problem": doc["problems"][0], "status": "error",
                                         "error": "analysis failure: synthetic"}
         assert report["reports"][1]["status"] == "ok"
+
+    def test_exponent_beyond_the_bound_is_an_error_entry(self, tmp_path):
+        # Unbounded, the exact zero test would raise sampled rationals to
+        # this power and the batch would not finish.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "ode", "order": 3, "rhs": "x2^100000000"},
+            {"kind": "ode", "order": 3, "rhs": "0"},
+        ]}), encoding="utf-8")
+        start = time.monotonic()
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        assert time.monotonic() - start < 5
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["error", "ok"]
+        assert "budget exceeded" in data["reports"][0]["error"]
 
     def test_cli_roundtrip(self, tmp_path):
         src = tmp_path / "problems.json"
