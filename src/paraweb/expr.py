@@ -607,6 +607,61 @@ def _eval(e: Expr, env: Mapping, memo: dict) -> Number:
     return val
 
 
+# The prime of the zero test's exact samples (see ``paraweb.zerotest``).
+_P = (1 << 61) - 1
+
+
+class _PrimeInDenominator(EvaluationError):
+    """A constant has no residue mod ``_P``: ``_P`` divides its denominator."""
+
+
+def _residue(q: Fraction) -> int:
+    """``q`` mod ``_P``."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return num % _P
+    if den % _P == 0:
+        raise _PrimeInDenominator(f"{_P} divides the denominator of {q}")
+    return num * pow(den, -1, _P) % _P
+
+
+def _eval_mod(e: Expr, env: Mapping, memo: dict) -> int:
+    """``e`` mod ``_P`` at an assignment of symbols to residues.
+
+    ``e`` must be free of elementary functions.  A negative power of a
+    base that is 0 mod ``_P`` raises ``EvalDomainError``, so every value
+    inverted is a unit mod ``_P``, and the result is the residue of the
+    rational value of ``e`` at any point whose residues ``env`` holds.
+    """
+    got = memo.get(e.uid)
+    if got is not None:
+        return got
+    k = e.kind
+    if k == MUL:
+        val = 1
+        for c in e.children:
+            val = val * _eval_mod(c, env, memo) % _P
+    elif k == ADD:
+        val = 0
+        for c in e.children:
+            val += _eval_mod(c, env, memo)
+        val %= _P
+    elif k == POW:
+        b = _eval_mod(e.children[0], env, memo)
+        n = e.payload
+        if b == 0 and n < 0:
+            raise EvalDomainError("division by zero at assignment")
+        val = pow(b, n, _P)
+    elif k == RAT:
+        val = _residue(e.payload)
+    elif k in (SYM, OPAQUE):
+        val = _lookup(e, env)
+    else:
+        raise EvaluationError("elementary functions have no value mod p")
+    memo[e.uid] = val
+    return val
+
+
 def _eval_fun(name: str, x: float) -> float:
     try:
         if name == "exp":

@@ -49,6 +49,7 @@ from .zerotest import Verdict, ZeroTester
 
 __all__ = [
     "InputError",
+    "MAX_TRIALS",
     "ProblemSpec",
     "analyze_ode",
     "analyze_web",
@@ -57,6 +58,10 @@ __all__ = [
     "dumps_report",
     "write_report",
 ]
+
+# The zero test draws up to ``trials`` points per expression, so an
+# unbounded value could keep a problem running until it is killed.
+MAX_TRIALS = 1000
 
 CLASS_TOTALLY_GEODESIC = "totally-geodesic paraconformal"
 CLASS_WUNSCHMANN_ONLY = "Wünschmann only"
@@ -125,6 +130,8 @@ class ProblemSpec:
         tolerance = float(tolerance)
         if trials < 1:
             raise InputError("trials must be at least 1")
+        if trials > MAX_TRIALS:
+            raise InputError(f"budget exceeded: trials are limited to {MAX_TRIALS}, got {trials}")
         if kind == "ode":
             order = raw.get("order")
             rhs = raw.get("rhs")

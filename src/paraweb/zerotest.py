@@ -10,6 +10,26 @@ handful of agreeing samples makes a false "zero" vanishingly unlikely.
 Expressions containing elementary functions are evaluated in floating
 point against a relative tolerance.
 
+Exact samples are taken modulo the prime p = 2^61 - 1, not in
+``Fraction``.  A drawn rational ``num/den`` becomes ``num * den^-1 mod p``,
+and sums, products and powers are reduced mod p, so a value never grows
+past 122 bits, however large the rational it stands for; ``x^1000000``
+costs a few dozen multiplications.  A negative power of a base that is
+0 mod p counts as a pole.  Every value is then the image of a rational
+whose denominator p does not divide, so a nonzero residue proves the
+rational value nonzero.  The converse can fail, since a nonzero value
+that p divides reads as 0, so a ``zero`` verdict is confirmed by one
+``Fraction`` evaluation at the first sampled point.  An expression that
+has a constant whose denominator p divides, or whose every point is a
+pole mod p, is sampled in ``Fraction`` instead.
+
+The points are the ones the ``Fraction`` sampler drew: the same 16-bit
+numerator and denominator pairs, from the same RNG, in the same order.
+So verdicts and sample counts are that sampler's, except where p divides
+an intermediate value at a sampled point: a base that p divides then
+reads as a pole, and the next point is drawn; a nonzero value that p
+divides reads as 0 at that sample.
+
 Sampling is deterministic: the RNG for an expression is derived from the
 configured seed and the expression's structural hash, so verdicts do not
 depend on call order and independent samples may be evaluated in
@@ -28,6 +48,9 @@ from fractions import Fraction
 from .expr import (
     EvalDomainError,
     Expr,
+    _P,
+    _PrimeInDenominator,
+    _eval_mod,
     eval_numeric,
     free_symbols,
     magnitude_estimate,
@@ -37,12 +60,11 @@ __all__ = ["Verdict", "ZeroTester", "is_zero", "DEFAULT_TESTER"]
 
 RAT = 0  # expr kind tag for rational constants
 
-# Numerator/denominator bounds for the two sampling boxes.  Exact samples
-# use 16-bit entries; float samples stay small so exponentials of sampled
-# points keep well clear of overflow.
-_EXACT_BOUND = (1 << 16) - 1
-_FLOAT_NUM = 48
-_FLOAT_DEN = 16
+# The two sampling boxes, as (numerator bound, least and greatest
+# denominator).  Exact samples use 16-bit entries; float samples stay
+# small so exponentials of sampled points keep well clear of overflow.
+_EXACT_BOX = ((1 << 16) - 1, 1, (1 << 16) - 1)
+_FLOAT_BOX = (48, 16, 64)
 _MAX_RESAMPLES = 60
 
 # What a random point may hit, so that drawing another is the right
@@ -99,53 +121,67 @@ class ZeroTester:
         # A symbol-free non-constant expression can still occur (elementary
         # functions of constants); it is handled by the float path below.
         symbols = free_symbols(e)
+        if e.has_fun:
+            def float_zero(point):
+                env = {s: num / den for s, (num, den) in zip(symbols, point)}
+                val = float(eval_numeric(e, env))
+                return abs(val) <= self.tolerance * max(1.0, magnitude_estimate(e, env))
+
+            return self._tally(e, _FLOAT_BOX, len(symbols), float_zero)[:2]
+
+        def residue_zero(point):
+            env = {s: num * pow(den, -1, _P) % _P for s, (num, den) in zip(symbols, point)}
+            return _eval_mod(e, env, {}) == 0
+
+        def exact_value(point):
+            return eval_numeric(e, {s: Fraction(num, den) for s, (num, den) in zip(symbols, point)})
+
+        try:
+            verdict, samples, first = self._tally(e, _EXACT_BOX, len(symbols), residue_zero)
+        except _PrimeInDenominator:
+            verdict = Verdict.INDETERMINATE
+        if verdict is Verdict.INDETERMINATE:
+            # A constant has no residue, or every point was a pole mod p
+            # (say, of a base that p divides as a polynomial).
+            return self._tally(e, _EXACT_BOX, len(symbols), lambda point: exact_value(point) == 0)[:2]
+        # A nonzero value that p divides reads as 0 mod p.  At the first
+        # point the Fraction sampler would have stopped with one sample.
+        if verdict is Verdict.ZERO and exact_value(first) != 0:
+            return Verdict.NONZERO, 1
+        return verdict, samples
+
+    def _tally(self, e, box, width, is_zero):
+        """``(verdict, samples, first point)`` over ``trials`` pole-free
+        points, each ``width`` pairs ``(num, den)`` drawn from ``box`` with
+        the node's RNG; ``is_zero(point)`` decides one sample."""
         rng = random.Random(self._derive_seed(e))
-        exact = not e.has_fun
+        num_bound, den_low, den_high = box
+
+        def draw():
+            return [(rng.randint(-num_bound, num_bound), rng.randint(den_low, den_high))
+                    for _ in range(width)]
+
         samples = 0
-        poles_only = True
+        first = None
         for _ in range(self.trials):
-            value = self._sample(e, symbols, rng, exact)
-            if value is None:
+            got = _pole_free(draw, lambda point: (point, is_zero(point)), _MAX_RESAMPLES)
+            if got is None:
                 continue
-            poles_only = False
+            point, zero = got
             samples += 1
-            val, scale = value
-            if exact:
-                if val != 0:
-                    return Verdict.NONZERO, samples
-            else:
-                if abs(val) > self.tolerance * max(1.0, scale):
-                    return Verdict.NONZERO, samples
-        if poles_only:
-            return Verdict.INDETERMINATE, samples
-        return Verdict.ZERO, samples
+            if first is None:
+                first = point
+            if not zero:
+                return Verdict.NONZERO, samples, first
+        if first is None:
+            return Verdict.INDETERMINATE, samples, first
+        return Verdict.ZERO, samples, first
 
     def _derive_seed(self, e: Expr) -> int:
         h = hashlib.blake2b(digest_size=8)
         h.update(str(self.seed).encode())
         h.update(e.shash.to_bytes(8, "big"))
         return int.from_bytes(h.digest(), "big")
-
-    def _sample(self, e, symbols, rng, exact):
-        def evaluate(env):
-            if exact:
-                return eval_numeric(e, env), 0.0
-            fenv = {s: float(v) for s, v in env.items()}
-            val = eval_numeric(e, fenv)
-            scale = magnitude_estimate(e, fenv)
-            return float(val), scale
-
-        return _pole_free(lambda: {s: self._draw(rng, exact) for s in symbols}, evaluate,
-                          _MAX_RESAMPLES)
-
-    def _draw(self, rng: random.Random, exact: bool) -> Fraction:
-        if exact:
-            num = rng.randint(-_EXACT_BOUND, _EXACT_BOUND)
-            den = rng.randint(1, _EXACT_BOUND)
-        else:
-            num = rng.randint(-_FLOAT_NUM, _FLOAT_NUM)
-            den = rng.randint(_FLOAT_DEN, _FLOAT_DEN + _FLOAT_NUM)
-        return Fraction(num, den)
 
 
 DEFAULT_TESTER = ZeroTester()

@@ -12,6 +12,7 @@ import pytest
 from paraweb.cli import main as cli_main
 from paraweb.jet import FrameError, SingularFrameError
 from paraweb.report import (
+    MAX_TRIALS,
     InputError,
     ProblemSpec,
     analyze_batch,
@@ -247,6 +248,34 @@ class TestBatchAndCli:
         data = json.loads(out.read_text(encoding="utf-8"))
         assert [r["status"] for r in data["reports"]] == ["error", "ok"]
         assert "budget exceeded" in data["reports"][0]["error"]
+
+    @pytest.mark.parametrize("rhs", ["(x2^100)^100 + x1", "(x2^1000)^1000 + x1"])
+    def test_nested_exponents_are_sampled_quickly(self, rhs):
+        # Each literal is within the bound, but the power is x2^1000000.
+        start = time.monotonic()
+        report, code = analyze_batch({"kind": "ode", "order": 3, "rhs": rhs})
+        assert time.monotonic() - start < 5
+        assert code == 0
+        assert report["reports"][0]["status"] == "ok"
+
+    def test_trials_beyond_the_budget_is_an_error_entry(self, tmp_path):
+        # Unbounded, the zero test would draw this many points per
+        # expression and the batch would not finish.
+        assert spec({"kind": "ode", "order": 2, "rhs": "0",
+                     "options": {"trials": MAX_TRIALS}}).trials == MAX_TRIALS
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "ode", "order": 2, "rhs": "abstract", "options": {"trials": 100000000}},
+            {"kind": "ode", "order": 2, "rhs": "abstract", "options": {"trials": MAX_TRIALS + 1}},
+            {"kind": "ode", "order": 2, "rhs": "abstract"},
+        ]}), encoding="utf-8")
+        start = time.monotonic()
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        assert time.monotonic() - start < 5
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["error", "error", "ok"]
+        assert all(r["error"].startswith("budget exceeded: ") for r in data["reports"][:2])
 
     def test_cli_roundtrip(self, tmp_path):
         src = tmp_path / "problems.json"

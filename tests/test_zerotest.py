@@ -1,0 +1,291 @@
+"""The zero test's exact samples against the Fraction sampler.
+
+The tester takes each exact sample modulo p = 2^61 - 1, confirms a
+``zero`` verdict in ``Fraction`` at the first point, and falls back to
+``Fraction`` for an expression the residues cannot sample.  The
+reference below is the sampler as first written: every exact sample is
+a ``Fraction`` evaluation.  Both draw the same points from the same RNG,
+so they must return the same ``(verdict, samples)``.  p divides no
+intermediate value of the generated expressions; the tests that put p
+into an expression on purpose are at the end.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paraweb import zerotest
+from paraweb.expr import (
+    EvalDomainError,
+    _eval_mod,
+    _PrimeInDenominator,
+    add,
+    add_iter,
+    div,
+    eval_numeric,
+    expand,
+    free_symbols,
+    fun,
+    magnitude_estimate,
+    mul,
+    mul_iter,
+    opaque,
+    pow_int,
+    rational,
+    sub,
+    sym,
+)
+from paraweb.parser import Context, parse_expr
+from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report
+from paraweb.zerotest import Verdict, ZeroTester
+
+DATA = Path(__file__).parent / "data"
+P = (1 << 61) - 1
+CTX = Context(coords=("t", "x0", "x1", "x2"), functions={"F": ("t", "x0", "x1", "x2")})
+
+# (numerator bound, least and greatest denominator) of the exact box.
+EXACT_BOX = ((1 << 16) - 1, 1, (1 << 16) - 1)
+# A box this small hits poles and the zeros of nonzero expressions often,
+# so the order in which points are drawn and used shows in the verdicts.
+SMALL_BOX = (2, 1, 3)
+
+# A polynomial that equals p at every point: every exact sample is 0 mod p.
+MULTIPLE_OF_P = "(x2 + 2147483648)*(x2 + 1073741824) - x2^2 - 3221225472*x2 - 1"
+
+
+def p(text):
+    return parse_expr(text, CTX)
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler
+
+
+def ref_verdict_stats(e, trials=8, tolerance=1e-9, seed=0, exact_box=EXACT_BOX, poles=None):
+    """``(verdict, samples)`` with every exact sample taken in Fraction.
+
+    ``poles``, if given, gets one entry per drawn point that was a pole.
+    """
+    if e.kind == 0:
+        return (Verdict.ZERO if e.payload == 0 else Verdict.NONZERO), 0
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(seed).encode())
+    h.update(e.shash.to_bytes(8, "big"))
+    rng = random.Random(int.from_bytes(h.digest(), "big"))
+    symbols = free_symbols(e)
+    exact = not e.has_fun
+    samples = 0
+    for _ in range(trials):
+        for _ in range(60):
+            if exact:
+                num_bound, den_low, den_high = exact_box
+                env = {s: Fraction(rng.randint(-num_bound, num_bound), rng.randint(den_low, den_high))
+                       for s in symbols}
+            else:
+                env = {s: float(Fraction(rng.randint(-48, 48), rng.randint(16, 64))) for s in symbols}
+            try:
+                val = eval_numeric(e, env)
+                scale = 0.0 if exact else magnitude_estimate(e, env)
+                break
+            except (EvalDomainError, ZeroDivisionError, OverflowError):
+                if poles is not None:
+                    poles.append(env)
+        else:
+            continue
+        samples += 1
+        if (val != 0) if exact else abs(float(val)) > tolerance * max(1.0, scale):
+            return Verdict.NONZERO, samples
+    if samples == 0:
+        return Verdict.INDETERMINATE, 0
+    return Verdict.ZERO, samples
+
+
+class ReferenceTester(ZeroTester):
+    """A tester that samples with the reference."""
+
+    def _sampled_verdict(self, e):
+        return ref_verdict_stats(e, self.trials, self.tolerance, self.seed)
+
+
+def assert_same(e, seed=0, trials=8, exact_box=EXACT_BOX):
+    got = ZeroTester(trials=trials, seed=seed).verdict_stats(e)
+    assert got == ref_verdict_stats(e, trials, seed=seed, exact_box=exact_box), str(e)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Generated expressions
+
+F_DEPS = ("t", "x0", "x1", "x2")
+SYMBOLS = (sym("t"), sym("x0"), sym("x1"), sym("x2"), opaque("F", F_DEPS),
+           opaque("F", F_DEPS, (0, 0, 1, 0)), opaque("F", F_DEPS, (0, 1, 0, 2)))
+
+
+def _power(a, n):
+    try:
+        return pow_int(a, n)
+    except ZeroDivisionError:  # a negative power of the constant 0
+        return a
+
+
+def _quotient(a, b):
+    try:
+        return div(a, b)
+    except ZeroDivisionError:
+        return a
+
+
+_leaves = st.one_of(
+    st.sampled_from(SYMBOLS),
+    st.builds(lambda n, d: rational(Fraction(n, d)), st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+def _branches(children, functions=False):
+    options = [
+        st.lists(children, min_size=2, max_size=3).map(add_iter),
+        st.lists(children, min_size=2, max_size=3).map(mul_iter),
+        st.builds(sub, children, children),
+        st.builds(_quotient, children, children),
+        st.builds(_power, children, st.sampled_from((-3, -2, -1, 2, 3))),
+    ]
+    if functions:
+        options.append(st.builds(fun, st.sampled_from(("exp", "sin", "cos")), children))
+    return st.one_of(options)
+
+
+rational_exprs = st.recursive(_leaves, _branches, max_leaves=8)
+function_exprs = st.recursive(_leaves, lambda c: _branches(c, functions=True), max_leaves=6)
+
+
+def _identity(e):
+    """A nonzero-looking expression that is 0: ``expand(e) - e``."""
+    return sub(expand(e), e)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_exprs, st.integers(0, 3))
+    def test_rational_expressions(self, e, seed):
+        assert_same(e, seed)
+        assert_same(_identity(e), seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_exprs, st.integers(0, 3))
+    def test_rational_expressions_in_a_small_box(self, e, seed):
+        with mock.patch.object(zerotest, "_EXACT_BOX", SMALL_BOX):
+            assert_same(e, seed, exact_box=SMALL_BOX)
+            assert_same(_identity(e), seed, exact_box=SMALL_BOX)
+            assert_same(add(_identity(e), sym("x1")), seed, exact_box=SMALL_BOX)
+
+    @settings(max_examples=60, deadline=None)
+    @given(function_exprs, st.integers(0, 3))
+    def test_expressions_with_functions(self, e, seed):
+        assert_same(e, seed)
+
+    @pytest.mark.parametrize("document", [
+        json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")),
+        {"problems": [{"kind": "ode", "order": 4, "rhs": "abstract", "options": {"seed": s}}
+                      for s in (0, 1)] + [
+            {"kind": "ode", "order": 5, "rhs": "x4^2*x1/(1+x0^2) + t*x3"},
+            {"kind": "web", "k": 3, "w": "x0 + x1 + x2 + x3 + 2*x0*x1 + 1*x1*x1"}]},
+    ], ids=["golden", "odes-and-web"])
+    def test_every_expression_a_batch_tests(self, monkeypatch, document):
+        tested = {}
+        verdict_stats = ZeroTester.verdict_stats
+
+        def record(tester, e):
+            got = tested[tester.trials, tester.tolerance, tester.seed, e] = verdict_stats(tester, e)
+            return got
+
+        monkeypatch.setattr(ZeroTester, "verdict_stats", record)
+        analyze_batch(document)
+        assert len(tested) > 10
+        assert {got[0] for got in tested.values()} >= {Verdict.ZERO, Verdict.NONZERO}
+        for (trials, tolerance, seed, e), got in tested.items():
+            assert got == ref_verdict_stats(e, trials, tolerance, seed), str(e)
+
+    def test_golden_report_from_the_reference(self, monkeypatch):
+        monkeypatch.setattr(ProblemSpec, "tester", lambda spec: ReferenceTester(
+            trials=spec.trials, tolerance=spec.tolerance, seed=spec.seed))
+        report, _ = analyze_batch(json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")))
+        assert dumps_report(report) == (DATA / "golden_report.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Targeted cases
+
+
+class TestDrawnPoints:
+    @pytest.mark.parametrize("text", ["1/x1 + x2", "(2*x1 + 1)/(2*x1 - 1) - 1 - 2/(2*x1 - 1)",
+                                      "x1 - 1/2 + 1/(x2*(x2 - 1)*(x2 + 1))"])
+    def test_a_pole_resamples_as_before(self, text):
+        e = p(text)
+        poles = []
+        with mock.patch.object(zerotest, "_EXACT_BOX", SMALL_BOX):
+            for seed in range(12):
+                got = ZeroTester(seed=seed).verdict_stats(e)
+                assert got == ref_verdict_stats(e, seed=seed, exact_box=SMALL_BOX, poles=poles)
+        assert poles, "no drawn point was a pole"
+
+    @pytest.mark.parametrize("text", ["x1 - 1/2", "(2*x1 - 1)*(3*x1 + 1)*(3*x1 - 2) + x2 - x2^2"])
+    def test_a_root_is_drawn_where_the_fraction_sampler_drew_it(self, text):
+        # Each root needs a drawn denominator above 1, so a sample lands on
+        # it only where num/den maps to the right residue.
+        e = p(text)
+        counts = []
+        with mock.patch.object(zerotest, "_EXACT_BOX", SMALL_BOX):
+            for seed in range(24):
+                got = ZeroTester(seed=seed).verdict_stats(e)
+                assert got == ref_verdict_stats(e, seed=seed, exact_box=SMALL_BOX)
+                counts.append(got[1])
+        assert max(counts) > 1, "no sample landed on a root"
+
+    def test_a_pole_mod_p_is_a_pole(self):
+        x1 = sym("x1")
+        with pytest.raises(EvalDomainError):
+            _eval_mod(pow_int(add(x1, rational(-3)), -1), {x1: 3}, {})
+
+    def test_every_point_a_pole(self):
+        e = p("1/((x1 + 1)^2 - x1^2 - 2*x1 - 1) + x2")
+        assert assert_same(e) == (Verdict.INDETERMINATE, 0)
+
+
+class TestPrimeInAnExpression:
+    def test_constant_with_p_in_its_denominator(self):
+        x1, x2 = sym("x1"), sym("x2")
+        nonzero = add(mul(rational(1, P), x1), x2)
+        with pytest.raises(_PrimeInDenominator):
+            _eval_mod(nonzero, {x1: 1, x2: 2}, {})
+        assert assert_same(nonzero) == (Verdict.NONZERO, 1)
+        zero = mul(rational(5, 3 * P), _identity(p("(x1 + 1)*(x1 - 1/2)/(x2 + 3)")))
+        assert assert_same(zero) == (Verdict.ZERO, 8)
+        assert assert_same(add(zero, mul(rational(1, P * P), x2))) == (Verdict.NONZERO, 1)
+
+    def test_value_that_p_divides_everywhere(self):
+        e = p(MULTIPLE_OF_P)
+        assert e.kind != 0
+        assert assert_same(e) == (Verdict.NONZERO, 1)
+        assert assert_same(mul(rational(P), sym("x1"))) == (Verdict.NONZERO, 1)
+        assert assert_same(mul(p("x2^3"), e)) == (Verdict.NONZERO, 1)
+
+    def test_base_that_p_divides_everywhere(self):
+        assert assert_same(p(f"1/({MULTIPLE_OF_P}) - x1")) == (Verdict.NONZERO, 1)
+        assert assert_same(pow_int(mul(rational(P), sym("x1")), -2)) == (Verdict.NONZERO, 1)
+
+    def test_inside_an_ode_right_hand_side(self, monkeypatch):
+        spec = ProblemSpec.from_dict({"kind": "ode", "order": 3, "rhs": f"x2^3*({MULTIPLE_OF_P})"})
+        report = analyze_ode(spec)
+        verdicts = [r["verdict"] for r in report["residuals"]]
+        assert "nonzero" in verdicts and "indeterminate" not in verdicts
+        monkeypatch.setattr(ProblemSpec, "tester", lambda s: ReferenceTester(
+            trials=s.trials, tolerance=s.tolerance, seed=s.seed))
+        assert dumps_report({"reports": [analyze_ode(spec)]}) == dumps_report({"reports": [report]})
