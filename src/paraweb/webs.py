@@ -234,14 +234,16 @@ def _omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
 
 def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
     """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
-    an exact rational t."""
+    an exact rational t.  Each component is one sum over the degrees."""
     tval = Fraction(tval)
-    acc = type(coeffs[0])(coeffs[0].frame, {})
+    weighted = []
     for m in range(order, len(coeffs)):
         c = Fraction(factorial(m), factorial(m - order)) * tval ** (m - order)
         if c:
-            acc = acc.plus(coeffs[m].scaled(rational(c)))
-    return acc
+            weighted.append((rational(c), coeffs[m].comps))
+    frame = coeffs[0].frame
+    return type(coeffs[0])(frame, {x: add_iter(mul(c, comps[x]) for c, comps in weighted if x in comps)
+                                   for x in frame})
 
 
 def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:

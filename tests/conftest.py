@@ -24,6 +24,8 @@ NONFLAT_W = {
     3: "exp(x1+x2+x3) + exp(x0+10*x1+4*x2+2*x3)",
     4: "exp(x1+x2+x3+x4) + exp(x0+49*x1+19*x2+9*x3+4*x4)",
 }
+# The nonflat k = 5 web of the benchmark's web-ladder, outside the corpus.
+NONFLAT_W5 = "exp(x1+x2+x3+x4+x5) + exp(x0+51*x1+21*x2+11*x3+6*x4+3*x5)"
 
 SEPARABLE_W = {
     2: ["x0+x1+x2", "x0 + x1^2/2 + x2"],

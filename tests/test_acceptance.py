@@ -66,7 +66,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, sample_point
+from conftest import NONFLAT_W, NONFLAT_W5, sample_point
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
     closed_forms_order2,
@@ -297,6 +297,10 @@ def test_criterion_7_flatness_and_bryant(corpus):
         assert verdict is (tag == "separable"), (k, w, tag)
         flat_expect[(k, w)] = verdict
     assert any(flat_expect.values()) and not all(flat_expect.values())
+    # the nonflat k = 5 web outside the corpus
+    web = make_web(5, NONFLAT_W5)
+    assert is_hirota_solution(web, ZT)
+    assert flatness_verdict(web, ZT) is False
 
     # Bryant forms: beta vanishes precisely on the flat k = 3 webs
     for (k, w), flat in flat_expect.items():

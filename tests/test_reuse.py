@@ -21,6 +21,7 @@ import paraweb.webs as webs_mod
 import paraweb.zerotest as zerotest_mod
 from paraweb.expr import (
     ZERO,
+    _eval_mod,
     add_iter,
     differentiate,
     eval_numeric,
@@ -182,7 +183,14 @@ class TestVerdictMemo:
             evaluations.append(e)
             return eval_numeric(e, env, memo)
 
+        def counting_eval_mod(e, env, memo):
+            evaluations.append(e)
+            return _eval_mod(e, env, memo)
+
+        # The exp web is sampled mod p, and a nonzero residue needs no
+        # exact evaluation, so both evaluators are counted.
         monkeypatch.setattr(zerotest_mod, "eval_numeric", counting_eval)
+        monkeypatch.setattr(zerotest_mod, "_eval_mod", counting_eval_mod)
         web = make_web(2, NONFLAT_W[2])
         tester = ZeroTester(seed=9)
         first = tester.verdict_stats(web.dw2(0, 1))

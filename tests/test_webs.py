@@ -47,6 +47,7 @@ from paraweb.webs import (
     make_web,
     null_curve,
     omega_at,
+    omega_coefficient_forms,
     poisson_pencil_components,
     ricci_null_residuals,
     ricci_tensor,
@@ -58,7 +59,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, sample_point
+from conftest import NONFLAT_W, random_polynomial_w, sample_point
 
 ZT = ZeroTester()
 
@@ -134,7 +135,34 @@ def invert_rational(matrix):
     return inv
 
 
+def spectral_by_repeated_plus(coeffs, tval, order):
+    """Oracle: the order-th t-derivative of sum_m t^m coeffs[m], one
+    scaled degree added to the running field or form at a time."""
+    acc = type(coeffs[0])(coeffs[0].frame, {})
+    for m in range(order, len(coeffs)):
+        c = Fraction(math.factorial(m), math.factorial(m - order)) * Fraction(tval) ** (m - order)
+        if c:
+            acc = acc.plus(coeffs[m].scaled(rational(c)))
+    return acc
+
+
 class TestNullCurve:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_spectral_values_are_the_repeated_sum_nodes(self, k):
+        ws = [random_polynomial_w(k, random.Random(k))] + ([NONFLAT_W[k]] if k in NONFLAT_W else [])
+        for w in ws:
+            for t_params in (None, [Fraction(3 * n * n - 7, n + 2) for n in range(k + 2)]):
+                web = make_web(k, w, t_params)
+                fields, forms = null_curve(web).fields, omega_coefficient_forms(web)
+                for tv in (Fraction(1, 2), Fraction(k + 3), Fraction(-3, 2)):
+                    for order in range(k + 1):
+                        for got, coeffs in ((null_curve(web).at(tv, order), fields),
+                                            (omega_at(web, tv, order), forms)):
+                            want = spectral_by_repeated_plus(coeffs, tv, order)
+                            assert type(got) is type(want) and got.frame == want.frame
+                            assert got.comps.keys() == want.comps.keys()
+                            assert all(got.comps[c] is want.comps[c] for c in want.comps), (w, tv, order)
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_coefficient_matrix_inverse_is_exact(self, k):
         w = " + ".join(f"x{i}" for i in range(k + 1))

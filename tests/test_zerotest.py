@@ -7,7 +7,9 @@ reference below is the sampler as first written: every exact sample is
 a ``Fraction`` evaluation.  Both draw the same points from the same RNG,
 so they must return the same ``(verdict, samples)``.  p divides no
 intermediate value of the generated expressions; the tests that put p
-into an expression on purpose are at the end.
+into an expression on purpose come after them.  Expressions whose only
+functions are exps of rational linear forms are sampled exactly too
+(the exp class); their tests are at the end.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from paraweb.expr import (
 )
 from paraweb.parser import Context, parse_expr
 from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report
-from paraweb.zerotest import Verdict, ZeroTester
+from paraweb.zerotest import Verdict, ZeroTester, _exp_images
 
 DATA = Path(__file__).parent / "data"
 P = (1 << 61) - 1
@@ -72,7 +74,10 @@ def p(text):
 def ref_verdict_stats(e, trials=8, tolerance=1e-9, seed=0, exact_box=EXACT_BOX, poles=None):
     """``(verdict, samples)`` with every exact sample taken in Fraction.
 
-    ``poles``, if given, gets one entry per drawn point that was a pole.
+    An exp-class expression is sampled exactly, with each exp node given
+    the value of its monomial in the generators, which are drawn after
+    the coordinates.  ``poles``, if given, gets one entry per drawn point
+    that was a pole.
     """
     if e.kind == 0:
         return (Verdict.ZERO if e.payload == 0 else Verdict.NONZERO), 0
@@ -81,18 +86,28 @@ def ref_verdict_stats(e, trials=8, tolerance=1e-9, seed=0, exact_box=EXACT_BOX, 
     h.update(e.shash.to_bytes(8, "big"))
     rng = random.Random(int.from_bytes(h.digest(), "big"))
     symbols = free_symbols(e)
-    exact = not e.has_fun
+    images = _exp_images(e)
+    exact = images is not None
     samples = 0
     for _ in range(trials):
         for _ in range(60):
+            memo = {}
             if exact:
                 num_bound, den_low, den_high = exact_box
-                env = {s: Fraction(rng.randint(-num_bound, num_bound), rng.randint(den_low, den_high))
-                       for s in symbols}
+                pairs = [Fraction(rng.randint(-num_bound, num_bound), rng.randint(den_low, den_high))
+                         for _ in range(len(symbols) + images[1])]
+                env, gens = dict(zip(symbols, pairs)), pairs[len(symbols):]
             else:
                 env = {s: float(Fraction(rng.randint(-48, 48), rng.randint(16, 64))) for s in symbols}
             try:
-                val = eval_numeric(e, env)
+                if exact:
+                    if 0 in gens:
+                        raise EvalDomainError("a generator is 0")
+                    for node, powers in images[0].items():
+                        memo[node.uid] = Fraction(1)
+                        for g, n in zip(gens, powers):
+                            memo[node.uid] *= g ** n
+                val = eval_numeric(e, env, memo)
                 scale = 0.0 if exact else magnitude_estimate(e, env)
                 break
             except (EvalDomainError, ZeroDivisionError, OverflowError):
@@ -164,6 +179,12 @@ def _branches(children, functions=False):
 
 rational_exprs = st.recursive(_leaves, _branches, max_leaves=8)
 function_exprs = st.recursive(_leaves, lambda c: _branches(c, functions=True), max_leaves=6)
+# exp(c x + c0) leaves: expressions of the exp class
+_exps = st.builds(lambda c, c0, x: fun("exp", add(mul(rational(c), x), rational(c0))),
+                  st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                  st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+                  st.sampled_from(SYMBOLS[:4]))
+exp_class_exprs = st.recursive(st.one_of(_leaves, _exps), _branches, max_leaves=8)
 
 
 def _identity(e):
@@ -190,6 +211,14 @@ class TestAgainstReference:
     @given(function_exprs, st.integers(0, 3))
     def test_expressions_with_functions(self, e, seed):
         assert_same(e, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exp_class_exprs, st.integers(0, 3))
+    def test_exp_class_expressions(self, e, seed):
+        assert_same(e, seed)
+        assert_same(_identity(e), seed)
+        with mock.patch.object(zerotest, "_EXACT_BOX", SMALL_BOX):
+            assert_same(add(_identity(e), e), seed, exact_box=SMALL_BOX)
 
     @pytest.mark.parametrize("document", [
         json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")),
@@ -289,3 +318,91 @@ class TestPrimeInAnExpression:
         monkeypatch.setattr(ProblemSpec, "tester", lambda s: ReferenceTester(
             trials=s.trials, tolerance=s.tolerance, seed=s.seed))
         assert dumps_report({"reports": [analyze_ode(spec)]}) == dumps_report({"reports": [report]})
+
+
+# ---------------------------------------------------------------------------
+# The exp class: exps of rational linear forms in the coordinates
+
+
+EXP_ZEROS = [
+    "exp(x1)*exp(-x1) - 1",
+    "exp(x1)^2 - exp(2*x1)",
+    "exp(x1+x2) - exp(x1)*exp(x2)",
+    "exp(x1/3 + x2/2)^6 - exp(2*x1 + 3*x2)",
+    "exp(x1 + 1/2)^2 - exp(2*x1 + 1)",
+]
+EXP_NONZEROS = [
+    "exp(2*x1) - exp(x1)",
+    "exp(x1) - x1",
+    "exp(x1 + 1) - exp(x1)",
+    "exp(x1) - exp(x2)",
+    "exp(2*x1 + x2) - exp(x1 + 2*x2)",
+]
+FLOAT_PATH = ["exp(x1^2)", "sin(x1)", "exp(x1/5000)"]
+
+# Equal to p everywhere, with exp(x2) where MULTIPLE_OF_P has x2.
+EXP_MULTIPLE_OF_P = ("(exp(x2) + 2147483648)*(exp(x2) + 1073741824) - exp(2*x2)"
+                     " - 3221225472*exp(x2) - 1")
+
+
+def exact_only():
+    """Fail on any float sample: the exp class never takes one."""
+    return mock.patch.object(zerotest, "magnitude_estimate", side_effect=AssertionError("float path"))
+
+
+class TestExpClass:
+    @pytest.mark.parametrize("text", EXP_ZEROS)
+    def test_zero(self, text):
+        with exact_only():
+            for seed in range(4):
+                assert ZeroTester(seed=seed).verdict_stats(p(text)) == (Verdict.ZERO, 8)
+
+    @pytest.mark.parametrize("text", EXP_NONZEROS)
+    def test_nonzero(self, text):
+        with exact_only():
+            for seed in range(4):
+                assert ZeroTester(seed=seed).verdict_stats(p(text)) == (Verdict.NONZERO, 1)
+
+    @pytest.mark.parametrize("text", FLOAT_PATH + ["exp(x1) + sin(x2)", "exp(F) - 1", "exp(exp(x1))"])
+    def test_other_functions_take_the_float_path(self, text):
+        e = p(text)
+        assert _exp_images(e) is None
+        assert assert_same(e) == (Verdict.NONZERO, 1)
+
+    def test_generators_and_scaled_exponents(self):
+        e = p("exp(x1/3 + x2/2)^6 - exp(2*x1 + 3*x2)")
+        exps, generators = _exp_images(e)
+        assert generators == 2
+        assert sorted(exps.values()) == [(2, 3), (12, 18)]
+        exps, generators = _exp_images(p("exp(x1 + 1/2)^2 - exp(2*x1 + 1)"))
+        assert generators == 2
+        assert sorted(exps.values()) == [(2, 1), (4, 2)]
+        # no constant generator without a constant term
+        assert _exp_images(p("exp(x1) + x2"))[1] == 1
+
+    def test_exponent_bound(self):
+        # L and every c*L at most MAX_EXPONENT = 1000
+        assert _exp_images(p("exp(x1/1000) + exp(x2)")) is not None
+        assert _exp_images(p("exp(x1/1000 + x2/3)")) is None
+        assert _exp_images(p("exp(1000*x1)")) is not None
+        assert _exp_images(p("exp(1001*x1)")) is None
+
+    def test_zero_is_confirmed_in_fraction(self):
+        # Every exact sample is 0 mod p; the value is p.
+        e = p(EXP_MULTIPLE_OF_P)
+        assert _exp_images(e) is not None
+        assert ZeroTester().verdict_stats(e) == (Verdict.NONZERO, 1)
+
+    def test_constant_with_p_in_its_denominator(self):
+        # sampled in Fraction, generators included
+        exp_x1 = fun("exp", sym("x1"))
+        assert ZeroTester().verdict_stats(add(mul(rational(1, P), exp_x1), sym("x2"))) == (Verdict.NONZERO, 1)
+        assert ZeroTester().verdict_stats(mul(rational(1, P), p(EXP_ZEROS[2]))) == (Verdict.ZERO, 8)
+
+    def test_a_generator_of_zero_is_a_pole(self):
+        # In the small box a drawn generator is 0 one time in five; read
+        # as a value it would make an exp vanish at that sample.
+        with mock.patch.object(zerotest, "_EXACT_BOX", SMALL_BOX), exact_only():
+            for seed in range(24):
+                assert ZeroTester(seed=seed).verdict_stats(p("exp(x1)*x2 + exp(x2)")) == (Verdict.NONZERO, 1)
+                assert ZeroTester(seed=seed).verdict_stats(p(EXP_ZEROS[2])) == (Verdict.ZERO, 8)
