@@ -5,21 +5,40 @@ directions; all coefficients are canonical expressions.  On the jet space
 of an ODE of order k+1 the frame is (t, x0, ..., xk); on the coordinate
 space of a web it is (x0, ..., xk).  Everything here is pure and
 frame-agnostic: the geometry-specific normalisations live downstream.
+
+A field is applied to a scalar in one of two ways.  ``VectorField.apply``
+goes partials first: it differentiates the scalar along each direction
+and sums X^c * de/dc.  The total derivative of an ODE (``TotalDerivative``,
+one instance per ``OdeProblem``) is applied as a derivation instead: one
+recursive pass maps a sum to the sum of the X(term), a product by the
+Leibniz rule and a power by the chain rule, and takes partials only at
+symbols and function nodes.  The results are memoised on that instance,
+so they are freed with the problem; this module keeps no cache of its
+own.  Web fields stay partials first: their coefficients are quotients
+(dw_j)^-1, and pushing such a field through a sum copies them into every
+term, which made the web reports twice as large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
+    ADD,
+    MUL,
     ONE,
+    POW,
+    RAT,
     Expr,
     ZERO,
     add_iter,
     differentiate,
     div,
     mul,
+    mul_iter,
+    pow_int,
     rational,
     sub,
     sym,
@@ -36,6 +55,7 @@ __all__ = [
     "ThreeForm",
     "OdeProblem",
     "ScalingRule",
+    "TotalDerivative",
     "total_derivative_field",
     "lie_bracket",
     "lie_derivative_oneform",
@@ -76,6 +96,10 @@ class VectorField:
 
     def apply(self, e: Expr) -> Expr:
         """Directional derivative of a scalar."""
+        return self._partials(e)
+
+    def _partials(self, e: Expr) -> Expr:
+        # Partials first: sum_c X^c * de/dc.
         return add_iter(mul(v, differentiate(e, c)) for c, v in self.comps.items())
 
     def plus(self, other: "VectorField") -> "VectorField":
@@ -216,14 +240,72 @@ class OdeProblem:
         return cls(order, ctx, rhs)
 
 
-def total_derivative_field(ode: OdeProblem) -> VectorField:
-    """The total derivative X = d/dt + x1 d/dx0 + ... + F d/dxk."""
-    k = ode.k
-    comps: dict[str, Expr] = {"t": rational(1)}
-    for i in range(k):
-        comps[f"x{i}"] = sym(f"x{i + 1}")
-    comps[f"x{k}"] = ode.rhs
-    return VectorField(ode.coords, comps)
+    @cached_property
+    def total_derivative(self) -> "TotalDerivative":
+        """The total derivative X = d/dt + x1 d/dx0 + ... + F d/dxk.
+
+        Built once per problem, so every object derived from the problem
+        shares its memo, and the memo is freed with the problem.
+        """
+        k = self.k
+        comps: dict[str, Expr] = {"t": rational(1)}
+        for i in range(k):
+            comps[f"x{i}"] = sym(f"x{i + 1}")
+        comps[f"x{k}"] = self.rhs
+        return TotalDerivative(self.coords, comps)
+
+
+class TotalDerivative(VectorField):
+    """The total derivative of an ODE, applied as a derivation.
+
+    ``apply`` pushes X through a sum term by term, through a product by
+    the Leibniz rule and through an integer power by the chain rule.
+    Only at symbols and function nodes does it take the partials-first
+    sum of ``VectorField.apply``.  A large node so costs one pass, not
+    one derivative per coordinate, and the result keeps the sharing of
+    its argument.  Results are memoised per node on the instance.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_memo", {})
+
+    def apply(self, e: Expr) -> Expr:
+        """X(e), equal to ``VectorField.apply`` but built node by node."""
+        # The recursion runs in ``_derive``, so one call of ``apply`` (the
+        # name an instrumented run wraps) stays one application of X.
+        return self._derive(e)
+
+    def _derive(self, e: Expr) -> Expr:
+        out = self._memo.get(e)
+        if out is not None:
+            return out
+        kind = e.kind
+        if kind == RAT:
+            out = ZERO
+        elif kind == ADD:
+            out = add_iter(self._derive(c) for c in e.children)
+        elif kind == MUL:
+            cs = e.children
+            terms = []
+            for i, c in enumerate(cs):
+                dc = self._derive(c)
+                if dc is not ZERO:
+                    terms.append(mul_iter(cs[:i] + (dc,) + cs[i + 1:]))
+            out = add_iter(terms)
+        elif kind == POW:
+            base, n = e.children[0], e.payload
+            db = self._derive(base)
+            out = ZERO if db is ZERO else mul(rational(n), pow_int(base, n - 1), db)
+        else:
+            out = self._partials(e)
+        self._memo[e] = out
+        return out
+
+
+def total_derivative_field(ode: OdeProblem) -> TotalDerivative:
+    """The total derivative of ``ode``: the one instance the problem keeps."""
+    return ode.total_derivative
 
 
 @dataclass(frozen=True)

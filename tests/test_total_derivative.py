@@ -1,0 +1,267 @@
+"""The total derivative applied as a derivation, against the partials-first path.
+
+``TotalDerivative.apply`` pushes X through sums, products and powers and
+differentiates only at symbols and function nodes; ``VectorField.apply``
+builds every partial derivative first and is kept as the reference.  The
+two give different canonical trees for the same function, so the tests
+compare them by the exact zero test, not by identity.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import json
+import weakref
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from paraweb import jet
+from paraweb.expr import ADD, FUN, MUL, POW, ZERO, add, add_iter, fun, mul_iter, pow_int, rational, sub, sym
+from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
+from paraweb.jet import OdeProblem, ScalingRule, TotalDerivative, VectorField, total_derivative_field
+from paraweb.parser import parse_expr
+from paraweb.zerotest import Verdict, ZeroTester
+
+DATA = Path(__file__).parent / "data"
+ZT = ZeroTester()
+EXACT = ZeroTester(trials=8, tolerance=0)
+
+
+def reference_apply(x: VectorField, e):
+    """X(e) by the partials-first path: sum_c X^c * de/dc."""
+    return VectorField(x.frame, x.comps).apply(e)
+
+
+def freeze_functions(e, memo: dict):
+    """``e`` with each function node replaced by a free symbol of its own.
+
+    Both paths differentiate a function node by the same rule, so their
+    results agree as rational functions of the coordinates, the
+    F-derivatives and the function nodes taken as free variables; the
+    exact zero test decides that.  (The float path is no judge here: its
+    ``magnitude_estimate`` of a negative power of a nearly cancelling sum
+    is far too small, so equal trees can read as nonzero.)
+    """
+    got = memo.get(e)
+    if got is None:
+        if e.kind == FUN:
+            got = sym(f"fn{e.uid}")
+        elif e.kind == ADD:
+            got = add_iter(freeze_functions(c, memo) for c in e.children)
+        elif e.kind == MUL:
+            got = mul_iter(freeze_functions(c, memo) for c in e.children)
+        elif e.kind == POW:
+            got = pow_int(freeze_functions(e.children[0], memo), e.payload)
+        else:
+            got = e
+        memo[e] = got
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Random expressions on jet space
+
+rationals = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+leaves = st.one_of(
+    st.integers(0, 5).map(lambda i: ("coord", i)),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2)), max_size=2).map(lambda o: ("F", o)),
+    rationals.map(lambda q: ("rat", q)),
+)
+# Function arguments stay small, so that exp of them neither overflows a
+# float nor sends every sample point to a pole.
+arguments = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: ("add", cs)),
+        st.lists(inner, min_size=1, max_size=2).map(lambda cs: ("mul", cs)),
+    ),
+    max_leaves=4,
+)
+recipes = st.recursive(
+    st.one_of(leaves, st.tuples(st.sampled_from(["exp", "sin", "log", "sqrt"]), arguments)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=4).map(lambda cs: ("add", cs)),
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: ("mul", cs)),
+        st.tuples(inner, st.sampled_from([-3, -2, -1, 2, 3])).map(lambda a: ("pow", *a)),
+    ),
+    max_leaves=10,
+)
+
+
+def build(recipe, ode: OdeProblem):
+    tag = recipe[0]
+    coords = ode.coords
+    if tag == "coord":
+        return sym(coords[recipe[1] % len(coords)])
+    if tag == "F":
+        orders: dict[str, int] = {}
+        for i, n in recipe[1]:
+            c = coords[i % len(coords)]
+            orders[c] = orders.get(c, 0) + n
+        return ode.context.opaque_symbol("F", orders)
+    if tag == "rat":
+        return rational(recipe[1])
+    if tag == "add":
+        return add_iter(build(r, ode) for r in recipe[1])
+    if tag == "mul":
+        return mul_iter(build(r, ode) for r in recipe[1])
+    if tag == "pow":
+        return pow_int(build(recipe[1], ode), recipe[2])
+    arg = build(recipe[1], ode)
+    if tag in ("log", "sqrt"):
+        # keep the argument positive, so every sample is in the domain
+        arg = add(rational(1), pow_int(arg, 2))
+    return fun(tag, arg)
+
+
+def concrete_rhs(order: int) -> list[str]:
+    k = order - 1
+    return [f"x{k}^3", f"exp(x{k})", f"x{k}^2*x1/(1+x0^2) + t*x{k - 1}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), recipes)
+def test_apply_matches_the_partials_first_path(order, which, recipe):
+    rhs = "abstract" if which == 3 else concrete_rhs(order)[which]
+    ode = OdeProblem.from_rhs(order, rhs)
+    try:
+        e = build(recipe, ode)
+    except ZeroDivisionError:
+        assume(False)
+    x = total_derivative_field(ode)
+    assert isinstance(x, TotalDerivative)
+    got, want = x.apply(e), reference_apply(x, e)
+    memo: dict = {}
+    diff = sub(freeze_functions(got, memo), freeze_functions(want, memo))
+    assert EXACT.verdict(diff) is Verdict.ZERO, str(e)
+    # a second application is a memo hit and returns the same node
+    assert x.apply(e) is got
+
+
+def test_apply_on_leaves_is_the_reference_node():
+    ode = OdeProblem.abstract(4)
+    x = total_derivative_field(ode)
+    for e in (sym("t"), sym("x0"), sym("x3"), ode.rhs, ode.context.opaque_symbol("F", {"x1": 2}),
+              rational(7), fun("sin", sym("x2"))):
+        assert x.apply(e) is reference_apply(x, e)
+
+
+# ---------------------------------------------------------------------------
+# The curvature chain against the chain built with the reference field
+
+CHAIN_PROBLEMS = [(order, "abstract") for order in range(2, 7)] + [
+    (order, rhs) for order in (2, 3, 4, 5) for rhs in concrete_rhs(order)
+]
+
+
+@pytest.mark.parametrize("order,rhs", CHAIN_PROBLEMS)
+def test_curvatures_match_the_reference_chain(order, rhs, monkeypatch):
+    got = curvature_chain(OdeProblem.from_rhs(order, rhs), ZT).curvatures
+    with monkeypatch.context() as m:
+        m.setattr(TotalDerivative, "apply", VectorField.apply)
+        want = curvature_chain(OdeProblem.from_rhs(order, rhs), ZT).curvatures
+    assert len(got) == len(want) == order - 1
+    for j, (a, b) in enumerate(zip(got, want)):
+        assert EXACT.verdict(sub(a, b)) is Verdict.ZERO, f"K_{j}"
+
+
+# ---------------------------------------------------------------------------
+# One X per problem, freed with the problem
+
+
+def test_one_total_derivative_per_problem():
+    ode = OdeProblem.abstract(4)
+    x = total_derivative_field(ode)
+    assert total_derivative_field(ode) is x
+    cofactors = ScalingRule(ode).cofactors(ode.k + 1)
+    # the cofactors went through the problem's X ...
+    assert all(g in x._memo for g in cofactors[:-1])
+    # ... and the chain and the residuals reuse it
+    chain = curvature_chain(ode, ZT)
+    wunschmann_residuals(ode, chain, ZT)
+    cartan_residuals(ode, chain, ZT)
+    assert total_derivative_field(ode) is x
+    assert chain.curvatures[ode.k - 1] in x._memo
+
+
+class _Probe:
+    pass
+
+
+def test_total_derivative_is_freed_with_its_problem():
+    ode = OdeProblem.abstract(4)
+    chain = curvature_chain(ode, ZT)
+    residuals = wunschmann_residuals(ode, chain, ZT) + cartan_residuals(ode, chain, ZT)
+    x = total_derivative_field(ode)
+    assert x._memo
+    # Expression nodes are interned for the life of the process, so a
+    # weakly referenced probe stands in for the memo's contents.
+    probe = _Probe()
+    x._memo[probe] = ZERO
+    x_ref, probe_ref = weakref.ref(x), weakref.ref(probe)
+    del ode, chain, residuals, x, probe
+    gc.collect()
+    assert x_ref() is None
+    assert probe_ref() is None
+
+
+def test_jet_keeps_no_module_level_cache():
+    containers = (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary)
+    names = [n for n, v in vars(jet).items() if not n.startswith("__") and isinstance(v, containers)]
+    assert names == []
+    assert [n for n, v in vars(jet).items() if hasattr(v, "cache_info")] == []
+
+
+# ---------------------------------------------------------------------------
+# The golden report's bytes before and after the derivation
+
+# SHA-256 of tests/data/golden_report.json as written by the partials-first path.
+PARTIALS_FIRST_GOLDEN_SHA256 = "3016a06f59266f6a509a84f87129bcef39968eef0105d0c6e69d659186e218f6"
+# The expressions of the order-2 abstract entry that the partials-first
+# path printed differently, by residual name.
+PARTIALS_FIRST_STRINGS = {
+    "cartan[projective]": (
+        "-2*F_t_x0_x1 - 3*x1*F_x0_x0_x1/2 - 3*F*F_x0_x1_x1/2 - 3*F_x1_x1*F_x0/2 -"
+        " F_x1*(-F_x0_x1/2 + x1*F_x0_x1_x1/2 + F*F_x1_x1_x1/2 + F_t_x1_x1/2) +"
+        " x1*F_t_x0_x1_x1/2 + F*F_t_x1_x1_x1/2 + F_x1_x1_x1*F_t/2 + F_t_t_x1_x1/2 +"
+        " 3*F_x1*F_x0_x1/2 + 3*F_x0_x0 + x1*(-F_x0_x0_x1/2 + x1*F_x0_x0_x1_x1/2 +"
+        " F*F_x0_x1_x1_x1/2 + F_x1_x1_x1*F_x0/2 + F_t_x0_x1_x1/2) +"
+        " F*(x1*F_x0_x1_x1_x1/2 + F*F_x1_x1_x1_x1/2 + F_x1*F_x1_x1_x1/2 +"
+        " F_t_x1_x1_x1/2)"
+    ),
+    "identity[cartan-coordinate]": (
+        "-x1*F*F_x0_x1_x1_x1 - F_x1*(-F_x0_x1/2 + x1*F_x0_x1_x1/2 + F*F_x1_x1_x1/2 +"
+        " F_t_x1_x1/2) - x1*F_x1_x1_x1*F_x0/2 - x1*F_t_x0_x1_x1/2 - F*F_t_x1_x1_x1/2"
+        " - F_x1*F_x0_x1/2 - F_x1_x1_x1_x1*F^2/2 - F_x0_x0_x1_x1*x1^2/2 +"
+        " x1*F_x1*F_x0_x1_x1/2 + x1*F_x0_x0_x1/2 + F_x1*F_t_x1_x1/2 +"
+        " x1*(-F_x0_x0_x1/2 + x1*F_x0_x0_x1_x1/2 + F*F_x0_x1_x1_x1/2 +"
+        " F_x1_x1_x1*F_x0/2 + F_t_x0_x1_x1/2) + F*(x1*F_x0_x1_x1_x1/2 +"
+        " F*F_x1_x1_x1_x1/2 + F_x1*F_x1_x1_x1/2 + F_t_x1_x1_x1/2)"
+    ),
+}
+
+
+def test_golden_strings_changed_only_in_tree_shape():
+    """The regenerated golden report differs from the partials-first one
+    in two expression strings of the order-2 abstract entry, and each
+    pair is equal by the exact zero test.  Putting the old strings back
+    gives the old file byte for byte, so every other entry (the three
+    web entries included) is unchanged."""
+    text = (DATA / "golden_report.json").read_text(encoding="utf-8")
+    entry = json.loads(text)["reports"][2]
+    assert entry["problem"]["order"] == 2 and entry["problem"]["rhs"] == "abstract"
+    ctx = OdeProblem.abstract(2).context
+    changed = {r["name"]: r["expression"] for r in entry["residuals"] if r["name"] in PARTIALS_FIRST_STRINGS}
+    assert changed.keys() == PARTIALS_FIRST_STRINGS.keys()
+    before = text
+    for name, new in changed.items():
+        old = PARTIALS_FIRST_STRINGS[name]
+        assert new != old
+        assert EXACT.verdict(sub(parse_expr(new, ctx), parse_expr(old, ctx))) is Verdict.ZERO, name
+        assert before.count(json.dumps(new)) == 1
+        before = before.replace(json.dumps(new), json.dumps(old))
+    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == PARTIALS_FIRST_GOLDEN_SHA256
