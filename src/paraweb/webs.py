@@ -14,7 +14,13 @@ omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
 
 Spectral-parameter families (omega, V, Lax fields, the bivector pencil)
 are handled as explicit polynomials in t with expression coefficients;
-evaluation at rational spectral values is exact.
+evaluation at rational spectral values is exact.  Every coefficient of
+omega(t) and V(t) in a coordinate is a rational multiple of one fixed
+expression, dw/dx_i for omega and its inverse for V, so a value at t is
+kept factored as (rational in t) * (that expression), never distributed
+into a sum.  The canonical connection uses the same split: V(t) =
+sum_j c_j(t) e_j with e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), so
+its bracket function is built from the fixed frame brackets [e_j, e_l].
 """
 
 from __future__ import annotations
@@ -22,12 +28,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .expr import (
+    ONE,
+    RAT,
     Expr,
     ZERO,
+    _coeff_mono,
     add_iter,
     differentiate,
     div,
@@ -232,32 +241,45 @@ def _omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
     return tuple(out)
 
 
-def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
-    """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
-    an exact rational t.  Each component is one sum over the degrees."""
+def _spectral_weights(count: int, tval: Fraction, order: int) -> list[tuple[int, Fraction]]:
+    """The nonzero (m, weight) with d^order/dt^order t^m = weight at t = tval,
+    for m < count: the order-th t-derivative of sum_m t^m a_m at tval is
+    sum weight * a_m."""
     tval = Fraction(tval)
-    weighted = []
-    for m in range(order, len(coeffs)):
+    out = []
+    for m in range(order, count):
         c = Fraction(factorial(m), factorial(m - order)) * tval ** (m - order)
         if c:
-            weighted.append((rational(c), coeffs[m].comps))
+            out.append((m, c))
+    return out
+
+
+def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
+    """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
+    an exact rational t.
+
+    In each coordinate x, every degree's component is q_m * base_x for one
+    base_x shared by all degrees (dw/dx_i for omega, (dw/dx_i)^-1 for V),
+    so the component at t is mul(rational(sum_m weight_m q_m), base_x).
+    """
+    weights = _spectral_weights(len(coeffs), tval, order)
     frame = coeffs[0].frame
-    return type(coeffs[0])(frame, {x: add_iter(mul(c, comps[x]) for c, comps in weighted if x in comps)
-                                   for x in frame})
+    comps = {}
+    for x in frame:
+        total, base = 0, None
+        for m, weight in weights:
+            e = coeffs[m].comps.get(x)
+            if e is not None:
+                q, base = (e.payload, ONE) if e.kind == RAT else _coeff_mono(e)
+                total += weight * q
+        if base is not None:
+            comps[x] = mul(rational(total), base)
+    return type(coeffs[0])(frame, comps)
 
 
 def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:
     """omega(t), or its order-th t-derivative, at an exact rational t."""
     return _spectral_at(omega_coefficient_forms(web), tval, order)
-
-
-def _null_denominator(web: VeroneseWeb, j: int) -> Fraction:
-    t, k = web.t_params, web.k
-    denom = t[k + 1] - t[j]
-    for l in range(k + 1):
-        if l != j:
-            denom *= t[j] - t[l]
-    return denom
 
 
 @dataclass(frozen=True)
@@ -271,27 +293,30 @@ class NullCurve:
 
     web: VeroneseWeb
     fields: tuple[VectorField, ...] = field(init=False)
+    _matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         web = self.web
+        k, t = web.k, web.t_params
+        denominators = [(t[k + 1] - t[j]) * prod(t[j] - t[l] for l in range(k + 1) if l != j)
+                        for j in range(k + 1)]
+        matrix = tuple(
+            tuple(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j] for j in range(k + 1))
+            for i in range(k + 1)
+        )
         fields = tuple(
             VectorField(web.coords, {f"x{j}": mul(rational(c), pow_int(web.dw(j), -1))
                                      for j, c in enumerate(row)})
-            for row in self.coefficient_matrix()
+            for row in matrix
         )
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "fields", fields)
 
-    def coefficient_matrix(self) -> list[list[Fraction]]:
-        """Rational parts r[i][j]: V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j."""
-        web = self.web
-        k, t = web.k, web.t_params
-        return [
-            [
-                Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / _null_denominator(web, j)
-                for j in range(k + 1)
-            ]
-            for i in range(k + 1)
-        ]
+    def coefficient_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rational parts r[i][j]: V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j.
+
+        Computed once per null curve; the rows are immutable."""
+        return self._matrix
 
     def at(self, tval: Fraction, order: int = 0) -> VectorField:
         """V(t), or its order-th t-derivative, at an exact rational t."""
@@ -453,16 +478,50 @@ def _spectral_nodes(web: VeroneseWeb, count: int, start: int = 0) -> list[Fracti
     return out
 
 
-def _bracket_scalar_h(web: VeroneseWeb, nc: NullCurve, tval: Fraction) -> Expr:
-    """h(t) defined by [V(t), V'(t)] = h(t) V'(t) mod V(t).
+def _null_values(matrix: Sequence[Sequence[Fraction]], s: Fraction, order: int = 0) -> list[Fraction]:
+    """c_j(s), or its order-th derivative, where V(s) = sum_j c_j(s) e_j and
+    e_j = (dw/dx_j)^-1 d/dx_j; ``matrix`` is the null curve's
+    ``coefficient_matrix``."""
+    weights = _spectral_weights(len(matrix), s, order)
+    return [sum(weight * matrix[m][j] for m, weight in weights) for j in range(len(matrix))]
 
-    Read off through the dual pairing: omega^(k-1)(t)(V'(t)) = -k! while
-    omega^(k-1)(t)(V(t)) = 0.
+
+def _frame_brackets(web: VeroneseWeb) -> dict[tuple[int, int], VectorField]:
+    """The nonzero [e_j, e_l], j < l, of the frame e_j = (dw/dx_j)^-1 d/dx_j."""
+    frame = [VectorField(web.coords, {f"x{j}": pow_int(web.dw(j), -1)}) for j in range(web.k + 1)]
+    out = {}
+    for j in range(web.k + 1):
+        for l in range(j + 1, web.k + 1):
+            br = lie_bracket(frame[j], frame[l])
+            if br.comps:
+                out[(j, l)] = br
+    return out
+
+
+def _bracket_h(
+    web: VeroneseWeb,
+    matrix: Sequence[Sequence[Fraction]],
+    brackets: dict[tuple[int, int], VectorField],
+    s: Fraction,
+) -> Expr:
+    """h(s) defined by [V(s), V'(s)] = h(s) V'(s) mod V(s).
+
+    The c_j(s) are rational, so [V(s), V'(s)] = sum_{j<l} D_jl(s) [e_j, e_l]
+    with D_jl = c_j c_l' - c_l c_j'.  h is read off through the dual
+    pairing, omega^(k-1)(s)(V'(s)) = -k! while omega^(k-1)(s)(V(s)) = 0:
+
+        h(s) = -1/k! sum_{j<l} D_jl(s) omega^(k-1)(s)([e_j, e_l]).
     """
     k = web.k
-    w = lie_bracket(nc.at(tval), nc.at(tval, order=1))
-    om = omega_at(web, tval, order=k - 1)
-    return mul(rational(Fraction(-1, factorial(k))), om(w))
+    c, dc = _null_values(matrix, s), _null_values(matrix, s, order=1)
+    om = omega_at(web, s, order=k - 1)
+    scale = Fraction(-1, factorial(k))
+    terms = []
+    for (j, l), br in brackets.items():
+        d_jl = c[j] * dc[l] - c[l] * dc[j]
+        if d_jl:
+            terms.append(mul(rational(scale * d_jl), om(br)))
+    return add_iter(terms)
 
 
 def _lagrange_combination(nodes: list[Fraction], values: list[Expr], at: Fraction) -> Expr:
@@ -503,25 +562,23 @@ def canonical_connection(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) ->
     return _diagonal_connection(web, zero)
 
 
-def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester, attempt: int = 0) -> WebConnection:
+def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
     k = web.k
-    nc = null_curve(web)
-    nodes = _spectral_nodes(web, k + 2, start=101 * attempt)
-    solve_nodes, check_node = nodes[: k + 1], nodes[k + 1]
-    hs = [_bracket_scalar_h(web, nc, s) for s in solve_nodes]
-    h_check = _bracket_scalar_h(web, nc, check_node)
-    interp = _lagrange_combination(solve_nodes, hs, check_node)
-    if zero.verdict(sub(interp, h_check)) is not Verdict.ZERO:
-        if attempt == 0:
-            return _diagonal_connection(web, zero, attempt=1)
+    matrix = null_curve(web).coefficient_matrix()
+    brackets = _frame_brackets(web)
+    # On a web h(t) has degree at most k: interpolate it at k+1 nodes and
+    # check the bound at one more, trying a second node family once.
+    for attempt in (0, 1):
+        nodes = _spectral_nodes(web, k + 2, start=101 * attempt)
+        hs = [_bracket_h(web, matrix, brackets, s) for s in nodes]
+        interp = _lagrange_combination(nodes[: k + 1], hs[: k + 1], nodes[k + 1])
+        if zero.verdict(sub(interp, hs[k + 1])) is Verdict.ZERO:
+            break
+    else:
         raise InterpolationError("bracket function h(t) violates its degree bound")
     # alpha(V(t_s)) = h(t_s): with V(t_s)^j = c_j(t_s) / (dw/dx_j) the system
     # is rational, D[s][j] = c_j(t_s), and alpha_j = dw/dx_j * (D^-1 h)_j.
-    d = [
-        [(web.t_params[j] - s) ** k / _null_denominator(web, j) for j in range(k + 1)]
-        for s in solve_nodes
-    ]
-    dinv = _gauss_jordan(d, Fraction(1), Fraction(0))
+    dinv = _gauss_jordan([_null_values(matrix, s) for s in nodes[: k + 1]], Fraction(1), Fraction(0))
     comps = {}
     for j in range(k + 1):
         combo = add_iter(mul(rational(dinv[j][s]), hs[s]) for s in range(k + 1))
@@ -1027,14 +1084,9 @@ def schouten_residuals(
     a Hirota solution.
     """
     coords = extended_coords(web)
-    comp = poisson_pencil_components(web, tval)
-
-    def pi(a: str, b: str) -> Expr:
-        if (a, b) in comp:
-            return comp[(a, b)]
-        if (b, a) in comp:
-            return neg(comp[(b, a)])
-        return ZERO
+    pi: dict[tuple[str, str], Expr] = {}  # Pi^{ab}, both orders
+    for (a, b), e in poisson_pencil_components(web, tval).items():
+        pi[(a, b)], pi[(b, a)] = e, neg(e)
 
     exprs = []
     n = len(coords)
@@ -1045,10 +1097,10 @@ def schouten_residuals(
                 terms = []
                 for d in web.coords:  # components do not depend on the y's
                     for (u, v, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                        p = pi(u, d)
+                        p = pi.get((u, d), ZERO)
                         if p is ZERO:
                             continue
-                        dd = differentiate(pi(v, z), d)
+                        dd = differentiate(pi.get((v, z), ZERO), d)
                         if dd is ZERO:
                             continue
                         terms.append(mul(p, dd))

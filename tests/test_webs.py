@@ -15,22 +15,28 @@ from fractions import Fraction
 import pytest
 
 from paraweb.expr import (
+    MUL,
+    RAT,
     ZERO,
     add,
     add_iter,
     differentiate,
     div,
     eval_numeric,
+    free_symbols,
     mul,
     neg,
     pow_int,
     rational,
     sub,
     sym,
+    to_string,
 )
 from paraweb.jet import VectorField, _gauss_jordan, exterior_derivative, lie_bracket, wedge3
+import paraweb.webs as webs
 from paraweb.webs import (
     DegenerateWebError,
+    InterpolationError,
     NotAWebError,
     WebError,
     bryant_forms,
@@ -59,9 +65,10 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, random_polynomial_w, sample_point
+from conftest import NONFLAT_W, NONFLAT_W5, random_polynomial_w, sample_point
 
 ZT = ZeroTester()
+EXACT = ZeroTester(trials=8, tolerance=0)
 
 
 class TestConstruction:
@@ -146,9 +153,37 @@ def spectral_by_repeated_plus(coeffs, tval, order):
     return acc
 
 
+def spectral_factored(coeffs, tval, order):
+    """Oracle: the components of the order-th t-derivative of
+    sum_m t^m coeffs[m], each as (sum_m weight_m q_m) * base, where every
+    degree's component in that coordinate is q_m * base for one base."""
+    comps = {}
+    for c in coeffs[0].frame:
+        total, base = Fraction(0), None
+        for m in range(order, len(coeffs)):
+            e = coeffs[m].comps.get(c)
+            if e is None:
+                continue
+            if e.kind == RAT:
+                q, b = e.payload, rational(1)
+            elif e.kind == MUL and e.children[0].kind == RAT:
+                q, b = e.children[0].payload, mul(*e.children[1:])
+            else:
+                q, b = 1, e
+            assert base is None or b is base, "degrees do not share one base"
+            base = b
+            weight = Fraction(math.factorial(m), math.factorial(m - order)) * Fraction(tval) ** (m - order)
+            total += weight * q
+        if total:
+            comps[c] = mul(rational(total), base)
+    return comps
+
+
 class TestNullCurve:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_spectral_values_are_the_repeated_sum_nodes(self, k):
+        # Each component is the factored node (rational) * base, and it
+        # equals the repeated sum over the degrees exactly.
         ws = [random_polynomial_w(k, random.Random(k))] + ([NONFLAT_W[k]] if k in NONFLAT_W else [])
         for w in ws:
             for t_params in (None, [Fraction(3 * n * n - 7, n + 2) for n in range(k + 2)]):
@@ -160,8 +195,12 @@ class TestNullCurve:
                                             (omega_at(web, tv, order), forms)):
                             want = spectral_by_repeated_plus(coeffs, tv, order)
                             assert type(got) is type(want) and got.frame == want.frame
-                            assert got.comps.keys() == want.comps.keys()
-                            assert all(got.comps[c] is want.comps[c] for c in want.comps), (w, tv, order)
+                            factored = spectral_factored(coeffs, tv, order)
+                            assert got.comps.keys() == factored.keys()
+                            assert all(got.comps[c] is factored[c] for c in factored), (w, tv, order)
+                            for c in set(got.comps) | set(want.comps):
+                                diff = sub(got.comp(c), want.comp(c))
+                                assert EXACT.verdict(diff) is Verdict.ZERO, (w, tv, order, c)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_coefficient_matrix_inverse_is_exact(self, k):
@@ -361,6 +400,111 @@ class TestCanonicalConnection:
         web = make_web(4, "x0+x1+x2+x3+x4 + 0*x0")
         conn = canonical_connection(web, ZT)
         assert conn.alpha.comps == {}
+
+
+def separable_w(k):
+    return " + ".join(f"x{i}^2/2" if i % 2 else f"x{i}" for i in range(k + 1))
+
+
+def bracket_h_oracle(web, s):
+    """Oracle: h(s) with [V(s), V'(s)] = h(s) V'(s) mod V(s), from the Lie
+    bracket of the repeated-sum values of V, read off through
+    omega^(k-1)(s), which is -k! on V'(s) and 0 on V(s)."""
+    fields, forms = null_curve(web).fields, omega_coefficient_forms(web)
+    bracket = lie_bracket(spectral_by_repeated_plus(fields, s, 0), spectral_by_repeated_plus(fields, s, 1))
+    om = spectral_by_repeated_plus(forms, s, web.k - 1)
+    return mul(rational(Fraction(-1, math.factorial(web.k))), om(bracket))
+
+
+def alpha_oracle(web, nodes):
+    """Oracle: alpha from the oracle h at k+1 nodes, solving alpha(V(s)) =
+    h(s) with V(s)^j = (t_j - s)^k / (den_j dw/dx_j)."""
+    k, t = web.k, web.t_params
+    den = [(t[k + 1] - t[j]) * math.prod(t[j] - t[l] for l in range(k + 1) if l != j) for j in range(k + 1)]
+    dinv = invert_rational([[(t[j] - s) ** k / den[j] for j in range(k + 1)] for s in nodes])
+    hs = [bracket_h_oracle(web, s) for s in nodes]
+    return {f"x{j}": mul(web.dw(j), add_iter(mul(rational(dinv[j][n]), hs[n]) for n in range(k + 1)))
+            for j in range(k + 1)}
+
+
+SHIFTED_T3 = (0, 1, 2, 3, 5)
+# A nonflat k = 3 web for SHIFTED_T3: a~_i (m_i - 1) = 6 for a~ = (1/4, 2/3, 3/2).
+NONFLAT_SHIFTED_W3 = "exp(x1+x2+x3) + exp(x0+25*x1+10*x2+5*x3)"
+CONNECTION_CASES = (
+    [(1, separable_w(1), None)]
+    + [(k, separable_w(k), None) for k in range(3, 9)]
+    + [(k, NONFLAT_W[k], None) for k in (3, 4)]
+    + [(5, NONFLAT_W5, None)]
+    + [(5, separable_w(5), [Fraction(3 * n * n - 7, n + 2) for n in range(7)])]
+    + [(3, NONFLAT_SHIFTED_W3, SHIFTED_T3)]
+)
+
+
+class TestFrameBrackets:
+    @pytest.mark.parametrize("k, w, t_params", CONNECTION_CASES)
+    def test_h_and_alpha_match_the_bracket_oracle(self, k, w, t_params):
+        web = make_web(k, w, t_params)
+        assert is_hirota_solution(web, EXACT)
+        matrix, brackets = null_curve(web).coefficient_matrix(), webs._frame_brackets(web)
+        nodes = webs._spectral_nodes(web, k + 2)
+        for s in nodes:
+            got = webs._bracket_h(web, matrix, brackets, s)
+            assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
+        alpha = webs._diagonal_connection(web, EXACT).alpha
+        want = alpha_oracle(web, nodes[: k + 1])
+        for c in web.coords:
+            assert EXACT.verdict(sub(alpha.comp(c), want[c])) is Verdict.ZERO, c
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_h_matches_the_bracket_oracle_off_solutions(self, k):
+        # h(s) is defined for any w; these cross terms break the Hirota
+        # system, and every frame bracket with w_jl != 0 enters.
+        web = make_web(k, random_polynomial_w(k, random.Random(k)))
+        matrix, brackets = null_curve(web).coefficient_matrix(), webs._frame_brackets(web)
+        assert brackets
+        for s in (Fraction(-1, 2), Fraction(k + 5), Fraction(7, 3)):
+            got = webs._bracket_h(web, matrix, brackets, s)
+            assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
+
+    def test_mixed_partials_are_one_node(self, corpus):
+        for k, w, _ in corpus:
+            web = make_web(k, w)
+            for j in range(k + 1):
+                for l in range(j + 1, k + 1):
+                    assert web.dw2(j, l) is web.dw2(l, j), (w, j, l)
+
+    @pytest.mark.parametrize("k", (3, 4, 5))
+    def test_nonflat_alpha_strings_are_small(self, k):
+        web = make_web(k, NONFLAT_W[k] if k in NONFLAT_W else NONFLAT_W5)
+        alpha = canonical_connection(web, ZT).alpha
+        assert len(alpha.comps) == k + 1
+        assert all(len(to_string(e)) <= 5000 for e in alpha.comps.values())
+
+    def test_degree_bound_retry_and_failure(self, monkeypatch):
+        web = make_web(3, NONFLAT_W[3])
+        want = webs._diagonal_connection(web, ZT).alpha
+        real_h = webs._bracket_h
+        seen = []
+
+        def off_degree(limit):
+            # h plus s^(k+1), which breaks the degree bound, at nodes below limit
+            def h(web, matrix, brackets, s):
+                seen.append(s)
+                value = real_h(web, matrix, brackets, s)
+                return add(value, rational(s ** (web.k + 1))) if s < limit else value
+            return h
+
+        # the first node family starts at 0, the retry at 101
+        monkeypatch.setattr(webs, "_bracket_h", off_degree(101))
+        alpha = webs._diagonal_connection(web, ZT).alpha
+        assert len(seen) == 2 * (web.k + 2) and max(seen) >= 101
+        # other nodes give another tree for the same alpha
+        for c in web.coords:
+            assert EXACT.verdict(sub(alpha.comp(c), want.comp(c))) is Verdict.ZERO, c
+
+        monkeypatch.setattr(webs, "_bracket_h", off_degree(math.inf))
+        with pytest.raises(InterpolationError):
+            canonical_connection(web, ZT)
 
 
 class TestWeylStructure:
@@ -565,6 +709,52 @@ def pencil_affinity_exact(web, samples=(Fraction(1, 2), Fraction(3), Fraction(-2
     return True
 
 
+def schouten_residuals_by_lookup(web, tval, point_samples, seed):
+    """Reference: ``schouten_residuals`` with Pi^{ab} looked up per use,
+    negating the stored (b, a) component each time."""
+    coords = web.coords + tuple(f"y{i}" for i in range(1, web.k + 1))
+    comp = poisson_pencil_components(web, tval)
+
+    def pi(a, b):
+        if (a, b) in comp:
+            return comp[(a, b)]
+        if (b, a) in comp:
+            return neg(comp[(b, a)])
+        return ZERO
+
+    exprs = []
+    n = len(coords)
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            for ci in range(bi + 1, n):
+                a, b, c = coords[ai], coords[bi], coords[ci]
+                terms = []
+                for d in web.coords:
+                    for (u, v, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                        p = pi(u, d)
+                        if p is ZERO:
+                            continue
+                        dd = differentiate(pi(v, z), d)
+                        if dd is ZERO:
+                            continue
+                        terms.append(mul(p, dd))
+                e = add_iter(terms)
+                if e is not ZERO:
+                    exprs.append(mul(rational(2), e))
+    symbols = set()
+    for e in exprs:
+        symbols.update(free_symbols(e))
+    symbols = sorted(symbols, key=lambda s: s.key)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(point_samples):
+        vals = webs._base_point_values(
+            rng, symbols, lambda env: [abs(float(eval_numeric(e, env))) for e in exprs]
+        )
+        out.extend(vals if vals else [0.0])
+    return out
+
+
 class TestBiHamiltonian:
     def test_pencil_is_affine(self):
         # Affinity in t is by construction, so it holds for solutions and
@@ -582,6 +772,14 @@ class TestBiHamiltonian:
             web = make_web(k, NONFLAT_W[k])
             vals = schouten_residuals(web, Fraction(1, 2), point_samples=4, seed=7)
             assert max(vals) < 1e-8
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_schouten_matches_the_lookup_reference(self, k):
+        ws = [random_polynomial_w(k, random.Random(k)), {1: "x0 + x1^2/2", 5: NONFLAT_W5, **NONFLAT_W}[k]]
+        for w in ws:
+            web = make_web(k, w)
+            got = schouten_residuals(web, Fraction(1, 2), point_samples=2, seed=5)
+            assert got == schouten_residuals_by_lookup(web, Fraction(1, 2), 2, 5), w
 
     def test_schouten_nonzero_off_solutions(self):
         web = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
