@@ -57,6 +57,8 @@ __all__ = [
     "substitute",
     "symbol_name",
     "to_string",
+    "DEF_MIN_CHARS",
+    "Printer",
 ]
 
 Number = Union[int, Fraction, float]
@@ -835,26 +837,62 @@ def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # Printing.  The output is valid input for paraweb.parser and printing a
 # canonical expression then reparsing it is a fixed point.
 #
-# The text is that of the expression tree, so a subexpression shared in the
-# DAG appears once per occurrence.  Within one call each distinct node is
-# rendered once: a first pass counts how often its text will be asked for,
-# and the text is kept only until its last request.  What is kept per node
-# is its signed form (sign, body), whose text is body, or "-" + body for a
-# negative sign; a sum pulls that sign out as " - ".
+# Within one call, or across the calls of one ``Printer``, each distinct node
+# is rendered once: a first pass counts how often its text will be asked
+# for, and the text is kept only until its last request.  What is kept per
+# node is its signed form (sign, body), whose text is body, or "-" + body
+# for a negative sign; a sum pulls that sign out as " - ".  A ``Printer``
+# also moves each long node that is asked for more than once into its def
+# table; the signed form of such a node is (0, "@n"), an atom.
 
-def to_string(e: Expr) -> str:
-    """Render ``e`` in the grammar of ``paraweb.parser``."""
-    return _text(e, _request_counts(e), {})
+# A node that a ``Printer`` asks for twice or more is printed once, as a
+# def, when its text has at least this many characters.
+DEF_MIN_CHARS = 1024
 
 
-def _request_counts(root: Expr) -> dict[int, int]:
-    """How many times rendering ``root`` asks for each node's signed form.
+class Printer:
+    """Renders a group of expressions that share one def table.
+
+    A node whose text has at least ``DEF_MIN_CHARS`` characters and that
+    rendering the group asks for at least twice is printed once, as
+    ``defs[n-1]``, and every use of it prints ``@n``.  Numbers follow the
+    order in which texts are rendered, so a def refers only to
+    lower-numbered defs.
+    """
+
+    __slots__ = ("roots", "counts", "memo", "defs")
+
+    def __init__(self, roots: Iterable[Expr]):
+        self.roots = tuple(roots)
+        # counted on first use, so that all of the rendering is done
+        # inside ``to_string`` calls
+        self.counts: dict[int, int] | None = None
+        self.memo: dict = {}
+        self.defs: list[str] = []
+
+
+def to_string(e: Expr, printer: Printer | None = None) -> str:
+    """Render ``e`` in the grammar of ``paraweb.parser``.
+
+    With a ``printer``, ``e`` must be one of the expressions it was made
+    for, and a long shared subexpression prints as ``@n``, which stands
+    for ``printer.defs[n-1]``.
+    """
+    if printer is None:
+        return _text(e, _request_counts((e,)), {}, None)
+    if printer.counts is None:
+        printer.counts = _request_counts(printer.roots)
+    return _text(e, printer.counts, printer.memo, printer.defs)
+
+
+def _request_counts(roots: Iterable[Expr]) -> dict[int, int]:
+    """How many times rendering ``roots`` asks for each node's signed form.
 
     Follows the printer: a product folds in its rational coefficient and
     renders the base of each negative power directly.
     """
     counts: dict[int, int] = {}
-    stack = [root]
+    stack = list(roots)
     while stack:
         e = stack.pop()
         seen = counts.get(e.uid, 0)
@@ -873,7 +911,7 @@ def _request_counts(root: Expr) -> dict[int, int]:
     return counts
 
 
-def _signed(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
+def _signed(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -> tuple[int, str]:
     uid = e.uid
     out = memo.get(uid)
     if out is None:
@@ -887,27 +925,30 @@ def _signed(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
         elif k == OPAQUE:
             out = 1, symbol_name(e)
         elif k == FUN:
-            out = 1, f"{e.payload}({_text(e.children[0], counts, memo)})"
+            out = 1, f"{e.payload}({_text(e.children[0], counts, memo, defs)})"
         elif k == POW:
             n = e.payload
-            base = _atom(e.children[0], counts, memo)
+            base = _atom(e.children[0], counts, memo, defs)
             if n > 0:
                 out = 1, f"{base}^{n}"
             else:
                 # a bare negative power prints as a quotient
                 out = 1, ("1/" + base if n == -1 else f"1/{base}^{-n}")
         elif k == MUL:
-            out = _signed_product(e, counts, memo)
+            out = _signed_product(e, counts, memo, defs)
         else:  # ADD
             parts: list[str] = []
             for t in e.children:
-                s, body = _signed(t, counts, memo)
+                s, body = _signed(t, counts, memo, defs)
                 if parts:
                     parts.append(" - " if s < 0 else " + ")
                 elif s < 0:
                     parts.append("-")
                 parts.append(body)
             out = 1, "".join(parts)
+        if defs is not None and counts[uid] > 1 and len(out[1]) + (out[0] < 0) >= DEF_MIN_CHARS:
+            defs.append("-" + out[1] if out[0] < 0 else out[1])
+            out = 0, f"@{len(defs)}"
     left = counts[uid] - 1
     if left:
         counts[uid] = left
@@ -917,20 +958,23 @@ def _signed(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
     return out
 
 
-def _text(e: Expr, counts: dict[int, int], memo: dict) -> str:
-    sign, body = _signed(e, counts, memo)
+def _text(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -> str:
+    sign, body = _signed(e, counts, memo, defs)
     return "-" + body if sign < 0 else body
 
 
-def _atom(e: Expr, counts: dict[int, int], memo: dict) -> str:
+def _atom(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -> str:
     """The text of ``e``, parenthesised unless it binds tighter than ``^``."""
-    text = _text(e, counts, memo)
+    sign, body = _signed(e, counts, memo, defs)
+    if sign == 0:
+        return body
+    text = "-" + body if sign < 0 else body
     if e.kind in (ADD, MUL, POW) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
         return "(" + text + ")"
     return text
 
 
-def _signed_product(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, str]:
+def _signed_product(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -> tuple[int, str]:
     coeff = _ONE_FRACTION
     num: list[str] = []
     den: list[str] = []
@@ -939,12 +983,12 @@ def _signed_product(e: Expr, counts: dict[int, int], memo: dict) -> tuple[int, s
             # a canonical product has at most one rational factor
             coeff = c.payload
         elif c.kind == POW and c.payload < 0:
-            b = _atom(c.children[0], counts, memo)
+            b = _atom(c.children[0], counts, memo, defs)
             den.append(b if c.payload == -1 else f"{b}^{-c.payload}")
         elif c.kind == ADD:
-            num.append(_atom(c, counts, memo))
+            num.append(_atom(c, counts, memo, defs))
         else:
-            num.append(_text(c, counts, memo))
+            num.append(_text(c, counts, memo, defs))
     sign = -1 if coeff < 0 else 1
     coeff = abs(coeff)
     if coeff.numerator != 1 or not num:

@@ -6,7 +6,7 @@ Grammar (whitespace insignificant)::
     term    := factor (('*' | '/') factor)*
     factor  := '-' factor | power
     power   := atom ('^' signed-integer)?
-    atom    := integer | identifier | identifier '(' expr ')' | '(' expr ')'
+    atom    := integer | identifier | identifier '(' expr ')' | '(' expr ')' | '@' integer
 
 Integers are unsigned digit runs; rationals are spelled ``p/q`` and fall
 out of ordinary division.  An exponent is at most ``MAX_EXPONENT`` in
@@ -17,12 +17,18 @@ in call position, or opaque-derivative names of the form ``F_x1_x1``
 (the base function name followed by one underscore-separated coordinate
 per derivative taken).  That last form is also what the printer emits, so
 parse -> print -> parse is the identity on canonical expressions.
+
+``@n`` stands for the n-th of a list of already-parsed definitions, the
+``defs`` of a report entry (see ``expr.Printer``).  It is accepted only
+where such a list is passed; anywhere else, as in a problem's ``rhs`` or
+``w``, it is a parse error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .expr import (
     ELEMENTARY_FUNCTIONS,
@@ -82,7 +88,7 @@ class Context:
         return opaque(name, deps, counts)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^])|@(\d+))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -99,17 +105,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("int", m.group(1), m.start(1)))
         elif m.group(2):
             tokens.append(("name", m.group(2), m.start(2)))
-        else:
+        elif m.group(3):
             tokens.append(("op", m.group(3), m.start(3)))
+        else:
+            tokens.append(("ref", m.group(4), m.start(4) - 1))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: Context):
+    def __init__(self, text: str, ctx: Context, defs: Sequence[Expr] | None):
         self.tokens = _tokenize(text)
         self.ctx = ctx
+        self.defs = defs
         self.i = 0
 
     def peek(self):
@@ -191,6 +200,12 @@ class _Parser:
             e = self.expr()
             self.expect_op(")")
             return e
+        if kind == "ref":
+            # the length test keeps int() off very long digit runs
+            n = int(val) if len(val) <= 18 else 0
+            if self.defs is None or not 1 <= n <= len(self.defs):
+                raise ParseError(f"undefined reference @{val}", pos)
+            return self.defs[n - 1]
         if kind == "name":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":
@@ -223,11 +238,12 @@ class _Parser:
         raise ParseError(f"unknown identifier {name!r}", pos)
 
 
-def parse_expr(text: str, ctx: Context) -> Expr:
+def parse_expr(text: str, ctx: Context, defs: Sequence[Expr] | None = None) -> Expr:
     """Parse ``text`` to a canonical expression.
 
-    Raises ``ParseError`` (with position) on syntax errors, unknown
-    identifiers, non-integer exponents and exponents beyond
-    ``MAX_EXPONENT``.
+    ``@n`` is ``defs[n-1]``.  Raises ``ParseError`` (with position) on
+    syntax errors, unknown identifiers, non-integer exponents, exponents
+    beyond ``MAX_EXPONENT`` and references outside ``defs`` (every
+    reference, when ``defs`` is None).
     """
-    return _Parser(text, ctx).parse()
+    return _Parser(text, ctx, defs).parse()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, TextIO
 
-from .expr import Expr, mul, rational, sub, to_string
+from .expr import Expr, Printer, mul, rational, sub, to_string
 from .invariants import (
     ExtractionError,
     Residual,
@@ -175,10 +175,38 @@ class ProblemSpec:
         return out
 
 
+def _mapped(node: Any, leaf) -> Any:
+    """``node`` with ``leaf(e)`` in place of each expression ``e``, visited
+    in the order of the JSON text (sorted keys)."""
+    if isinstance(node, Expr):
+        return leaf(node)
+    if isinstance(node, dict):
+        return {key: _mapped(node[key], leaf) for key in sorted(node)}
+    if isinstance(node, list):
+        return [_mapped(item, leaf) for item in node]
+    return node
+
+
+def _render(entry: dict) -> dict:
+    """Render the expressions of an ok report entry with one def table.
+
+    A subexpression the entry's texts ask for twice or more and whose text
+    has at least ``expr.DEF_MIN_CHARS`` characters is printed once, in
+    ``defs``; the key is left out when there is none.
+    """
+    roots: list[Expr] = []
+    _mapped(entry, roots.append)
+    printer = Printer(roots)
+    out = _mapped(entry, lambda e: to_string(e, printer))
+    if printer.defs:
+        out["defs"] = printer.defs
+    return out
+
+
 def _verdict_entry(name: str, expr: Expr, verdict: Verdict, samples: int = 0, note=None) -> dict:
     return {
         "name": name,
-        "expression": to_string(expr),
+        "expression": expr,
         "verdict": verdict.value,
         "samples": samples,
         "note": note,
@@ -230,26 +258,26 @@ def analyze_ode(spec: ProblemSpec) -> dict:
         classification = CLASS_NO_STRUCTURE
 
     derived: dict[str, Any] = {
-        "curvatures": [to_string(k) for k in chain.curvatures],
+        "curvatures": list(chain.curvatures),
         "gamma_k": _frac_str(gamma_k(ode.k)),
         "extraction_residuals": {
-            "coefficient_of_v_k": to_string(chain.residual_vk),
-            "dt_component": to_string(chain.residual_dt),
+            "coefficient_of_v_k": chain.residual_vk,
+            "dt_component": chain.residual_dt,
         },
     }
     if ode.order >= 4 and wun_ok and car_ok:
         b, beta, _theta = beta_coefficient(ode, chain, zero)
-        derived["beta_b"] = to_string(b)
-        derived["beta_form"] = {c: to_string(v) for c, v in sorted(beta.comps.items())}
+        derived["beta_b"] = b
+        derived["beta_form"] = beta.comps
 
-    return {
+    return _render({
         "problem": spec.echo(),
         "status": "ok",
         "classification": classification,
         "residuals": [_verdict_entry(r.name, r.expr, r.verdict, r.samples, r.note)
                       for r in residuals],
         "derived": derived,
-    }
+    })
 
 
 def analyze_web(spec: ProblemSpec) -> dict:
@@ -302,22 +330,22 @@ def analyze_web(spec: ProblemSpec) -> dict:
         if conn.kind == "diagonal":
             derived["connection"] = {
                 "type": "diagonal",
-                "alpha": {c: to_string(v) for c, v in sorted(conn.alpha.comps.items())},
+                "alpha": conn.alpha.comps,
             }
         else:
             g = conformal_metric(web)
             phi = weyl_form_from_connection(web, conn, g)
             derived["connection"] = {
                 "type": "weyl",
-                "f": to_string(conn.f),
-                "alpha_tilde": {c: to_string(v) for c, v in sorted(conn.alpha_tilde.comps.items())},
-                "metric": {f"{c},{d}": to_string(v) for (c, d), v in sorted(g.items())},
-                "weyl_form": {c: to_string(v) for c, v in sorted(phi.comps.items())},
+                "f": conn.f,
+                "alpha_tilde": conn.alpha_tilde.comps,
+                "metric": {f"{c},{d}": v for (c, d), v in g.items()},
+                "weyl_form": phi.comps,
             }
         if web.k == 3:
             bf = bryant_forms(web, zero)
             derived["bryant"] = {
-                name: {c: to_string(v) for c, v in sorted(form.comps.items())}
+                name: form.comps
                 for name, form in (
                     ("beta0", bf.beta0),
                     ("beta1", bf.beta1),
@@ -332,13 +360,13 @@ def analyze_web(spec: ProblemSpec) -> dict:
             jac.extend(schouten_residuals(web, tv, point_samples=4, seed=spec.seed))
         derived["jacobi_max"] = max(jac) if jac else 0.0
 
-    return {
+    return _render({
         "problem": spec.echo(),
         "status": "ok",
         "residuals": residuals,
         "verdicts": verdicts,
         "derived": derived,
-    }
+    })
 
 
 def analyze_problem(spec: ProblemSpec) -> dict:

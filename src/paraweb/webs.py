@@ -294,12 +294,13 @@ class NullCurve:
     web: VeroneseWeb
     fields: tuple[VectorField, ...] = field(init=False)
     _matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+    _denominators: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         web = self.web
         k, t = web.k, web.t_params
-        denominators = [(t[k + 1] - t[j]) * prod(t[j] - t[l] for l in range(k + 1) if l != j)
-                        for j in range(k + 1)]
+        denominators = tuple((t[k + 1] - t[j]) * prod(t[j] - t[l] for l in range(k + 1) if l != j)
+                             for j in range(k + 1))
         matrix = tuple(
             tuple(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j] for j in range(k + 1))
             for i in range(k + 1)
@@ -310,6 +311,7 @@ class NullCurve:
             for row in matrix
         )
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_denominators", denominators)
         object.__setattr__(self, "fields", fields)
 
     def coefficient_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -478,12 +480,18 @@ def _spectral_nodes(web: VeroneseWeb, count: int, start: int = 0) -> list[Fracti
     return out
 
 
-def _null_values(matrix: Sequence[Sequence[Fraction]], s: Fraction, order: int = 0) -> list[Fraction]:
+def _null_values(curve: NullCurve, s: Fraction, order: int = 0) -> list[Fraction]:
     """c_j(s), or its order-th derivative, where V(s) = sum_j c_j(s) e_j and
-    e_j = (dw/dx_j)^-1 d/dx_j; ``matrix`` is the null curve's
-    ``coefficient_matrix``."""
-    weights = _spectral_weights(len(matrix), s, order)
-    return [sum(weight * matrix[m][j] for m, weight in weights) for j in range(len(matrix))]
+    e_j = (dw/dx_j)^-1 d/dx_j.
+
+    Entry (i, j) of the coefficient matrix is (-1)^i C(k, i) t_j^(k-i) / den_j,
+    so c_j(s) = sum_i s^i r[i][j] = (t_j - s)^k / den_j in closed form, and
+    its order-th derivative (order <= k) is
+    (-1)^order k!/(k - order)! (t_j - s)^(k - order) / den_j.
+    """
+    k, t = curve.web.k, curve.web.t_params
+    scale = (-1) ** order * factorial(k) // factorial(k - order)
+    return [scale * (t[j] - s) ** (k - order) / den for j, den in enumerate(curve._denominators)]
 
 
 def _frame_brackets(web: VeroneseWeb) -> dict[tuple[int, int], VectorField]:
@@ -500,7 +508,7 @@ def _frame_brackets(web: VeroneseWeb) -> dict[tuple[int, int], VectorField]:
 
 def _bracket_h(
     web: VeroneseWeb,
-    matrix: Sequence[Sequence[Fraction]],
+    curve: NullCurve,
     brackets: dict[tuple[int, int], VectorField],
     s: Fraction,
 ) -> Expr:
@@ -513,7 +521,7 @@ def _bracket_h(
         h(s) = -1/k! sum_{j<l} D_jl(s) omega^(k-1)(s)([e_j, e_l]).
     """
     k = web.k
-    c, dc = _null_values(matrix, s), _null_values(matrix, s, order=1)
+    c, dc = _null_values(curve, s), _null_values(curve, s, order=1)
     om = omega_at(web, s, order=k - 1)
     scale = Fraction(-1, factorial(k))
     terms = []
@@ -564,13 +572,13 @@ def canonical_connection(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) ->
 
 def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
     k = web.k
-    matrix = null_curve(web).coefficient_matrix()
+    curve = null_curve(web)
     brackets = _frame_brackets(web)
     # On a web h(t) has degree at most k: interpolate it at k+1 nodes and
     # check the bound at one more, trying a second node family once.
     for attempt in (0, 1):
         nodes = _spectral_nodes(web, k + 2, start=101 * attempt)
-        hs = [_bracket_h(web, matrix, brackets, s) for s in nodes]
+        hs = [_bracket_h(web, curve, brackets, s) for s in nodes]
         interp = _lagrange_combination(nodes[: k + 1], hs[: k + 1], nodes[k + 1])
         if zero.verdict(sub(interp, hs[k + 1])) is Verdict.ZERO:
             break
@@ -578,7 +586,7 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
         raise InterpolationError("bracket function h(t) violates its degree bound")
     # alpha(V(t_s)) = h(t_s): with V(t_s)^j = c_j(t_s) / (dw/dx_j) the system
     # is rational, D[s][j] = c_j(t_s), and alpha_j = dw/dx_j * (D^-1 h)_j.
-    dinv = _gauss_jordan([_null_values(matrix, s) for s in nodes[: k + 1]], Fraction(1), Fraction(0))
+    dinv = _gauss_jordan([_null_values(curve, s) for s in nodes[: k + 1]], Fraction(1), Fraction(0))
     comps = {}
     for j in range(k + 1):
         combo = add_iter(mul(rational(dinv[j][s]), hs[s]) for s in range(k + 1))

@@ -20,8 +20,12 @@ kept outside the package):
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +53,7 @@ from paraweb.invariants import (
 )
 from paraweb.jet import OdeProblem, total_derivative_field
 from paraweb.parser import parse_expr
+import paraweb.report as report_mod
 from paraweb.report import analyze_batch, dumps_report
 from paraweb.webs import (
     bryant_forms,
@@ -365,4 +370,59 @@ def test_criterion_9_determinism_and_roundtrip():
     ode = OdeProblem.from_rhs(5, "abstract")
     for k in curvature_chain(ode, ZT).curvatures:
         assert parse_expr(to_string(k), ode.context) is k
+
+    # entries with a def table: every def and every expression string
+    # parses to the engine's node, and rendering those nodes again gives
+    # the same bytes
+    batch = {"problems": [{"kind": "ode", "order": order, "rhs": "abstract"} for order in (5, 6)]}
+    entries = analyze_batch(batch)[0]["reports"]
+    for entry in entries:
+        ode = OdeProblem.from_rhs(entry["problem"]["order"], "abstract")
+        chain = curvature_chain(ode, ZT)
+        residuals = {r.name: r.expr for r in [*wunschmann_residuals(ode, chain, ZT),
+                                              *cartan_residuals(ode, chain, ZT)]}
+        extraction = {"coefficient_of_v_k": chain.residual_vk, "dt_component": chain.residual_dt}
+        dag = _dag_ids([*chain.curvatures, *residuals.values(), *extraction.values()])
+        defs: list = []
+        for text in entry["defs"]:
+            defs.append(parse_expr(text, ode.context, defs=defs))
+            assert id(defs[-1]) in dag
+        assert len(set(map(id, defs))) == len(defs) > 0
+
+        def parse(text):
+            return parse_expr(text, ode.context, defs=defs)
+
+        nodes = copy.deepcopy(entry)
+        del nodes["defs"]
+        derived = nodes["derived"]
+        derived["curvatures"] = [parse(text) for text in derived["curvatures"]]
+        assert all(got is want for got, want in zip(derived["curvatures"], chain.curvatures, strict=True))
+        for name, text in derived["extraction_residuals"].items():
+            derived["extraction_residuals"][name] = parse(text)
+            assert derived["extraction_residuals"][name] is extraction[name]
+        assert [r["name"] for r in nodes["residuals"]] == list(residuals)
+        for r in nodes["residuals"]:
+            r["expression"] = parse(r["expression"])
+            assert r["expression"] is residuals[r["name"]]
+        assert dumps_report(report_mod._render(nodes)) == dumps_report(entry)
+
+    # an entry's bytes do not depend on the problems run before it: the
+    # order-6 entry above (after the golden batch and order 5) against the
+    # same problem alone in a fresh interpreter
+    script = ("import sys; from paraweb.report import analyze_batch, dumps_report; "
+              "sys.stdout.write(dumps_report(analyze_batch(%r)[0]['reports'][0]))" % batch["problems"][1])
+    env = dict(os.environ, PYTHONPATH=str(Path(report_mod.__file__).resolve().parents[1]), PYTHONIOENCODING="utf-8")
+    alone = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    assert alone.decode("utf-8") == dumps_report(entries[1])
     _passed(9, "byte-stable golden reports and print/parse fixed point")
+
+
+def _dag_ids(roots) -> set[int]:
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.children)
+    return seen

@@ -102,6 +102,24 @@ class TestParsing:
                 p(text)
 
 
+    def test_references_resolve_to_earlier_definitions(self):
+        defs = [p("x1 + x2")]
+        defs.append(parse_expr("3*@1^2 - x0", CTX, defs=defs))
+        assert defs[1] is p("3*(x1 + x2)^2 - x0")
+        assert parse_expr("@2/@1 + exp(@1)", CTX, defs=defs) is p("(3*(x1 + x2)^2 - x0)/(x1 + x2) + exp(x1 + x2)")
+        for text in ("@0", "@3", "@" + "9" * 5000):
+            with pytest.raises(ParseError, match="undefined reference"):
+                parse_expr(text, CTX, defs=defs)
+
+    def test_reference_without_definitions(self):
+        for text in ("@1", "x1 + @1"):
+            with pytest.raises(ParseError, match="undefined reference"):
+                p(text)
+        with pytest.raises(ParseError, match="unexpected character '@'") as err:
+            p("x1 + @x2")
+        assert err.value.position == 5
+
+
 class TestDifferentiation:
     def test_power_rule(self):
         assert differentiate(p("x1^2"), "x1") is p("2*x1")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +19,10 @@ import pytest
 
 import paraweb.report as report_mod
 from paraweb.cli import main as cli_main
-from paraweb.expr import ADD, FUN, MUL, OPAQUE, POW, RAT, SYM, Expr, symbol_name, to_string
+from paraweb.expr import DEF_MIN_CHARS, ADD, FUN, MUL, OPAQUE, POW, RAT, SYM, Expr, symbol_name, to_string
 from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
 from paraweb.jet import OdeProblem
+from paraweb.parser import parse_expr
 from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report, write_report
 from paraweb.zerotest import ZeroTester
 
@@ -32,7 +35,11 @@ DATA = Path(__file__).parent / "data"
 # Reference tree printer
 
 
-def _tree_to_string(e: Expr) -> str:
+def _tree_to_string(e: Expr, refs: dict[Expr, str] | None = None) -> str:
+    """The text of ``e``; a node in ``refs`` prints as its reference."""
+    refs = refs or {}
+    if e in refs:
+        return refs[e]
     k = e.kind
     if k == RAT:
         v = e.payload
@@ -42,19 +49,19 @@ def _tree_to_string(e: Expr) -> str:
     if k == OPAQUE:
         return symbol_name(e)
     if k == FUN:
-        return f"{e.payload}({_tree_to_string(e.children[0])})"
+        return f"{e.payload}({_tree_to_string(e.children[0], refs)})"
     if k == POW:
         n = e.payload
-        base = _tree_atom(e.children[0])
+        base = _tree_atom(e.children[0], refs)
         if n > 0:
             return f"{base}^{n}"
         return f"1/{base}" if n == -1 else f"1/{base}^{-n}"
     if k == MUL:
-        s, body = _tree_signed_product(e)
+        s, body = _tree_signed_product(e, refs)
         return "-" + body if s < 0 else body
     parts: list[str] = []
     for t in e.children:
-        s, body = _tree_signed_term(t)
+        s, body = _tree_signed_term(t, refs)
         if not parts:
             parts.append("-" + body if s < 0 else body)
         else:
@@ -62,8 +69,10 @@ def _tree_to_string(e: Expr) -> str:
     return "".join(parts)
 
 
-def _tree_atom(e: Expr) -> str:
-    s = _tree_to_string(e)
+def _tree_atom(e: Expr, refs: dict[Expr, str]) -> str:
+    s = _tree_to_string(e, refs)
+    if e in refs:
+        return s
     if e.kind in (ADD, MUL) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
         return "(" + s + ")"
     if e.kind == POW:
@@ -71,17 +80,19 @@ def _tree_atom(e: Expr) -> str:
     return s
 
 
-def _tree_signed_term(e: Expr) -> tuple[int, str]:
+def _tree_signed_term(e: Expr, refs: dict[Expr, str]) -> tuple[int, str]:
+    if e in refs:
+        return 1, refs[e]
     if e.kind == RAT:
         v = e.payload
         body = str(abs(v.numerator)) if v.denominator == 1 else f"{abs(v.numerator)}/{v.denominator}"
         return (-1 if v < 0 else 1), body
     if e.kind == MUL:
-        return _tree_signed_product(e)
-    return 1, _tree_to_string(e)
+        return _tree_signed_product(e, refs)
+    return 1, _tree_to_string(e, refs)
 
 
-def _tree_signed_product(e: Expr) -> tuple[int, str]:
+def _tree_signed_product(e: Expr, refs: dict[Expr, str]) -> tuple[int, str]:
     coeff = Fraction(1)
     num: list[str] = []
     den: list[str] = []
@@ -91,11 +102,11 @@ def _tree_signed_product(e: Expr) -> tuple[int, str]:
             coeff *= c.payload
         elif c.kind == POW and c.payload < 0:
             n = -c.payload
-            b = _tree_atom(c.children[0])
+            b = _tree_atom(c.children[0], refs)
             den.append(b if n == 1 else f"{b}^{n}")
             den_count += 1
         else:
-            num.append(_tree_atom(c) if c.kind == ADD else _tree_to_string(c))
+            num.append(_tree_atom(c, refs) if c.kind == ADD else _tree_to_string(c, refs))
     sign = -1 if coeff < 0 else 1
     coeff = abs(coeff)
     if coeff.numerator != 1 or not num:
@@ -128,19 +139,50 @@ def test_abstract_chain_prints_as_tree(order):
         assert to_string(e) == _tree_to_string(e)
 
 
-def test_golden_batch_expressions_print_as_tree(monkeypatch):
-    rendered: list[tuple[Expr, str]] = []
+def _record_rendering(monkeypatch) -> list[tuple[Expr, str, object]]:
+    """Record (node, text, printer) of each ``to_string`` call of the report."""
+    rendered: list[tuple[Expr, str, object]] = []
 
-    def recording(e):
-        text = to_string(e)
-        rendered.append((e, text))
+    def recording(e, printer=None):
+        text = to_string(e, printer)
+        rendered.append((e, text, printer))
         return text
 
     monkeypatch.setattr(report_mod, "to_string", recording)
-    analyze_batch(json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")))
-    assert max(len(text) for _, text in rendered) > 400
-    for e, text in rendered:
+    return rendered
+
+
+def test_golden_batch_expressions_print_as_tree(monkeypatch):
+    rendered = _record_rendering(monkeypatch)
+    report, _ = analyze_batch(json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8")))
+    assert max(len(text) for _, text, _ in rendered) > 400
+    assert all("defs" not in entry for entry in report["reports"])
+    for e, text, _ in rendered:
         assert text == _tree_to_string(e)
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_report_defs_print_as_tree_with_references(monkeypatch, order):
+    # Each string of the entry, and each def, is the tree text of its node
+    # with the defined nodes printed as their references.
+    rendered = _record_rendering(monkeypatch)
+    report, _ = analyze_batch({"kind": "ode", "order": order, "rhs": "abstract"})
+    (entry,) = report["reports"]
+    ctx = OdeProblem.from_rhs(order, "abstract").context
+    nodes: list[Expr] = []
+    for text in entry["defs"]:
+        nodes.append(parse_expr(text, ctx, defs=nodes))
+    refs = {node: f"@{n}" for n, node in enumerate(nodes, 1)}
+    assert len(refs) == len(nodes) > 0
+    for n, (node, text) in enumerate(zip(nodes, entry["defs"])):
+        assert len(text) >= DEF_MIN_CHARS
+        assert text == _tree_to_string(node, {m: refs[m] for m in nodes[:n]})
+    assert {id(p) for _, _, p in rendered} == {id(rendered[0][2])}
+    for e, text, _ in rendered:
+        assert text == _tree_to_string(e, refs)
+    # only a node asked for twice or more is defined
+    uses = Counter(re.findall(r"@\d+", " ".join(entry["defs"] + [text for _, text, _ in rendered])))
+    assert all(uses[ref] >= 2 for ref in refs.values())
 
 
 def test_random_expressions_print_as_tree():

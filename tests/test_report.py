@@ -249,6 +249,21 @@ class TestBatchAndCli:
         assert [r["status"] for r in data["reports"]] == ["error", "ok"]
         assert "budget exceeded" in data["reports"][0]["error"]
 
+    def test_reference_in_a_problem_is_an_error_entry(self, tmp_path):
+        # @n names a def of a report entry; problems have none.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "ode", "order": 3, "rhs": "x2 + @1"},
+            {"kind": "web", "k": 2, "w": "@1"},
+            {"kind": "ode", "order": 3, "rhs": "0"},
+        ]}), encoding="utf-8")
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["error", "error", "ok"]
+        assert data["reports"][0]["error"] == "bad rhs: undefined reference @1 (at position 5)"
+        assert data["reports"][1]["error"] == "bad w: undefined reference @1 (at position 0)"
+
     @pytest.mark.parametrize("rhs", ["(x2^100)^100 + x1", "(x2^1000)^1000 + x1"])
     def test_nested_exponents_are_sampled_quickly(self, rhs):
         # Each literal is within the bound, but the power is x2^1000000.

@@ -213,6 +213,19 @@ class TestNullCurve:
             got = _gauss_jordan([[rational(v) for v in row] for row in r], rational(1), ZERO)
             assert [[e.payload for e in row] for row in got] == want
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_null_values_match_the_coefficient_matrix(self, k):
+        # c_j(s) in closed form against the sum over the coefficient matrix
+        w = " + ".join(f"x{i}" for i in range(k + 1))
+        for t_params in (None, [Fraction(3 * n * n - 7, n + 2) for n in range(k + 2)]):
+            curve = null_curve(make_web(k, w, t_params))
+            r = curve.coefficient_matrix()
+            for s in (Fraction(0), Fraction(k + 5), Fraction(-7, 3), Fraction(1, 2)):
+                for order in (0, 1):
+                    weights = webs._spectral_weights(k + 1, s, order)
+                    want = [sum(weight * r[m][j] for m, weight in weights) for j in range(k + 1)]
+                    assert webs._null_values(curve, s, order) == want, (t_params, s, order)
+
     def test_duality_table(self):
         # omega^(i)(t)(V^(j)(t)) = 0 for i+j < k and (-1)^j k! at i+j = k
         for k, w in ((2, "x0+x1+x2"), (3, NONFLAT_W[3])):
@@ -445,10 +458,10 @@ class TestFrameBrackets:
     def test_h_and_alpha_match_the_bracket_oracle(self, k, w, t_params):
         web = make_web(k, w, t_params)
         assert is_hirota_solution(web, EXACT)
-        matrix, brackets = null_curve(web).coefficient_matrix(), webs._frame_brackets(web)
+        curve, brackets = null_curve(web), webs._frame_brackets(web)
         nodes = webs._spectral_nodes(web, k + 2)
         for s in nodes:
-            got = webs._bracket_h(web, matrix, brackets, s)
+            got = webs._bracket_h(web, curve, brackets, s)
             assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
         alpha = webs._diagonal_connection(web, EXACT).alpha
         want = alpha_oracle(web, nodes[: k + 1])
@@ -460,10 +473,10 @@ class TestFrameBrackets:
         # h(s) is defined for any w; these cross terms break the Hirota
         # system, and every frame bracket with w_jl != 0 enters.
         web = make_web(k, random_polynomial_w(k, random.Random(k)))
-        matrix, brackets = null_curve(web).coefficient_matrix(), webs._frame_brackets(web)
+        curve, brackets = null_curve(web), webs._frame_brackets(web)
         assert brackets
         for s in (Fraction(-1, 2), Fraction(k + 5), Fraction(7, 3)):
-            got = webs._bracket_h(web, matrix, brackets, s)
+            got = webs._bracket_h(web, curve, brackets, s)
             assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
 
     def test_mixed_partials_are_one_node(self, corpus):
@@ -488,9 +501,9 @@ class TestFrameBrackets:
 
         def off_degree(limit):
             # h plus s^(k+1), which breaks the degree bound, at nodes below limit
-            def h(web, matrix, brackets, s):
+            def h(web, curve, brackets, s):
                 seen.append(s)
-                value = real_h(web, matrix, brackets, s)
+                value = real_h(web, curve, brackets, s)
                 return add(value, rational(s ** (web.k + 1))) if s < limit else value
             return h
 
