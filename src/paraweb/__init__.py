@@ -18,7 +18,6 @@ from .expr import (
     differentiate,
     div,
     eval_numeric,
-    expand,
     free_symbols,
     fun,
     integer,

@@ -48,8 +48,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_report(report, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_report(report, fh)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
         for line in _summary_lines(report):
             print(line)
     else:

@@ -11,6 +11,13 @@ never expands products over sums; deciding whether a non-obvious
 expression vanishes is the job of randomized identity testing (see
 ``paraweb.zerotest``).
 
+A node holds its sort key, a structural hash that is stable across
+processes and its serial number.  A sum's or product's key is the flat
+tuple (kind, *child keys), and a product is interned under its children
+tuple, any other node under (kind, payload, children), so a product
+keeps no tuple besides its children and its key (and its split, below,
+when it has a rational factor).
+
 All values are immutable and all operations are pure, so expressions can
 be shared and evaluated from multiple threads; the intern table is only
 mutated through atomic ``dict.setdefault`` calls.  The one field filled
@@ -52,7 +59,6 @@ __all__ = [
     "differentiate",
     "eval_numeric",
     "magnitude_estimate",
-    "expand",
     "free_symbols",
     "substitute",
     "symbol_name",
@@ -93,8 +99,9 @@ class Expr:
     """A canonical, interned expression node.  Use the module-level
     constructors; never instantiate directly."""
 
-    # ``split`` is a product's (coefficient, monomial) pair, filled by
-    # ``_coeff_mono`` on first use; it is None until then and on other kinds.
+    # ``split`` is the (coefficient, monomial) pair of a product with a
+    # rational factor, filled by ``_coeff_mono`` on first use; it is None
+    # until then and on every other node.
     __slots__ = ("kind", "payload", "children", "key", "shash", "has_fun", "uid", "split")
 
     kind: int
@@ -162,6 +169,7 @@ _UID = itertools.count()
 
 _MASK = (1 << 64) - 1
 _FNV_PRIME = 0x100000001B3
+_FNV_BASIS = 0xCBF29CE484222325
 _STR_HASH_CACHE: dict[str, int] = {}
 
 
@@ -173,7 +181,7 @@ def _str_hash(s: str) -> int:
     # Stable across processes, unlike the interpreter's salted str hash.
     got = _STR_HASH_CACHE.get(s)
     if got is None:
-        got = 0xCBF29CE484222325
+        got = _FNV_BASIS
         for b in s.encode():
             got = _mix(got, b)
         _STR_HASH_CACHE[s] = got
@@ -181,7 +189,7 @@ def _str_hash(s: str) -> int:
 
 
 def _structural_hash(kind: int, payload, children: tuple[Expr, ...]) -> int:
-    h = _mix(0xCBF29CE484222325, kind)
+    h = _mix(_FNV_BASIS, kind)
     if kind == RAT:
         h = _mix(h, payload.numerator)
         h = _mix(h, payload.denominator)
@@ -210,6 +218,7 @@ _key = operator.attrgetter("key")
 
 
 def _sort_key(kind: int, payload, children: tuple[Expr, ...]):
+    """The sort key of a node of any kind but a sum or product."""
     if kind == RAT:
         # An int orders like the equal Fraction but compares much faster.
         return (RAT, _plain(payload))
@@ -220,15 +229,15 @@ def _sort_key(kind: int, payload, children: tuple[Expr, ...]):
         return (OPAQUE, name, orders, deps)
     if kind == FUN:
         return (FUN, payload, children[0].key)
-    if kind == POW:
-        return (POW, children[0].key, payload)
-    return (kind, tuple(c.key for c in children))
+    return (POW, children[0].key, payload)
 
 
 def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
-    # Children hash and compare by identity, so this key is as exact as one
-    # built from their ids.
-    ident = (kind, payload, children)
+    # A product is interned under its children tuple, any other node under
+    # (kind, payload, children).  The first item of the one is a node and of
+    # the other an int, so the two never compare equal.  Children hash and
+    # compare by identity, so each key is as exact as one built from ids.
+    ident = children if kind == MUL else (kind, payload, children)
     node = _INTERN.get(ident)
     if node is not None:
         return node
@@ -236,9 +245,23 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
     node.kind = kind
     node.payload = payload
     node.children = children
-    node.key = _sort_key(kind, payload, children)
-    node.shash = _structural_hash(kind, payload, children)
-    node.has_fun = kind == FUN or any(c.has_fun for c in children)
+    if kind < MUL:
+        node.key = _sort_key(kind, payload, children)
+        node.shash = _structural_hash(kind, payload, children)
+        node.has_fun = kind == FUN or any(c.has_fun for c in children)
+    else:
+        # _structural_hash, a flat key (kind, *child keys) that orders like
+        # (kind, child keys) and has_fun, in one pass over the children
+        h = _mix(_FNV_BASIS, kind)
+        key = [kind]
+        has_fun = False
+        for c in children:
+            h = (h ^ c.shash) * _FNV_PRIME & _MASK
+            key.append(c.key)
+            has_fun = has_fun or c.has_fun
+        node.key = tuple(key)
+        node.shash = h
+        node.has_fun = has_fun
     node.uid = next(_UID)
     node.split = None
     return _INTERN.setdefault(ident, node)
@@ -249,15 +272,16 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
 
 def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
     """Exact rational constant p/q."""
-    if q == 1:
-        frac = p if isinstance(p, Fraction) else Fraction(p)
-    else:
-        frac = Fraction(p, q)
-    ident = (frac.numerator, frac.denominator)
+    if q != 1:
+        p = Fraction(p, q)
+    elif type(p) is not int and not isinstance(p, Fraction):
+        p = Fraction(p)
+    # an int, the usual argument, is looked up without making a Fraction
+    ident = (p, 1) if type(p) is int else (p.numerator, p.denominator)
     node = _RAT_INTERN.get(ident)
     if node is not None:
         return node
-    node = _make(RAT, frac, ())
+    node = _make(RAT, Fraction(p), ())
     return _RAT_INTERN.setdefault(ident, node)
 
 
@@ -328,17 +352,15 @@ def _coeff_mono(t: Expr) -> tuple[Number, Expr]:
     """Split a non-rational canonical term into (rational coefficient, monomial).
 
     The coefficient is an int when integral (see ``_plain``).  A product
-    keeps its split in ``t.split``, so its monomial is interned once.
+    with a rational factor keeps its split in ``t.split``, so its
+    monomial is interned once.
     """
-    if t.kind != MUL:
+    if t.kind != MUL or t.children[0].kind != RAT:
         return 1, t
     split = t.split
     if split is None:
         first, rest = t.children[0], t.children[1:]
-        if first.kind == RAT:
-            split = _plain(first.payload), (rest[0] if len(rest) == 1 else _make(MUL, None, rest))
-        else:
-            split = 1, t
+        split = _plain(first.payload), (rest[0] if len(rest) == 1 else _make(MUL, None, rest))
         t.split = split
     return split
 
@@ -404,34 +426,42 @@ def mul_iter(factors: Iterable[Expr]) -> Expr:
     coeff = 1
     # the rational factor, while it is the only one
     coeff_node = None
-    by_base: dict[Expr, int] = {}
+    # base -> [exponent, the factor itself while it is the only one]
+    by_base: dict[Expr, list] = {}
     stack = list(factors)
     stack.reverse()
     while stack:
         f = stack.pop()
-        if f.kind == MUL:
+        kind = f.kind
+        if kind == MUL:
             stack.extend(reversed(f.children))
-        elif f.kind == RAT:
+            continue
+        if kind == RAT:
             if coeff_node is None and coeff == 1:
                 coeff_node, coeff = f, _plain(f.payload)
             else:
                 coeff_node, coeff = None, coeff * _plain(f.payload)
-        elif f.kind == POW:
+            continue
+        if kind == POW:
             base, n = f.children[0], f.payload
-            by_base[base] = by_base.get(base, 0) + n
         else:
-            by_base[f] = by_base.get(f, 0) + 1
+            base, n = f, 1
+        acc = by_base.get(base)
+        if acc is None:
+            by_base[base] = [n, f]
+        else:
+            acc[0] += n
+            acc[1] = None
     if not coeff:
         return ZERO
+    # A base is never a rational, product or power, so each collected
+    # power is one POW node (or the base itself, or gone).
     out: list[Expr] = []
-    for base, n in by_base.items():
-        if n == 0:
-            continue
-        p = pow_int(base, n)
-        if p.kind == RAT:
-            coeff_node, coeff = None, coeff * _plain(p.payload)
-        else:
-            out.append(p)
+    for base, (n, f) in by_base.items():
+        if f is not None:
+            out.append(f)
+        elif n:
+            out.append(base if n == 1 else _make(POW, n, (base,)))
     if not out:
         return coeff_node or rational(coeff)
     if coeff != 1:
@@ -740,54 +770,6 @@ def free_symbols(e: Expr) -> tuple[Expr, ...]:
         else:
             stack.extend(n.children)
     return tuple(sorted(seen, key=lambda s: s.key))
-
-
-def expand(e: Expr) -> Expr:
-    """Fully distribute products and positive integer powers over sums.
-
-    Canonical form deliberately leaves products of sums alone; expansion
-    is the explicit (potentially exponential) normalisation used when an
-    identity is expected to cancel exactly.  Negative powers of sums are
-    left as atoms.
-    """
-    memo: dict[int, Expr] = {}
-
-    def walk(n: Expr) -> Expr:
-        got = memo.get(n.uid)
-        if got is not None:
-            return got
-        k = n.kind
-        if k in (RAT, SYM, OPAQUE):
-            out = n
-        elif k == FUN:
-            out = fun(n.payload, walk(n.children[0]))
-        elif k == ADD:
-            out = add_iter(walk(c) for c in n.children)
-        elif k == POW:
-            base = walk(n.children[0])
-            m = n.payload
-            if m > 1 and base.kind == ADD:
-                out = base
-                for _ in range(m - 1):
-                    out = _distribute(out, base)
-            else:
-                out = pow_int(base, m)
-        else:  # MUL
-            out = ONE
-            for c in n.children:
-                out = _distribute(out, walk(c))
-        memo[n.uid] = out
-        return out
-
-    return walk(e)
-
-
-def _distribute(a: Expr, b: Expr) -> Expr:
-    ta = a.children if a.kind == ADD else (a,)
-    tb = b.children if b.kind == ADD else (b,)
-    if len(ta) == 1 and len(tb) == 1:
-        return mul(a, b)
-    return add_iter(mul(u, v) for u in ta for v in tb)
 
 
 def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:

@@ -78,7 +78,6 @@ __all__ = [
     "eq1_residuals",
     "lax_tuple",
     "lax_commutator_residuals",
-    "lax_commutes",
     "canonical_connection",
     "torsion",
     "flatness_verdict",
@@ -428,10 +427,6 @@ def lax_commutator_residuals(
                 for c, e in fieldv.comps.items():
                     out[(i, j, c, deg)] = (e, zero.verdict(e))
     return out
-
-
-def lax_commutes(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-    return all(v is Verdict.ZERO for _, v in lax_commutator_residuals(web, zero).values())
 
 
 # ---------------------------------------------------------------------------

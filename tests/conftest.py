@@ -1,4 +1,5 @@
-"""Shared fixtures: the seeded web corpus and numeric helpers."""
+"""Shared fixtures: the seeded web corpus, numeric helpers, and the
+exact checks ``expand`` and ``lax_commutes`` that only tests use."""
 
 from __future__ import annotations
 
@@ -7,9 +8,24 @@ from fractions import Fraction
 
 import pytest
 
-from paraweb.expr import eval_numeric, free_symbols
-from paraweb.webs import VeroneseWeb
-from paraweb.zerotest import ZeroTester, _pole_free
+from paraweb.expr import (
+    ADD,
+    FUN,
+    ONE,
+    OPAQUE,
+    POW,
+    RAT,
+    SYM,
+    Expr,
+    add_iter,
+    eval_numeric,
+    free_symbols,
+    fun,
+    mul,
+    pow_int,
+)
+from paraweb.webs import VeroneseWeb, lax_commutator_residuals
+from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
 # (0, 1, ..., k+1) the two-exponential ansatz
@@ -102,3 +118,55 @@ def sample_point(web: VeroneseWeb, exprs, rng: random.Random, scale: int = 4):
     if env is None:
         raise RuntimeError("could not find a pole-free sample point")
     return env
+
+
+def expand(e: Expr) -> Expr:
+    """Fully distribute products and positive integer powers over sums.
+
+    Canonical form deliberately leaves products of sums alone; expansion
+    is the explicit (potentially exponential) normalisation used when an
+    identity is expected to cancel exactly.  Negative powers of sums are
+    left as atoms.
+    """
+    memo: dict[int, Expr] = {}
+
+    def walk(n: Expr) -> Expr:
+        got = memo.get(n.uid)
+        if got is not None:
+            return got
+        k = n.kind
+        if k in (RAT, SYM, OPAQUE):
+            out = n
+        elif k == FUN:
+            out = fun(n.payload, walk(n.children[0]))
+        elif k == ADD:
+            out = add_iter(walk(c) for c in n.children)
+        elif k == POW:
+            base = walk(n.children[0])
+            m = n.payload
+            if m > 1 and base.kind == ADD:
+                out = base
+                for _ in range(m - 1):
+                    out = _distribute(out, base)
+            else:
+                out = pow_int(base, m)
+        else:  # MUL
+            out = ONE
+            for c in n.children:
+                out = _distribute(out, walk(c))
+        memo[n.uid] = out
+        return out
+
+    return walk(e)
+
+
+def _distribute(a: Expr, b: Expr) -> Expr:
+    ta = a.children if a.kind == ADD else (a,)
+    tb = b.children if b.kind == ADD else (b,)
+    if len(ta) == 1 and len(tb) == 1:
+        return mul(a, b)
+    return add_iter(mul(u, v) for u in ta for v in tb)
+
+
+def lax_commutes(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
+    return all(v is Verdict.ZERO for _, v in lax_commutator_residuals(web, zero).values())

@@ -34,7 +34,6 @@ from paraweb.expr import (
     add,
     add_iter,
     eval_numeric,
-    expand,
     mul,
     neg,
     pow_int,
@@ -62,7 +61,6 @@ from paraweb.webs import (
     conformal_metric,
     flatness_verdict,
     is_hirota_solution,
-    lax_commutes,
     make_web,
     null_curve,
     schouten_residuals,
@@ -71,7 +69,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, NONFLAT_W5, sample_point
+from conftest import NONFLAT_W, NONFLAT_W5, expand, lax_commutes, sample_point
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
     closed_forms_order2,

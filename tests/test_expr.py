@@ -17,7 +17,6 @@ from paraweb.expr import (
     differentiate,
     div,
     eval_numeric,
-    expand,
     free_symbols,
     fun,
     mul,
@@ -32,6 +31,8 @@ from paraweb.expr import (
 )
 from paraweb.parser import MAX_EXPONENT, Context, ParseError, parse_expr
 from paraweb.zerotest import Verdict, ZeroTester, is_zero
+
+from conftest import expand
 
 CTX = Context(
     coords=("t", "x0", "x1", "x2"),

@@ -15,7 +15,6 @@ from paraweb.expr import (
     ZERO,
     add,
     add_iter,
-    expand,
     mul,
     neg,
     pow_int,
@@ -43,6 +42,8 @@ from paraweb.report import (
     analyze_ode,
 )
 from paraweb.zerotest import Verdict, ZeroTester
+
+from conftest import expand
 
 ZT = ZeroTester()
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from paraweb.expr import ZERO, div, expand, mul, neg, rational, sub, sym
+from paraweb.expr import ZERO, div, mul, neg, rational, sub, sym
 from paraweb.jet import (
     FrameError,
     OdeProblem,
@@ -25,6 +25,8 @@ from paraweb.jet import (
 from paraweb.parser import parse_expr
 from paraweb.webs import make_web, omega_at
 from paraweb.zerotest import Verdict, ZeroTester
+
+from conftest import expand
 
 ZT = ZeroTester()
 

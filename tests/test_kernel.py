@@ -243,7 +243,21 @@ def test_constructors_build_the_reference_node(recipe):
     assert got is want
     if isinstance(got, Expr):
         for n in nodes(got):
-            assert expr._INTERN[(n.kind, n.payload, n.children)] is n
+            assert _make(n.kind, n.payload, n.children) is n
+
+
+def test_a_sum_and_a_product_of_the_same_children_stay_apart():
+    # A product is interned under its children tuple, so a sum over the
+    # same children must not find it, whichever of the two comes first.
+    a, b = sym("kernel_a"), sym("kernel_b")
+    p = mul(a, b)
+    s = add(a, b)
+    c, d = sym("kernel_c"), sym("kernel_d")
+    t = add(c, d)
+    q = mul(c, d)
+    assert p.children == s.children and t.children == q.children
+    assert (p.kind, s.kind, t.kind, q.kind) == (MUL, ADD, ADD, MUL)
+    assert mul(a, b) is p and add(a, b) is s and add(c, d) is t and mul(c, d) is q
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,6 +323,33 @@ def test_split_slot_leaves_identity_and_hashes_unchanged():
         before = (hash(e), e.shash, e.key)
         assert e.split is None
         first = _coeff_mono(e)
-        assert _coeff_mono(e) is first and e.split is first
+        if e.children[0].kind == RAT:
+            assert _coeff_mono(e) is first and e.split is first
+        else:
+            # a product without a rational factor is its own monomial and
+            # keeps no split
+            assert first == (1, e) and _coeff_mono(e) == first and e.split is None
         assert (hash(e), e.shash, e.key) == before
         assert e == e and e is mul(e, rational(1)) and add(e, ZERO) is e
+
+
+def test_hashes_and_keys_are_pinned():
+    # The zero test seeds its sampling from ``shash`` and the printer
+    # follows the order of ``key``, so both are pinned as literals: a
+    # drift would move sample points and report bytes silently.  Kinds
+    # are RAT 0, SYM 1, OPAQUE 2, POW 4, MUL 5 and ADD 6.
+    x, f = sym("x1"), opaque("F", ("x0", "x1"), (1, 2))
+    coeff = rational(Fraction(-3, 4))
+    pins = [
+        (x, 0x4B1B2EC89836066A, (1, "x1")),
+        (f, 0xD3885BEA4168872C, (2, "F", (1, 2), ("x0", "x1"))),
+        (coeff, 0x26B64FE793F3ACA6, (0, Fraction(-3, 4))),
+        (pow_int(x, -2), 0xD09342F6AE8FA587, (4, (1, "x1"), -2)),
+        (add(x, f, rational(1)), 0x0D703666C38342FE,
+         (6, (0, 1), (1, "x1"), (2, "F", (1, 2), ("x0", "x1")))),
+        (mul(coeff, x, pow_int(f, 3)), 0x89123B372FEBF954,
+         (5, (0, Fraction(-3, 4)), (1, "x1"), (4, (2, "F", (1, 2), ("x0", "x1")), 3))),
+    ]
+    for e, shash, key in pins:
+        assert (e.shash, e.key) == (shash, key)
+        assert e.shash == expr._structural_hash(e.kind, e.payload, e.children)

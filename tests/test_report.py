@@ -318,6 +318,15 @@ class TestBatchAndCli:
         assert cli_main(["analyze", "/nonexistent/problems.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_cli_unwritable_out(self, tmp_path, capsys):
+        src = tmp_path / "problems.json"
+        src.write_text(json.dumps({"kind": "ode", "order": 3, "rhs": "0"}), encoding="utf-8")
+        out = tmp_path / "missing" / "report.json"
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot write {out}: " in captured.err
+        assert captured.out == "" and not out.parent.exists()
+
     def test_cli_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

@@ -48,7 +48,6 @@ from paraweb.webs import (
     hirota_residuals,
     is_hirota_solution,
     lax_commutator_residuals,
-    lax_commutes,
     lax_tuple,
     make_web,
     null_curve,
@@ -65,7 +64,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, NONFLAT_W5, random_polynomial_w, sample_point
+from conftest import NONFLAT_W, NONFLAT_W5, lax_commutes, random_polynomial_w, sample_point
 
 ZT = ZeroTester()
 EXACT = ZeroTester(trials=8, tolerance=0)

@@ -33,7 +33,6 @@ from paraweb.expr import (
     add_iter,
     div,
     eval_numeric,
-    expand,
     free_symbols,
     fun,
     magnitude_estimate,
@@ -48,6 +47,8 @@ from paraweb.expr import (
 from paraweb.parser import Context, parse_expr
 from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report
 from paraweb.zerotest import Verdict, ZeroTester, _exp_images
+
+from conftest import expand
 
 DATA = Path(__file__).parent / "data"
 P = (1 << 61) - 1
