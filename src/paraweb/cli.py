@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +41,11 @@ def main(argv: list[str] | None = None) -> int:
         defaults["trials"] = args.trials
     if args.tolerance is not None:
         defaults["tolerance"] = args.tolerance
+
+    # Fail before the batch runs rather than lose its work at the end.
+    if args.out and not os.access(Path(args.out).absolute().parent, os.W_OK | os.X_OK):
+        print(f"error: cannot write {args.out}: directory missing or not writable", file=sys.stderr)
+        return 1
 
     try:
         report, code = analyze_batch(document, defaults)

@@ -307,13 +307,11 @@ def analyze_web(spec: ProblemSpec) -> dict:
         residuals.append(_verdict_entry(f"lax[{i},{j};{c};t^{deg}]", e, v))
 
     hirota_ok = all(v is Verdict.ZERO for _, v in hr.values())
-    lax_ok = all(v is Verdict.ZERO for _, v in lr.values())
-    zak = zakharevich_verdict(web, None, zero)
     verdicts: dict[str, Any] = {
         "hirota": hirota_ok,
         "hierarchy": all(v is Verdict.ZERO for _, v in er.values()),
-        "lax": lax_ok,
-        "zakharevich": zak,
+        "lax": all(v is Verdict.ZERO for _, v in lr.values()),
+        "zakharevich": zakharevich_verdict(web, None, zero),
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
         # (see lax_tuple), so this holds for every web candidate.
         "pencil_affine": True,

@@ -48,14 +48,7 @@ from .expr import (
     rational,
     sub,
 )
-from .jet import (
-    OneForm,
-    VectorField,
-    _gauss_jordan,
-    exterior_derivative,
-    lie_bracket,
-    wedge3,
-)
+from .jet import OneForm, VectorField, _gauss_jordan, lie_bracket
 from .parser import Context, parse_expr
 from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
@@ -117,7 +110,7 @@ class VeroneseWeb:
     context: Context
     w: Expr
     t_params: tuple[Fraction, ...]
-    # Objects built once per web instance (the null curve, the omega forms).
+    # Objects built once per web instance, or once per web and zero tester.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -211,11 +204,11 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _once(web: VeroneseWeb, name: str, build):
-    """``build(web)``, made on the first call for this web instance only."""
-    got = web._derived.get(name)
+def _once(web: VeroneseWeb, key, build, *args):
+    """``build(web, *args)``, made on the first call with ``key`` for this web only."""
+    got = web._derived.get(key)
     if got is None:
-        got = web._derived[name] = build(web)
+        got = web._derived[key] = build(web, *args)
     return got
 
 
@@ -334,7 +327,11 @@ def null_curve(web: VeroneseWeb) -> NullCurve:
 def hirota_residuals(
     web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
 ) -> dict[tuple[int, int, int], tuple[Expr, Verdict]]:
-    """Residual of the quadratic Hirota equation for every index triple."""
+    """Residual of the quadratic Hirota equation per index triple; one shared dict per tester."""
+    return _once(web, ("hirota", zero), _hirota_residuals, zero)
+
+
+def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
     out = {}
     for (i, j, l) in web.triples():
         e = add_iter(
@@ -547,8 +544,12 @@ def canonical_connection(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) ->
     interpolating the bracket function h(t) at k+1 exact rational nodes,
     with the degree bound checked at one extra node.  For k = 2 the
     result is the unique torsion-free Weyl connection of the induced
-    conformal Lorentzian structure.
+    conformal Lorentzian structure.  Built once per web and tester.
     """
+    return _once(web, ("connection", zero), _canonical_connection, zero)
+
+
+def _canonical_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
     if not is_hirota_solution(web, zero):
         raise NotAWebError("the function does not satisfy the Hirota system")
     if web.k == 2:
@@ -1024,33 +1025,25 @@ def zakharevich_verdict(
     test_values: list[Fraction] | None = None,
     zero: ZeroTester = DEFAULT_TESTER,
 ) -> bool:
-    """Decide integrability by sampling omega(t) ^ d omega(t) at k+3 values.
+    """Decide integrability from omega(t) ^ d omega(t) at k+3 values.
 
-    The supplied values must be pairwise distinct and lie outside the
-    spectral set (there the condition is void); with k+3 admissible
-    values the vanishing at the samples is equivalent to vanishing for
-    every t, i.e. to the Hirota system.
+    The values must be pairwise distinct and outside the spectral set,
+    where the condition is void.  There, for a < b < c, exactly
+
+        (omega ^ d omega)_{abc}(t) = P(t)^2 (t - t_{k+1}) H_{abc}
+                                     / ((t - t_a)(t - t_b)(t - t_c)),
+
+    with P(t) = prod_{j <= k} (t - t_j) and H the Hirota residuals.  The
+    factor is a nonzero rational, so the verdict is read from H.
     """
     k = web.k
-    if test_values is None:
-        test_values = _spectral_nodes(web, k + 3)
-    test_values = [Fraction(t) for t in test_values]
-    if len(test_values) != k + 3 or len(set(test_values)) != len(test_values):
-        raise WebError(f"need {k + 3} pairwise distinct test values")
-    spectral = set(web.t_params)
-    outside = [t for t in test_values if t not in spectral]
-    if len(outside) < k + 3:
-        raise WebError(
-            "test values inside the spectral set are void; "
-            f"need {k + 3} values outside it"
-        )
-    for tval in test_values:
-        om = omega_at(web, tval)
-        three = wedge3(om, exterior_derivative(om))
-        for e in three.comps.values():
-            if zero.verdict(e) is not Verdict.ZERO:
-                return False
-    return True
+    if test_values is not None:
+        values = {Fraction(t) for t in test_values}
+        if len(test_values) != k + 3 or len(values) != k + 3:
+            raise WebError(f"need {k + 3} pairwise distinct test values")
+        if values & set(web.t_params):
+            raise WebError(f"test values inside the spectral set are void; need {k + 3} outside it")
+    return is_hirota_solution(web, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: the seeded web corpus, numeric helpers, and the
-exact checks ``expand`` and ``lax_commutes`` that only tests use."""
+checks ``expand``, ``lax_commutes`` and ``zakharevich_oracle`` that only
+tests use."""
 
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ from paraweb.expr import (
     mul,
     pow_int,
 )
-from paraweb.webs import VeroneseWeb, lax_commutator_residuals
+from paraweb.jet import ThreeForm, exterior_derivative, wedge3
+from paraweb.report import ProblemSpec, analyze_web
+from paraweb.webs import VeroneseWeb, _spectral_nodes, lax_commutator_residuals, omega_at
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
@@ -93,6 +96,13 @@ def corpus():
 @pytest.fixture(scope="session")
 def tester():
     return ZeroTester()
+
+
+@pytest.fixture(scope="session")
+def corpus_reports(corpus):
+    """The report of every corpus entry, in corpus order."""
+    return [analyze_web(ProblemSpec.from_dict({"kind": "web", "k": k, "w": w}))
+            for k, w, _tag in corpus]
 
 
 def sample_point(web: VeroneseWeb, exprs, rng: random.Random, scale: int = 4):
@@ -170,3 +180,19 @@ def _distribute(a: Expr, b: Expr) -> Expr:
 
 def lax_commutes(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
     return all(v is Verdict.ZERO for _, v in lax_commutator_residuals(web, zero).values())
+
+
+def omega_wedge_d_omega(web: VeroneseWeb, tval: Fraction) -> ThreeForm:
+    """omega(t) ^ d omega(t) at an exact rational t, built from its definition."""
+    om = omega_at(web, tval)
+    return wedge3(om, exterior_derivative(om))
+
+
+def zakharevich_oracle(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
+    """The Zakharevich criterion by sampling: every component of
+    omega(t) ^ d omega(t) zero-tested at k+3 values outside the spectral set."""
+    return all(
+        zero.verdict(e) is Verdict.ZERO
+        for tval in _spectral_nodes(web, web.k + 3)
+        for e in omega_wedge_d_omega(web, tval).comps.values()
+    )

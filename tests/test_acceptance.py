@@ -65,11 +65,17 @@ from paraweb.webs import (
     null_curve,
     schouten_residuals,
     weyl_compatibility_residuals,
-    zakharevich_verdict,
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, NONFLAT_W5, expand, lax_commutes, sample_point
+from conftest import (
+    NONFLAT_W,
+    NONFLAT_W5,
+    expand,
+    lax_commutes,
+    sample_point,
+    zakharevich_oracle,
+)
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
     closed_forms_order2,
@@ -334,14 +340,15 @@ def test_criterion_7_flatness_and_bryant(corpus):
     _passed(7, "flatness on the separable subcorpus; Bryant connection")
 
 
-def test_criterion_8_zakharevich(corpus):
+def test_criterion_8_zakharevich(corpus, corpus_reports):
     disagreements = 0
-    for k, w, _tag in corpus:
+    for (k, w, _tag), rep in zip(corpus, corpus_reports):
         web = make_web(k, w)
-        if zakharevich_verdict(web, None, ZT) != is_hirota_solution(web, ZT):
+        sampled = zakharevich_oracle(web, ZT)
+        if sampled != is_hirota_solution(web, ZT) or rep["verdicts"]["zakharevich"] is not sampled:
             disagreements += 1
     assert disagreements == 0
-    _passed(8, "Zakharevich sampling criterion agrees with the Hirota verdict")
+    _passed(8, "sampled Zakharevich criterion agrees with the Hirota and report verdicts")
 
 
 def test_criterion_9_determinism_and_roundtrip():

@@ -318,7 +318,11 @@ class TestBatchAndCli:
         assert cli_main(["analyze", "/nonexistent/problems.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_cli_unwritable_out(self, tmp_path, capsys):
+    def test_cli_unwritable_out(self, tmp_path, capsys, monkeypatch):
+        import paraweb.report as report_mod
+
+        analysed = []
+        monkeypatch.setattr(report_mod, "analyze_problem", analysed.append)
         src = tmp_path / "problems.json"
         src.write_text(json.dumps({"kind": "ode", "order": 3, "rhs": "0"}), encoding="utf-8")
         out = tmp_path / "missing" / "report.json"
@@ -326,6 +330,8 @@ class TestBatchAndCli:
         captured = capsys.readouterr()
         assert f"error: cannot write {out}: " in captured.err
         assert captured.out == "" and not out.parent.exists()
+        # the directory is checked before the batch, so nothing was analysed
+        assert analysed == []
 
     def test_cli_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

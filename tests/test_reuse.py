@@ -35,6 +35,7 @@ from paraweb.webs import (
     _spectral_nodes,
     bryant_forms,
     canonical_connection,
+    hirota_residuals,
     make_web,
     null_curve,
     omega_coefficient_forms,
@@ -43,7 +44,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import DEFAULT_TESTER, ZeroTester, _pole_free
 
-from conftest import NONFLAT_W
+from conftest import NONFLAT_W, zakharevich_oracle
 
 DATA = Path(__file__).parent / "data"
 ZT = ZeroTester()
@@ -171,6 +172,9 @@ class TestVerdictMemo:
     def test_memo_equals_fresh_sampling(self, monkeypatch):
         problem = {"kind": "web", "k": 3, "w": NONFLAT_W[3], "options": {"seed": 4}}
         tester = self._report_tester(monkeypatch, problem)
+        # The report reads Zakharevich from the Hirota residuals; the
+        # sampled criterion adds the wedge components it used to test.
+        assert zakharevich_oracle(make_web(3, NONFLAT_W[3]), tester)
         assert len(tester._verdicts) > 40
         for e, got in tester._verdicts.items():
             fresh = ZeroTester(trials=tester.trials, tolerance=tester.tolerance, seed=tester.seed)
@@ -228,6 +232,22 @@ class TestWebObjects:
         web = make_web(3, NONFLAT_W[3])
         assert null_curve(web) is null_curve(web)
         assert omega_coefficient_forms(web) is omega_coefficient_forms(web)
+        assert hirota_residuals(web, ZT) is hirota_residuals(web, ZT)
+        assert canonical_connection(web, ZT) is canonical_connection(web, ZT)
+        assert hirota_residuals(web, ZeroTester(seed=1)) is not hirota_residuals(web, ZT)
+
+    @pytest.mark.parametrize("k,w", [(3, NONFLAT_W[3]), (5, "x0 + x1^2/2 + x2 + x3 + x4 + exp(x5)")])
+    def test_report_builds_hirota_and_connection_once(self, monkeypatch, k, w):
+        built = []
+        for name in ("_hirota_residuals", "_canonical_connection"):
+            def counting(web, zero, _build=getattr(webs_mod, name), _name=name):
+                built.append(_name)
+                return _build(web, zero)
+
+            monkeypatch.setattr(webs_mod, name, counting)
+        rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": k, "w": w}))
+        assert rep["verdicts"]["hirota"] and "flat" in rep["verdicts"]
+        assert sorted(built) == ["_canonical_connection", "_hirota_residuals"]
 
     def test_cache_is_per_instance(self):
         w = "x0 + x1^2/2 + x2"

@@ -64,7 +64,15 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import NONFLAT_W, NONFLAT_W5, lax_commutes, random_polynomial_w, sample_point
+from conftest import (
+    NONFLAT_W,
+    NONFLAT_W5,
+    lax_commutes,
+    omega_wedge_d_omega,
+    random_polynomial_w,
+    sample_point,
+    zakharevich_oracle,
+)
 
 ZT = ZeroTester()
 EXACT = ZeroTester(trials=8, tolerance=0)
@@ -690,10 +698,33 @@ class TestBryant:
 
 
 class TestZakharevich:
-    def test_agrees_with_hirota_on_corpus(self, corpus):
-        for k, w, _tag in corpus:
+    def test_agrees_with_hirota_on_corpus(self, corpus, corpus_reports):
+        for (k, w, _tag), rep in zip(corpus, corpus_reports):
             web = make_web(k, w)
-            assert zakharevich_verdict(web, None, ZT) == is_hirota_solution(web, ZT), (k, w)
+            want = zakharevich_oracle(web, ZT)
+            assert want == is_hirota_solution(web, ZT), (k, w)
+            assert rep["verdicts"]["zakharevich"] is want, (k, w)
+
+    def test_wedge_is_a_rational_multiple_of_the_hirota_residuals(self, corpus):
+        # (omega ^ d omega)_{abc}(t)
+        #     = P(t)^2 (t - t_{k+1}) / ((t - t_a)(t - t_b)(t - t_c)) H_{abc},
+        # P(t) = prod_{j <= k} (t - t_j), exactly and at every node.
+        cases = [make_web(k, w) for k, w, _tag in corpus]
+        cases.append(make_web(3, "2*x0 + x1 + x2^2/2 + x3", t_params=(-1, 3, Fraction(1, 2), 7, 2)))
+        not_a_web = make_web(3, "x0*x1*x2 + x0 + x1 + x2 + x3")
+        cases.append(not_a_web)
+        assert not is_hirota_solution(not_a_web, EXACT)
+        for web in cases:
+            k, t = web.k, web.t_params
+            hr = hirota_residuals(web, EXACT)
+            for s in webs._spectral_nodes(web, k + 3):
+                three = omega_wedge_d_omega(web, s)
+                assert set(three.comps) <= {tuple(f"x{i}" for i in key) for key in hr}
+                p = math.prod(s - t[j] for j in range(k + 1))
+                for (a, b, c), (h, _) in hr.items():
+                    factor = p * p * (s - t[k + 1]) / ((s - t[a]) * (s - t[b]) * (s - t[c]))
+                    diff = sub(three.comp(f"x{a}", f"x{b}", f"x{c}"), mul(rational(factor), h))
+                    assert EXACT.verdict(diff) is Verdict.ZERO, (web.w, s, (a, b, c))
 
     def test_rejects_values_inside_spectrum(self):
         web = make_web(2, "x0+x1+x2")
