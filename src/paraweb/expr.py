@@ -33,7 +33,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "Expr",
@@ -345,9 +345,6 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-_ONE_FRACTION = Fraction(1)
-
-
 def _coeff_mono(t: Expr) -> tuple[Number, Expr]:
     """Split a non-rational canonical term into (rational coefficient, monomial).
 
@@ -533,16 +530,19 @@ def differentiate(e: Expr, v: str) -> Expr:
         else:
             out = ZERO
     elif k == ADD:
-        out = add_iter(differentiate(c, v) for c in e.children)
-    elif k == MUL:
+        # A product whose derivative is not cached gives its Leibniz terms
+        # straight to this sum, which collects them once: collection is
+        # confluent, so the node is the one collecting each product's
+        # derivative first would give.
         terms = []
-        cs = e.children
-        for i, c in enumerate(cs):
-            dc = differentiate(c, v)
-            if dc is ZERO:
-                continue
-            terms.append(mul_iter(cs[:i] + (dc,) + cs[i + 1:]))
+        for c in e.children:
+            if c.kind == MUL and (c.uid, v) not in _DIFF_CACHE:
+                terms.extend(_leibniz_terms(c, lambda f: differentiate(f, v)))
+            else:
+                terms.append(differentiate(c, v))
         out = add_iter(terms)
+    elif k == MUL:
+        out = add_iter(_leibniz_terms(e, lambda f: differentiate(f, v)))
     elif k == POW:
         base, n = e.children[0], e.payload
         db = differentiate(base, v)
@@ -567,6 +567,18 @@ def differentiate(e: Expr, v: str) -> Expr:
             out = mul(outer, da)
     _DIFF_CACHE[(e.uid, v)] = out
     return out
+
+
+def _leibniz_terms(e: Expr, derive: Callable[[Expr], Expr]) -> list[Expr]:
+    """The terms derive(c_i) * prod_{j != i} c_j of the product ``e``
+    whose derive(c_i) is nonzero."""
+    terms = []
+    cs = e.children
+    for i, c in enumerate(cs):
+        dc = derive(c)
+        if dc is not ZERO:
+            terms.append(mul_iter(cs[:i] + (dc,) + cs[i + 1:]))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +911,9 @@ def _signed(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None)
     if out is None:
         k = e.kind
         if k == RAT:
-            v = e.payload
-            n = abs(v.numerator)
-            out = (-1 if v < 0 else 1), (str(n) if v.denominator == 1 else f"{n}/{v.denominator}")
+            num, den = e.payload.numerator, e.payload.denominator
+            n = abs(num)
+            out = (-1 if num < 0 else 1), (str(n) if den == 1 else f"{n}/{den}")
         elif k == SYM:
             out = 1, e.payload
         elif k == OPAQUE:
@@ -951,19 +963,20 @@ def _atom(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -
     if sign == 0:
         return body
     text = "-" + body if sign < 0 else body
-    if e.kind in (ADD, MUL, POW) or (e.kind == RAT and (e.payload < 0 or e.payload.denominator != 1)):
+    if e.kind in (ADD, MUL, POW) or (e.kind == RAT and (sign < 0 or e.payload.denominator != 1)):
         return "(" + text + ")"
     return text
 
 
 def _signed_product(e: Expr, counts: dict[int, int], memo: dict, defs: list[str] | None) -> tuple[int, str]:
-    coeff = _ONE_FRACTION
+    # the rational factor's numerator and denominator, as ints
+    cnum = cden = 1
     num: list[str] = []
     den: list[str] = []
     for c in e.children:
         if c.kind == RAT:
             # a canonical product has at most one rational factor
-            coeff = c.payload
+            cnum, cden = c.payload.numerator, c.payload.denominator
         elif c.kind == POW and c.payload < 0:
             b = _atom(c.children[0], counts, memo, defs)
             den.append(b if c.payload == -1 else f"{b}^{-c.payload}")
@@ -971,12 +984,12 @@ def _signed_product(e: Expr, counts: dict[int, int], memo: dict, defs: list[str]
             num.append(_atom(c, counts, memo, defs))
         else:
             num.append(_text(c, counts, memo, defs))
-    sign = -1 if coeff < 0 else 1
-    coeff = abs(coeff)
-    if coeff.numerator != 1 or not num:
-        num.insert(0, str(coeff.numerator))
-    if coeff.denominator != 1:
-        den.insert(0, str(coeff.denominator))
+    sign = -1 if cnum < 0 else 1
+    cnum = abs(cnum)
+    if cnum != 1 or not num:
+        num.insert(0, str(cnum))
+    if cden != 1:
+        den.insert(0, str(cden))
     body = "*".join(num)
     if len(den) == 1:
         body = f"{body}/{den[0]}"

@@ -125,26 +125,32 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
         ad.append(lie_bracket(x, ad[-1]))
     cof = ScalingRule(ode).cofactors(k + 1)
 
+    # Each component is collected once, over all of its terms: collection
+    # is confluent, so this is the node that adding field by field gives.
     fields = []
     for i in range(k + 2):
-        f = VectorField(ode.coords, {})
-        for j in range(i + 1):
-            f = f.plus(ad[i - j].scaled(mul(rational(comb(i, j)), cof[j])))
-        fields.append(f)
+        parts = [(mul(rational(comb(i, j)), cof[j]), ad[i - j]) for j in range(i + 1)]
+        comps = {c: add_iter(_component_terms(parts, c)) for c in ode.coords}
+        fields.append(VectorField(ode.coords, comps))
 
-    residual_dt = fields[k + 1].comp("t")
+    top = fields[k + 1]
+    residual_dt = top.comp("t")
     # Back-substitution: column x{m} is first reached by V^(k-m), whose
-    # leading coefficient there is exactly (-1)^(k-m).
-    rest = fields[k + 1]
+    # leading coefficient there is exactly (-1)^(k-m).  The remainder in
+    # x{m} is collected from V^(k+1) and the multiples of V^(i) subtracted
+    # so far, and is kept for the check that step m cleared it for good.
+    subtracted: list[tuple[Expr, VectorField]] = []
+    remainders: list[Expr] = []
     coeffs: list[Expr] = [ZERO] * (k + 1)
     for m in range(k + 1):
         i = k - m
-        c = mul(rational((-1) ** i), rest.comp(f"x{m}"))
-        coeffs[i] = c
-        rest = rest.plus(fields[i].scaled(neg(c)))
-    leftover = [v for c, v in rest.comps.items() if c != "t"]
-    if any(v is not ZERO for v in leftover):
-        raise ExtractionError("triangular expansion left a nonzero remainder")
+        rest = add_iter([top.comp(f"x{m}")] + _component_terms(subtracted, f"x{m}"))
+        coeffs[i] = mul(rational((-1) ** i), rest)
+        subtracted.append((neg(coeffs[i]), fields[i]))
+        remainders.append(rest)
+    for m, rest in enumerate(remainders):
+        if add_iter([rest] + _component_terms(subtracted[m:], f"x{m}")) is not ZERO:
+            raise ExtractionError("triangular expansion left a nonzero remainder")
 
     residual_vk = coeffs[k]
     for name, res in (("V^(k)", residual_vk), ("d/dt", residual_dt)):
@@ -153,6 +159,11 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
 
     curvatures = tuple(mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k))
     return CurvatureChain(ode, tuple(fields), curvatures, residual_vk, residual_dt)
+
+
+def _component_terms(parts: list[tuple[Expr, VectorField]], c: str) -> list[Expr]:
+    """The nonzero terms of the component ``c`` of sum s * f over ``parts``."""
+    return [mul(s, f.comps[c]) for s, f in parts if c in f.comps]
 
 
 def gamma_k(k: int) -> Fraction:

@@ -33,11 +33,11 @@ from .expr import (
     RAT,
     Expr,
     ZERO,
+    _leibniz_terms,
     add_iter,
     differentiate,
     div,
     mul,
-    mul_iter,
     pow_int,
     rational,
     sub,
@@ -263,12 +263,18 @@ class TotalDerivative(VectorField):
     Only at symbols and function nodes does it take the partials-first
     sum of ``VectorField.apply``.  A large node so costs one pass, not
     one derivative per coordinate, and the result keeps the sharing of
-    its argument.  Results are memoised per node on the instance.
+    its argument.  Results are memoised per node on the instance.  A
+    product inside a sum hands its Leibniz terms to the sum, which
+    collects them with its other terms once; collection is confluent, so
+    the node is the one a collected Leibniz sum per product would give.
     """
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "_memo", {})
+        # product -> its Leibniz terms, which a sum containing the product
+        # collects along with its other terms
+        object.__setattr__(self, "_leibniz_memo", {})
 
     def apply(self, e: Expr) -> Expr:
         """X(e), equal to ``VectorField.apply`` but built node by node."""
@@ -284,15 +290,17 @@ class TotalDerivative(VectorField):
         if kind == RAT:
             out = ZERO
         elif kind == ADD:
-            out = add_iter(self._derive(c) for c in e.children)
-        elif kind == MUL:
-            cs = e.children
+            # Collecting once gives the node that collecting each product's
+            # Leibniz sum first would, without building that sum.
             terms = []
-            for i, c in enumerate(cs):
-                dc = self._derive(c)
-                if dc is not ZERO:
-                    terms.append(mul_iter(cs[:i] + (dc,) + cs[i + 1:]))
+            for c in e.children:
+                if c.kind == MUL:
+                    terms.extend(self._leibniz(c))
+                else:
+                    terms.append(self._derive(c))
             out = add_iter(terms)
+        elif kind == MUL:
+            out = add_iter(self._leibniz(e))
         elif kind == POW:
             base, n = e.children[0], e.payload
             db = self._derive(base)
@@ -301,6 +309,13 @@ class TotalDerivative(VectorField):
             out = self._partials(e)
         self._memo[e] = out
         return out
+
+    def _leibniz(self, e: Expr) -> list[Expr]:
+        """The terms X(c_i) * prod_{j != i} c_j of a product, X(c_i) nonzero."""
+        terms = self._leibniz_memo.get(e)
+        if terms is None:
+            terms = self._leibniz_memo[e] = _leibniz_terms(e, self._derive)
+        return terms
 
 
 def total_derivative_field(ode: OdeProblem) -> TotalDerivative:

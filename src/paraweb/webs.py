@@ -120,10 +120,6 @@ class VeroneseWeb:
             raise WebError(f"need {self.k + 2} spectral constants, got {len(self.t_params)}")
         if len(set(self.t_params)) != len(self.t_params):
             raise WebError("spectral constants must be pairwise distinct")
-        # exact cyclic identity of the Hirota coefficients
-        for (i, j, l) in self.triples():
-            if self.a(i, j, l) + self.a(j, l, i) + self.a(l, i, j) != 0:
-                raise WebError("cyclic coefficient identity failed")
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -1078,21 +1074,27 @@ def schouten_residuals(
     [Pi, Pi]^{abc} = 2 sum_d (Pi^{ad} d_d Pi^{bc} + Pi^{bd} d_d Pi^{ca}
     + Pi^{cd} d_d Pi^{ab}).  All components must vanish numerically for
     a Hirota solution.
+
+    Pi^{ab} vanishes unless exactly one of a, b is a y, and no component
+    depends on a y, so d runs over the x's and Pi^{ad} needs a = y.  A
+    term survives only when the other two indices are one x and one y:
+    only the components (x_a, y_i, y_j), i < j, can be nonzero, and each
+    is 2 [L_i(t), L_j(t)]^{x_a}.  Those are the ones built, in the order
+    of the full enumeration.
     """
-    coords = extended_coords(web)
     pi: dict[tuple[str, str], Expr] = {}  # Pi^{ab}, both orders
     for (a, b), e in poisson_pencil_components(web, tval).items():
         pi[(a, b)], pi[(b, a)] = e, neg(e)
 
+    ys = extended_coords(web)[len(web.coords):]
     exprs = []
-    n = len(coords)
-    for ai in range(n):
-        for bi in range(ai + 1, n):
-            for ci in range(bi + 1, n):
-                a, b, c = coords[ai], coords[bi], coords[ci]
+    for a in web.coords:
+        for bi, b in enumerate(ys):
+            for c in ys[bi + 1:]:
                 terms = []
-                for d in web.coords:  # components do not depend on the y's
-                    for (u, v, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                for d in web.coords:
+                    # the rotations (b, c, a) and (c, a, b); (a, b, c) has Pi^{ad} = 0
+                    for (u, v, z) in ((b, c, a), (c, a, b)):
                         p = pi.get((u, d), ZERO)
                         if p is ZERO:
                             continue
@@ -1109,10 +1111,14 @@ def schouten_residuals(
     symbols = sorted(symbols, key=lambda s: s.key)
     rng = random.Random(seed)
     out = []
+
+    def evaluate(env):
+        # One memo for the point: the components share most of their nodes.
+        memo: dict = {}
+        return [abs(float(eval_numeric(e, env, memo))) for e in exprs]
+
     for _ in range(point_samples):
-        vals = _base_point_values(
-            rng, symbols, lambda env: [abs(float(eval_numeric(e, env))) for e in exprs]
-        )
+        vals = _base_point_values(rng, symbols, evaluate)
         out.extend(vals if vals else [0.0])
     return out
 

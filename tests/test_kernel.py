@@ -35,6 +35,7 @@ from paraweb.expr import (
     fun,
     mul,
     mul_iter,
+    neg,
     opaque,
     pow_int,
     rational,
@@ -220,6 +221,10 @@ def build_or_error(recipe, ops):
         return type(exc)
 
 
+def built_terms(recipes_) -> list[Expr]:
+    return [t for t in (build_or_error(r, NEW) for r in recipes_) if isinstance(t, Expr)]
+
+
 def nodes(e: Expr) -> list[Expr]:
     seen: dict[int, Expr] = {}
     stack = [e]
@@ -263,8 +268,7 @@ def test_a_sum_and_a_product_of_the_same_children_stay_apart():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(recipes, min_size=1, max_size=6), st.lists(rationals, max_size=4))
 def test_sum_and_product_of_built_terms(recipes_, constants):
-    terms = [t for t in (build_or_error(r, NEW) for r in recipes_) if isinstance(t, Expr)]
-    terms += [rational(q) for q in constants]
+    terms = built_terms(recipes_) + [rational(q) for q in constants]
     assert add_iter(terms) is ref_add_iter(terms)
     assert mul_iter(terms) is ref_mul_iter(terms)
 
@@ -272,8 +276,7 @@ def test_sum_and_product_of_built_terms(recipes_, constants):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(recipes, min_size=2, max_size=8))
 def test_sort_keys_give_the_reference_order(recipes_):
-    built = [t for t in (build_or_error(r, NEW) for r in recipes_) if isinstance(t, Expr)]
-    pool = [n for t in built for n in nodes(t)]
+    pool = [n for t in built_terms(recipes_) for n in nodes(t)]
     assert sorted(pool, key=lambda n: n.key) == sorted(pool, key=ref_key)
 
 
@@ -290,6 +293,21 @@ def test_coefficient_split_matches_the_reference(recipe):
         rc, rm = ref_coeff_mono(n)
         assert c == rc and m is rm
         assert isinstance(c, int) == (rc.denominator == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(recipes, max_size=5), st.lists(recipes, max_size=5), rationals)
+def test_collecting_in_stages_gives_the_node_of_collecting_once(recipes_a, recipes_b, q):
+    # The ODE path collects each sum once over all of its terms instead
+    # of collecting a part of them first (a product's Leibniz terms, one
+    # field's share of a chain component).  Both must give the same
+    # node, also when the part is scaled or negated first.
+    a, b = built_terms(recipes_a), built_terms(recipes_b)
+    part = add_iter(a)
+    assert add_iter(a + b) is add_iter([part] + b)
+    scale = rational(q)
+    assert add_iter([mul(scale, t) for t in a] + b) is add_iter([mul(scale, part)] + b)
+    assert add_iter([neg(t) for t in a] + b) is add_iter([neg(part)] + b)
 
 
 def test_like_terms_whose_coefficient_changes_are_rebuilt():

@@ -12,17 +12,39 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from paraweb import jet
-from paraweb.expr import ADD, FUN, MUL, POW, ZERO, add, add_iter, fun, mul_iter, pow_int, rational, sub, sym
+from paraweb.expr import (
+    ADD,
+    FUN,
+    MUL,
+    POW,
+    RAT,
+    ZERO,
+    add,
+    add_iter,
+    differentiate,
+    fun,
+    mul,
+    mul_iter,
+    neg,
+    pow_int,
+    rational,
+    sub,
+    sym,
+)
 from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
-from paraweb.jet import OdeProblem, ScalingRule, TotalDerivative, VectorField, total_derivative_field
+from paraweb.jet import OdeProblem, ScalingRule, TotalDerivative, VectorField, lie_bracket, total_derivative_field
 from paraweb.parser import parse_expr
 from paraweb.zerotest import Verdict, ZeroTester
 
@@ -265,3 +287,167 @@ def test_golden_strings_changed_only_in_tree_shape():
         assert before.count(json.dumps(new)) == 1
         before = before.replace(json.dumps(new), json.dumps(old))
     assert hashlib.sha256(before.encode("utf-8")).hexdigest() == PARTIALS_FIRST_GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Each sum collected once, against a sum collected per node
+#
+# X, ``differentiate`` and the chain hand the terms of an inner sum (the
+# Leibniz terms of a product, the scaled components of a chain field) to
+# the enclosing sum, which collects them once.  The staged versions below
+# collect every inner sum first, as these were first written.  Collection
+# is confluent, so both give the same node.
+
+
+def staged_leibniz(e, derive):
+    cs = e.children
+    terms = []
+    for i, c in enumerate(cs):
+        dc = derive(c)
+        if dc is not ZERO:
+            terms.append(mul_iter(cs[:i] + (dc,) + cs[i + 1:]))
+    return add_iter(terms)
+
+
+def staged_differentiate(e, v: str, memo: dict):
+    got = memo.get((e, v))
+    if got is None:
+        if e.kind == ADD:
+            got = add_iter([staged_differentiate(c, v, memo) for c in e.children])
+        elif e.kind == MUL:
+            got = staged_leibniz(e, lambda c: staged_differentiate(c, v, memo))
+        elif e.kind == POW:
+            base, n = e.children[0], e.payload
+            db = staged_differentiate(base, v, memo)
+            got = ZERO if db is ZERO else mul(rational(n), pow_int(base, n - 1), db)
+        elif e.kind == FUN:
+            arg = e.children[0]
+            da = staged_differentiate(arg, v, memo)
+            outer = {
+                "exp": lambda: e,
+                "log": lambda: pow_int(arg, -1),
+                "sin": lambda: fun("cos", arg),
+                "cos": lambda: neg(fun("sin", arg)),
+                "sqrt": lambda: mul(rational(Fraction(1, 2)), pow_int(e, -1)),
+            }[e.payload]
+            got = ZERO if da is ZERO else mul(outer(), da)
+        else:
+            got = differentiate(e, v)  # a rational or a symbol: no sum is built
+        memo[(e, v)] = got
+    return got
+
+
+def staged_derive(x: TotalDerivative, e, memo: dict, diff_memo: dict):
+    got = memo.get(e)
+    if got is None:
+        if e.kind == RAT:
+            got = ZERO
+        elif e.kind == ADD:
+            got = add_iter([staged_derive(x, c, memo, diff_memo) for c in e.children])
+        elif e.kind == MUL:
+            got = staged_leibniz(e, lambda c: staged_derive(x, c, memo, diff_memo))
+        elif e.kind == POW:
+            base, n = e.children[0], e.payload
+            db = staged_derive(x, base, memo, diff_memo)
+            got = ZERO if db is ZERO else mul(rational(n), pow_int(base, n - 1), db)
+        else:
+            got = add_iter([mul(xc, staged_differentiate(e, c, diff_memo)) for c, xc in x.comps.items()])
+        memo[e] = got
+    return got
+
+
+def staged_chain(ode: OdeProblem):
+    """The chain's fields and curvatures, every field sum built by ``plus``."""
+    k = ode.k
+    x = total_derivative_field(ode)
+    ad = [VectorField(ode.coords, {f"x{k}": rational(1)})]
+    for _ in range(k + 1):
+        ad.append(lie_bracket(x, ad[-1]))
+    cof = ScalingRule(ode).cofactors(k + 1)
+    fields = []
+    for i in range(k + 2):
+        f = VectorField(ode.coords, {})
+        for j in range(i + 1):
+            f = f.plus(ad[i - j].scaled(mul(rational(comb(i, j)), cof[j])))
+        fields.append(f)
+    rest = fields[k + 1]
+    coeffs = [ZERO] * (k + 1)
+    for m in range(k + 1):
+        i = k - m
+        coeffs[i] = mul(rational((-1) ** i), rest.comp(f"x{m}"))
+        rest = rest.plus(fields[i].scaled(neg(coeffs[i])))
+    assert all(v is ZERO for c, v in rest.comps.items() if c != "t")
+    return fields, [mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k)]
+
+
+@pytest.mark.parametrize("order,rhs", CHAIN_PROBLEMS[:4] + [(3, rhs) for rhs in concrete_rhs(3)])
+def test_chain_is_the_staged_chain(order, rhs):
+    ode = OdeProblem.from_rhs(order, rhs)
+    chain = curvature_chain(ode, ZT)
+    fields, curvatures = staged_chain(ode)
+    for got, want in zip(chain.fields, fields, strict=True):
+        assert all(got.comp(c) is want.comp(c) for c in ode.coords)
+    assert all(got is want for got, want in zip(chain.curvatures, curvatures, strict=True))
+
+
+def test_derivatives_of_chain_components_are_the_staged_nodes():
+    ode = OdeProblem.abstract(4)
+    chain = curvature_chain(ode, ZT)
+    x = total_derivative_field(ode)
+    roots = [e for f in chain.fields for e in f.comps.values()] + list(chain.curvatures)
+    memo: dict = {}
+    diff_memo: dict = {}
+    for e in roots:
+        assert x.apply(e) is staged_derive(x, e, memo, diff_memo)
+        for c in ode.coords:
+            assert differentiate(e, c) is staged_differentiate(e, c, diff_memo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 3), recipes)
+def test_derivatives_are_the_staged_nodes(order, which, recipe):
+    rhs = "abstract" if which == 3 else concrete_rhs(order)[which]
+    ode = OdeProblem.from_rhs(order, rhs)
+    try:
+        e = build(recipe, ode)
+    except ZeroDivisionError:
+        assume(False)
+    x = total_derivative_field(ode)
+    diff_memo: dict = {}
+    assert x.apply(e) is staged_derive(x, e, {}, diff_memo)
+    for c in ode.coords:
+        assert differentiate(e, c) is staged_differentiate(e, c, diff_memo)
+
+
+# Counts of a fresh interpreter once each sum was collected once.  The
+# abstract order-6 analysis interned 12,782 nodes (15,618 with a collected
+# Leibniz sum per product and each chain field added term by term); the
+# order-5 curvature chain interned 206 sums (228 with the chain's fields
+# added term by term, 646 with both).
+ORDER6_NODES = 12_782
+ORDER5_CHAIN_SUMS = 206
+
+
+def fresh_count(code: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(jet.__file__).resolve().parents[1]))
+    script = "from paraweb import expr\n" + code
+    return int(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout)
+
+
+def test_order6_analysis_builds_no_throwaway_sums():
+    nodes = fresh_count(
+        "from paraweb.report import analyze_batch\n"
+        "analyze_batch({'problems': [{'kind': 'ode', 'order': 6, 'rhs': 'abstract'}]})\n"
+        "print(len(expr._INTERN))"
+    )
+    assert nodes <= ORDER6_NODES * 102 // 100, nodes
+
+
+def test_chain_collects_each_component_once():
+    sums = fresh_count(
+        "from paraweb.invariants import curvature_chain\n"
+        "from paraweb.jet import OdeProblem\n"
+        "curvature_chain(OdeProblem.abstract(5))\n"
+        "print(sum(n.kind == expr.ADD for n in expr._INTERN.values()))"
+    )
+    assert sums <= ORDER5_CHAIN_SUMS * 102 // 100, sums

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraweb.expr import (
     MUL,
@@ -91,8 +92,21 @@ class TestConstruction:
         with pytest.raises(DegenerateWebError):
             make_web(3, "x0*x1")
 
-    def test_cyclic_coefficient_identity(self):
-        web = make_web(4, "x0+x1+x2+x3+x4")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.lists(
+                st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                min_size=k + 2, max_size=k + 2, unique=True,
+            )
+        )
+    )
+    def test_cyclic_coefficient_identity(self, t_params):
+        # (t_i - t_j)(T - t_l) + (t_j - t_l)(T - t_i) + (t_l - t_i)(T - t_j)
+        # is 0 for any t: the T terms cancel, and so do the rest, so the
+        # web does not check it at run time.
+        k = len(t_params) - 2
+        web = make_web(k, "+".join(f"x{i}" for i in range(k + 1)), t_params=t_params)
         for (i, j, l) in web.triples():
             assert web.a(i, j, l) + web.a(j, l, i) + web.a(l, i, j) == 0
 
