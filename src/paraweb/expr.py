@@ -374,10 +374,24 @@ def add(*terms: Expr) -> Expr:
     return add_iter(terms)
 
 
-def add_iter(terms: Iterable[Expr]) -> Expr:
+def add_iter(terms: Iterable[Expr], minus: Iterable[Expr] = ()) -> Expr:
+    """The canonical sum of ``terms`` minus the sum of ``minus``.
+
+    Sums are flattened, rationals fold into one constant and a term
+    c * m (c its rational coefficient, m its monomial) adds c to the
+    entry of m.  A rational multiple c * S of a sum and each term of
+    ``minus`` (with c = -1) are collected as coefficients: each term
+    c' * m' of S, or of the subtrahend, adds c * c' to the entry of m',
+    and no product c * c' * m' is built for it.  Only an entry's final
+    term is built, once: a term that is alone with its monomial is kept
+    as it is, and any other entry with a nonzero coefficient becomes
+    that coefficient times its monomial.
+    """
     const = 0
     # monomial -> [coefficient, the term itself while it is the only one]
     by_mono: dict[Expr, list] = {}
+    # (coefficient, term) pairs: the terms of a scaled sum and of ``minus``
+    pairs = [(-1, t) for t in minus]
     stack = list(terms)
     stack.reverse()
     while stack:
@@ -390,12 +404,30 @@ def add_iter(terms: Iterable[Expr]) -> Expr:
             continue
         c, m = _coeff_mono(t)
         if m.kind == ADD:
-            # scalar multiple of a sum: distribute and re-collect
-            stack.extend(mul(rational(c), ch) for ch in m.children)
+            pairs.extend((c, ch) for ch in m.children)
             continue
         acc = by_mono.get(m)
         if acc is None:
             by_mono[m] = [c, t]
+        else:
+            acc[0] += c
+            acc[1] = None
+    while pairs:
+        k, t = pairs.pop()
+        if t.kind == ADD:
+            pairs.extend((k, ch) for ch in t.children)
+            continue
+        if t.kind == RAT:
+            const += k * _plain(t.payload)
+            continue
+        c, m = _coeff_mono(t)
+        c *= k
+        if m.kind == ADD:
+            pairs.extend((c, ch) for ch in m.children)
+            continue
+        acc = by_mono.get(m)
+        if acc is None:
+            by_mono[m] = [c, None]
         else:
             acc[0] += c
             acc[1] = None
@@ -438,6 +470,8 @@ def mul_iter(factors: Iterable[Expr]) -> Expr:
                 coeff_node, coeff = f, _plain(f.payload)
             else:
                 coeff_node, coeff = None, coeff * _plain(f.payload)
+            if not coeff:
+                return ZERO
             continue
         if kind == POW:
             base, n = f.children[0], f.payload
@@ -449,8 +483,6 @@ def mul_iter(factors: Iterable[Expr]) -> Expr:
         else:
             acc[0] += n
             acc[1] = None
-    if not coeff:
-        return ZERO
     # A base is never a rational, product or power, so each collected
     # power is one POW node (or the base itself, or gone).
     out: list[Expr] = []
@@ -493,7 +525,7 @@ def neg(e: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return add(a, neg(b))
+    return add_iter((a,), (b,))
 
 
 def div(a: Expr, b: Expr) -> Expr:

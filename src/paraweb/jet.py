@@ -99,8 +99,18 @@ class VectorField:
         return self._partials(e)
 
     def _partials(self, e: Expr) -> Expr:
-        # Partials first: sum_c X^c * de/dc.
-        return add_iter(mul(v, differentiate(e, c)) for c, v in self.comps.items())
+        # Partials first: sum_c X^c * de/dc, over the nonzero partials;
+        # X^c * 1 is X^c itself, and a constant has no nonzero partial.
+        if e.kind == RAT:
+            return ZERO
+        terms = []
+        for c, v in self.comps.items():
+            d = differentiate(e, c)
+            if d is ONE:
+                terms.append(v)
+            elif d is not ZERO:
+                terms.append(mul(v, d))
+        return add_iter(terms)
 
     def plus(self, other: "VectorField") -> "VectorField":
         self._check(other)
@@ -133,7 +143,8 @@ class OneForm:
         return self.comps.get(c, ZERO)
 
     def __call__(self, v: VectorField) -> Expr:
-        return add_iter(mul(w, v.comp(c)) for c, w in self.comps.items())
+        # v keeps no zero component, so a term without one is zero
+        return add_iter(mul(w, v.comps[c]) for c, w in self.comps.items() if c in v.comps)
 
     def plus(self, other: "OneForm") -> "OneForm":
         keys = set(self.comps) | set(other.comps)
@@ -403,11 +414,8 @@ def wedge3(w: OneForm, eta: TwoForm) -> ThreeForm:
             for l in range(j + 1, n):
                 u, v, z = frame[i], frame[j], frame[l]
                 comps[(u, v, z)] = add_iter(
-                    [
-                        mul(w.comp(u), eta.comp(v, z)),
-                        mul(rational(-1), w.comp(v), eta.comp(u, z)),
-                        mul(w.comp(z), eta.comp(u, v)),
-                    ]
+                    [mul(w.comp(u), eta.comp(v, z)), mul(w.comp(z), eta.comp(u, v))],
+                    [mul(w.comp(v), eta.comp(u, z))],
                 )
     return ThreeForm(frame, comps)
 

@@ -360,11 +360,8 @@ def eq1_residuals(
         for j in range(i + 1, web.k + 1):
             ai, aj = rational(web.a_hierarchy(i)), rational(web.a_hierarchy(j))
             e = add_iter(
-                [
-                    mul(sub(ai, aj), d0, web.dw2(i, j)),
-                    mul(aj, web.dw(i), web.dw2(j, 0)),
-                    neg(mul(ai, web.dw(j), web.dw2(i, 0))),
-                ]
+                [mul(sub(ai, aj), d0, web.dw2(i, j)), mul(aj, web.dw(i), web.dw2(j, 0))],
+                [mul(ai, web.dw(j), web.dw2(i, 0))],
             )
             out[(i, j)] = (e, zero.verdict(e))
     return out
@@ -776,15 +773,15 @@ def weyl_form_from_connection(
 
 
 def _covariant_metric_derivative(web, conn, g, a: str, b: str, c: str) -> Expr:
-    terms = [differentiate(_metric_comp(g, b, c), a)]
+    minus = []
     for m in web.coords:
         gb = conn.christoffel(a, b, m)
         if gb is not ZERO:
-            terms.append(neg(mul(gb, _metric_comp(g, m, c))))
+            minus.append(mul(gb, _metric_comp(g, m, c)))
         gc = conn.christoffel(a, c, m)
         if gc is not ZERO:
-            terms.append(neg(mul(gc, _metric_comp(g, b, m))))
-    return add_iter(terms)
+            minus.append(mul(gc, _metric_comp(g, b, m)))
+    return add_iter([differentiate(_metric_comp(g, b, c), a)], minus)
 
 
 def weyl_compatibility_residuals(
@@ -830,18 +827,18 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
     # (k+1)^3.
     for b in coords:
         for c in coords:
-            terms = []
+            terms, minus = [], []
             for a in coords:
                 if gam[(b, c, a)] is not ZERO:
                     terms.append(differentiate(gam[(b, c, a)], a))
                 if gam[(a, c, a)] is not ZERO:
-                    terms.append(neg(differentiate(gam[(a, c, a)], b)))
+                    minus.append(differentiate(gam[(a, c, a)], b))
                 for m in coords:
                     if gam[(a, m, a)] is not ZERO and gam[(b, c, m)] is not ZERO:
                         terms.append(mul(gam[(a, m, a)], gam[(b, c, m)]))
                     if gam[(b, m, a)] is not ZERO and gam[(a, c, m)] is not ZERO:
-                        terms.append(neg(mul(gam[(b, m, a)], gam[(a, c, m)])))
-            out[(b, c)] = add_iter(terms)
+                        minus.append(mul(gam[(b, m, a)], gam[(a, c, m)]))
+            out[(b, c)] = add_iter(terms, minus)
     return out
 
 
@@ -980,9 +977,9 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
     beta1 = (
         eta[0].scaled(sub(cc(0, 3, 3), cc(0, 2, 2)))
         .plus(eta[1].scaled(
-            add_iter([mul(third, cc(0, 1, 0)), mul(third, cc(1, 3, 3)), neg(cc(0, 3, 2))])))
+            add_iter([mul(third, cc(0, 1, 0)), mul(third, cc(1, 3, 3))], [cc(0, 3, 2)])))
         .plus(eta[2].scaled(
-            add_iter([mul(third, cc(2, 3, 3)), mul(third, cc(0, 2, 0)), neg(cc(0, 3, 1))])))
+            add_iter([mul(third, cc(2, 3, 3)), mul(third, cc(0, 2, 0))], [cc(0, 3, 1)])))
         .plus(eta[3].scaled(sub(cc(0, 3, 0), cc(1, 3, 1))))
     )
     beta2 = (

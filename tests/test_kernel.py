@@ -3,11 +3,16 @@
 ``add_iter`` and ``mul_iter`` keep coefficients as ints while they are
 integral, reuse a term that is alone with its monomial, keep a product's
 (coefficient, monomial) split on the node, and key integral rationals by
-their int value.  The reference versions below do none of that: they are
-the constructors as first written, with Fraction arithmetic throughout,
-a fresh split per call and a rebuild of every collected term.  Both
-intern through the same table, so a canonical result is the same node
-(``is``) on both sides, and the sort keys must order nodes alike.
+their int value.  ``add_iter`` collects a rational multiple of a sum and
+each term of its ``minus`` list as coefficients: it builds no product
+for a term of that sum or of the subtrahend, only the final term of an
+entry.  The reference versions below do none of that: they are the
+constructors as first written, with Fraction arithmetic throughout, a
+fresh split per call, a product built for every term of a scaled sum,
+a difference taken as a sum with a (-1) * b term, and a rebuild of
+every collected term.  Both intern through the same table, so a
+canonical result is the same node (``is``) on both sides, and the sort
+keys must order nodes alike.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from paraweb.expr import (
     opaque,
     pow_int,
     rational,
+    sub,
     sym,
 )
 
@@ -308,6 +314,74 @@ def test_collecting_in_stages_gives_the_node_of_collecting_once(recipes_a, recip
     scale = rational(q)
     assert add_iter([mul(scale, t) for t in a] + b) is add_iter([mul(scale, part)] + b)
     assert add_iter([neg(t) for t in a] + b) is add_iter([neg(part)] + b)
+
+
+def ref_negated(terms: Iterable[Expr]) -> list[Expr]:
+    return [ref_mul_iter((rational(-1), t)) for t in terms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(recipes, max_size=5), st.lists(recipes, max_size=5))
+def test_minus_terms_give_the_reference_difference(recipes_a, recipes_b):
+    a, b = built_terms(recipes_a), built_terms(recipes_b)
+    assert add_iter(a, minus=b) is ref_add_iter(a + ref_negated(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes, recipes)
+def test_sub_gives_the_reference_difference(recipe_x, recipe_y):
+    x, y = build_or_error(recipe_x, NEW), build_or_error(recipe_y, NEW)
+    if isinstance(x, Expr) and isinstance(y, Expr):
+        assert sub(x, y) is ref_add_iter([x] + ref_negated([y]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(rationals, st.lists(recipes, min_size=2, max_size=4)), min_size=1, max_size=3),
+    st.lists(recipes, max_size=4),
+    st.lists(recipes, max_size=3),
+)
+def test_rational_multiples_of_sums_give_the_reference_node(scaled, recipes_rest, recipes_minus):
+    terms = built_terms(recipes_rest)
+    for q, recipes_sum in scaled:
+        terms.append(mul(rational(q), add_iter(built_terms(recipes_sum))))
+    # a subtracted multiple of a sum nests one scaling in another
+    minus = built_terms(recipes_minus) + [t for t in terms[-1:] if t.kind == MUL]
+    assert add_iter(terms) is ref_add_iter(terms)
+    assert add_iter(terms, minus) is ref_add_iter(terms + ref_negated(minus))
+
+
+def interned_by(build_it) -> tuple[Expr, list[Expr]]:
+    """The result of ``build_it()`` and the nodes that the call interned."""
+    before = set(map(id, expr._INTERN.values()))
+    got = build_it()
+    return got, [n for n in expr._INTERN.values() if id(n) not in before]
+
+
+def test_collecting_a_scaled_sum_interns_only_what_the_result_reaches():
+    # symbols no other test uses, so every node below is fresh
+    x, y, z = sym("collect_x"), sym("collect_y"), sym("collect_z")
+    s = add(mul(x, y), z, mul(rational(3), x, z))
+    terms = [mul(rational(2), s), mul(rational(-2), x, y)]
+    # 2*x*y, the product of the distributed term that cancels, is never built
+    got, new = interned_by(lambda: add_iter(terms))
+    assert got.kind == ADD and new
+    reached = set(map(id, nodes(got)))
+    assert all(id(n) in reached for n in new)
+    assert expr._INTERN.get((rational(2), x, y)) is None
+    # checked last: the reference builds 2*x*y
+    assert got is ref_add_iter(terms)
+
+
+def test_a_difference_builds_no_negated_subtrahend():
+    x, y, w = sym("differ_x"), sym("differ_y"), sym("differ_w")
+    s, xw = add(x, mul(y, w)), mul(x, w)
+    got, new = interned_by(lambda: sub(xw, s))
+    assert expr._INTERN.get((expr.MINUS_ONE, s)) is None
+    reached = set(map(id, nodes(got)))
+    assert new and all(id(n) in reached for n in new)
+    # checked last: the reference builds (-1)*s
+    assert got is ref_add_iter([xw] + ref_negated([s]))
 
 
 def test_like_terms_whose_coefficient_changes_are_rebuilt():

@@ -419,12 +419,14 @@ def test_derivatives_are_the_staged_nodes(order, which, recipe):
         assert differentiate(e, c) is staged_differentiate(e, c, diff_memo)
 
 
-# Counts of a fresh interpreter once each sum was collected once.  The
-# abstract order-6 analysis interned 12,782 nodes (15,618 with a collected
-# Leibniz sum per product and each chain field added term by term); the
-# order-5 curvature chain interned 206 sums (228 with the chain's fields
-# added term by term, 646 with both).
-ORDER6_NODES = 12_782
+# Counts of a fresh interpreter once each sum was collected once and
+# scaled sums and differences were collected as coefficients.  The
+# abstract order-6 analysis interns 12,062 nodes (12,782 with a product
+# built for each term of a scaled sum and a (-1) * b node per difference,
+# 15,618 also with a collected Leibniz sum per product and each chain
+# field added term by term); the order-5 curvature chain interned 206
+# sums (228 with the chain's fields added term by term, 646 with both).
+ORDER6_NODES = 12_062
 ORDER5_CHAIN_SUMS = 206
 
 
