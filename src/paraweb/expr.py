@@ -872,18 +872,24 @@ def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # table; the signed form of such a node is (0, "@n"), an atom.
 
 # A node that a ``Printer`` asks for twice or more is printed once, as a
-# def, when its text has at least this many characters.
-DEF_MIN_CHARS = 1024
+# def, when its text has at least this many characters.  Printing an
+# n-character node asked for u >= 2 times as a def saves (u - 1) * n bytes
+# and costs about 11 bytes of JSON list overhead plus u references of a
+# few bytes each, so every def made at n >= 128 makes the report smaller.
+# Shorter shared nodes stay inline: the longest text the golden batch asks
+# for twice has 87 characters, so small reports remain plain trees.
+DEF_MIN_CHARS = 128
 
 
 class Printer:
     """Renders a group of expressions that share one def table.
 
-    A node whose text has at least ``DEF_MIN_CHARS`` characters and that
-    rendering the group asks for at least twice is printed once, as
-    ``defs[n-1]``, and every use of it prints ``@n``.  Numbers follow the
-    order in which texts are rendered, so a def refers only to
-    lower-numbered defs.
+    A node whose text (with the defs inside it printed as references) has
+    at least ``DEF_MIN_CHARS`` characters and that rendering the group asks
+    for at least twice is printed once, as ``defs[n-1]``, and every use of
+    it prints ``@n``; each such def makes the group's text shorter.
+    Numbers follow the order in which texts are rendered, so a def refers
+    only to lower-numbered defs.
     """
 
     __slots__ = ("roots", "counts", "memo", "defs")

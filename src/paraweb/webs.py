@@ -330,13 +330,13 @@ def hirota_residuals(
 def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
     out = {}
     for (i, j, l) in web.triples():
-        e = add_iter(
-            [
-                mul(rational(web.a(i, j, l)), web.dw2(i, j), web.dw(l)),
-                mul(rational(web.a(j, l, i)), web.dw2(j, l), web.dw(i)),
-                mul(rational(web.a(l, i, j)), web.dw2(l, i), web.dw(j)),
-            ]
-        )
+        terms = []
+        for p, q, r in ((i, j, l), (j, l, i), (l, i, j)):
+            # a separable web has dw2(p, q) = 0: its term is skipped, not built
+            d2 = web.dw2(p, q)
+            if d2 is not ZERO:
+                terms.append(mul(rational(web.a(p, q, r)), d2, web.dw(r)))
+        e = add_iter(terms)
         out[(i, j, l)] = (e, zero.verdict(e))
     return out
 
@@ -359,9 +359,12 @@ def eq1_residuals(
     for i in range(1, web.k + 1):
         for j in range(i + 1, web.k + 1):
             ai, aj = rational(web.a_hierarchy(i)), rational(web.a_hierarchy(j))
+            # a term with a zero second derivative is skipped, not built
+            terms = [(sub(ai, aj), d0, web.dw2(i, j)), (aj, web.dw(i), web.dw2(j, 0))]
+            minus = [(ai, web.dw(j), web.dw2(i, 0))]
             e = add_iter(
-                [mul(sub(ai, aj), d0, web.dw2(i, j)), mul(aj, web.dw(i), web.dw2(j, 0))],
-                [mul(ai, web.dw(j), web.dw2(i, 0))],
+                (mul(*t) for t in terms if t[2] is not ZERO),
+                (mul(*t) for t in minus if t[2] is not ZERO),
             )
             out[(i, j)] = (e, zero.verdict(e))
     return out
@@ -449,7 +452,10 @@ class WebConnection:
         if c != b:
             return ZERO
         ia, ib = int(a[1:]), int(b[1:])
-        return div(self.web.dw2(ia, ib), self.web.dw(ib)) + self.alpha.comp(a)
+        d2 = self.web.dw2(ia, ib)
+        if d2 is ZERO:
+            return self.alpha.comp(a)
+        return div(d2, self.web.dw(ib)) + self.alpha.comp(a)
 
 
 def _spectral_nodes(web: VeroneseWeb, count: int, start: int = 0) -> list[Fraction]:

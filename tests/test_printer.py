@@ -183,6 +183,51 @@ def test_report_defs_print_as_tree_with_references(monkeypatch, order):
     # only a node asked for twice or more is defined
     uses = Counter(re.findall(r"@\d+", " ".join(entry["defs"] + [text for _, text, _ in rendered])))
     assert all(uses[ref] >= 2 for ref in refs.values())
+    # and every node that the texts ask for twice or more, and whose text
+    # has at least DEF_MIN_CHARS characters, is defined
+    requests: Counter = Counter()
+    for node in nodes:
+        _count_tree_requests(node, refs, requests)
+    for e, _, _ in rendered:
+        requests[e] += 1
+        if e not in refs:
+            _count_tree_requests(e, refs, requests)
+    shared = [e for e, n in requests.items() if n >= 2 and e not in refs]
+    assert shared
+    assert all(len(_tree_to_string(e, refs)) < DEF_MIN_CHARS for e in shared)
+
+
+def _count_tree_requests(e: Expr, refs: dict[Expr, str], requests: Counter) -> None:
+    """Count each node below ``e`` whose text the tree text of ``e`` asks for.
+
+    A node in ``refs`` prints as its reference, so nothing below it is
+    asked for; a product's rational factor is folded into its coefficient
+    and the base of a negative power is printed in its denominator.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        for c in node.children:
+            if node.kind == MUL:
+                if c.kind == RAT:
+                    continue
+                if c.kind == POW and c.payload < 0:
+                    c = c.children[0]
+            requests[c] += 1
+            if c not in refs:
+                stack.append(c)
+
+
+# The abstract order-6 report, in bytes: 392,436 with each shared
+# subexpression of at least 128 characters printed once, as a def, and
+# 699,347 with only those of at least 1024 characters.
+ORDER6_REPORT_BYTES = 392_436
+
+
+def test_order6_report_size():
+    report, _ = analyze_batch({"kind": "ode", "order": 6, "rhs": "abstract"})
+    size = len(dumps_report(report).encode("utf-8"))
+    assert size <= ORDER6_REPORT_BYTES * 102 // 100, size
 
 
 def test_random_expressions_print_as_tree():
