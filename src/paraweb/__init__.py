@@ -6,7 +6,7 @@ randomized zero testing) lives in ``expr``/``parser``/``zerotest``; jet
 space geometry in ``jet``; the curvature chain and Wunschmann/Cartan
 invariants in ``invariants``; the Veronese web side (Hirota system, Lax
 tuple, canonical and Bryant connections, Einstein-Weyl data,
-bi-Hamiltonian pencil) in ``webs``; batch analysis and the JSON report
+Ricci-null samples) in ``webs``; batch analysis and the JSON report
 schema in ``report``/``cli``.
 """
 
@@ -77,7 +77,6 @@ from .webs import (
     null_curve,
     omega_at,
     ricci_null_residuals,
-    schouten_residuals,
     torsion,
     zakharevich_verdict,
 )

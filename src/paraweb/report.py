@@ -41,7 +41,6 @@ from .webs import (
     lax_commutator_residuals,
     make_web,
     ricci_null_residuals,
-    schouten_residuals,
     weyl_form_from_connection,
     zakharevich_verdict,
 )
@@ -282,7 +281,7 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 
 def analyze_web(spec: ProblemSpec) -> dict:
     """Run the web pipeline: Hirota/Lax/Zakharevich verdicts, then (for
-    solutions) connection data, flatness, Ricci-null and Jacobi samples."""
+    solutions) connection data, flatness and Ricci-null samples."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -310,6 +309,9 @@ def analyze_web(spec: ProblemSpec) -> dict:
     verdicts: dict[str, Any] = {
         "hirota": hirota_ok,
         "hierarchy": all(v is Verdict.ZERO for _, v in er.values()),
+        # Also the verdict on [Pi(t), Pi(t)] = 0 for every t, with Pi(t) =
+        # sum_i L_i(t) ^ d/dy_i: its only components that can be nonzero are
+        # (x_a, y_i, y_j) = 2 sum_d t^d lax[i,j;x_a;t^d].
         "lax": all(v is Verdict.ZERO for _, v in lr.values()),
         "zakharevich": zakharevich_verdict(web, None, zero),
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
@@ -353,10 +355,6 @@ def analyze_web(spec: ProblemSpec) -> dict:
             }
         ric = ricci_null_residuals(web, conn, seed=spec.seed)
         derived["ricci_null_max"] = max(ric)
-        jac: list[float] = []
-        for tv in (Fraction(1, 2), Fraction(spec.k + 3), Fraction(-3, 2)):
-            jac.extend(schouten_residuals(web, tv, point_samples=4, seed=spec.seed))
-        derived["jacobi_max"] = max(jac) if jac else 0.0
 
     return _render({
         "problem": spec.echo(),

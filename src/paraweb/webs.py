@@ -1,5 +1,5 @@
 """Veronese webs: Hirota system, Lax tuple, canonical connections,
-Einstein-Weyl data, Bryant forms, Ricci-null and bi-Hamiltonian checks.
+Einstein-Weyl data, Bryant forms and Ricci-null samples.
 
 A web on a (k+1)-manifold is presented by a function w(x0..xk) and k+2
 pairwise distinct spectral constants t_0..t_{k+1}: the foliation at the
@@ -12,9 +12,9 @@ and w presents a genuine web exactly when the quadratic Hirota system
 holds.  The null curve V(t) dual to omega(t) is normalised here by
 omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
 
-Spectral-parameter families (omega, V, Lax fields, the bivector pencil)
-are handled as explicit polynomials in t with expression coefficients;
-evaluation at rational spectral values is exact.  Every coefficient of
+Spectral-parameter families (omega, V, Lax fields) are handled as
+explicit polynomials in t with expression coefficients; evaluation at
+rational spectral values is exact.  Every coefficient of
 omega(t) and V(t) in a coordinate is a rational multiple of one fixed
 expression, dw/dx_i for omega and its inverse for V, so a value at t is
 kept factored as (rational in t) * (that expression), never distributed
@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Sequence
 
@@ -78,13 +79,10 @@ __all__ = [
     "weyl_form_from_connection",
     "weyl_compatibility_residuals",
     "bryant_torsion_residuals",
-    "extended_coords",
     "ricci_tensor",
     "ricci_null_residuals",
     "bryant_forms",
     "zakharevich_verdict",
-    "poisson_pencil_components",
-    "schouten_residuals",
 ]
 
 
@@ -198,6 +196,17 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
         for m in range(len(coeffs) - 1):
             coeffs[m] -= r * coeffs[m + 1]
     return coeffs
+
+
+@lru_cache(maxsize=32)
+def _inverse(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a rational matrix, computed once per distinct matrix.
+
+    The matrices inverted here depend only on the spectral constants and
+    a fixed node family, so the webs of a batch share a few of them.  The
+    rows are tuples, because every caller gets the same object.
+    """
+    return tuple(map(tuple, _gauss_jordan(matrix, Fraction(1), Fraction(0))))
 
 
 def _once(web: VeroneseWeb, key, build, *args):
@@ -581,7 +590,7 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
         raise InterpolationError("bracket function h(t) violates its degree bound")
     # alpha(V(t_s)) = h(t_s): with V(t_s)^j = c_j(t_s) / (dw/dx_j) the system
     # is rational, D[s][j] = c_j(t_s), and alpha_j = dw/dx_j * (D^-1 h)_j.
-    dinv = _gauss_jordan([_null_values(curve, s) for s in nodes[: k + 1]], Fraction(1), Fraction(0))
+    dinv = _inverse(tuple(tuple(_null_values(curve, s)) for s in nodes[: k + 1]))
     comps = {}
     for j in range(k + 1):
         combo = add_iter(mul(rational(dinv[j][s]), hs[s]) for s in range(k + 1))
@@ -677,7 +686,7 @@ def _paraconformal_christoffels(
         if i + 1 <= k:
             psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
 
-    rinv = _gauss_jordan(nc.coefficient_matrix(), Fraction(1), Fraction(0))
+    rinv = _inverse(nc.coefficient_matrix())
     # d/dx_b = sum_i xi[b][i] V_i with xi[b][i] = dw/dx_b * rinv[b][i]
     xi = [[mul(web.dw(b), rational(rinv[b][i])) for i in range(k + 1)] for b in range(k + 1)]
 
@@ -951,7 +960,7 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
     if not is_hirota_solution(web, zero):
         raise NotAWebError("the function does not satisfy the Hirota system")
     nc = null_curve(web)
-    rinv = _gauss_jordan(nc.coefficient_matrix(), Fraction(1), Fraction(0))
+    rinv = _inverse(nc.coefficient_matrix())
     # eta_l = sum_j dw/dx_j rinv[j][l] dx_j  (dual to the V-frame)
     eta = []
     for l in range(4):
@@ -1043,85 +1052,3 @@ def zakharevich_verdict(
         if values & set(web.t_params):
             raise WebError(f"test values inside the spectral set are void; need {k + 3} outside it")
     return is_hirota_solution(web, zero)
-
-
-# ---------------------------------------------------------------------------
-# Bi-Hamiltonian pencil on the extended space
-
-def extended_coords(web: VeroneseWeb) -> tuple[str, ...]:
-    return web.coords + tuple(f"y{i}" for i in range(1, web.k + 1))
-
-
-def poisson_pencil_components(
-    web: VeroneseWeb, tval: Fraction
-) -> dict[tuple[str, str], Expr]:
-    """Upper-triangular components of Pi(t) = sum_i L_i(t) ^ d/dy_i."""
-    comps: dict[tuple[str, str], Expr] = {}
-    ls = lax_tuple(web, tval)
-    for i, li in enumerate(ls, start=1):
-        yi = f"y{i}"
-        for c, e in li.comps.items():
-            comps[(c, yi)] = e
-    return comps
-
-
-def schouten_residuals(
-    web: VeroneseWeb,
-    tval: Fraction,
-    point_samples: int = 10,
-    seed: int = 0,
-) -> list[float]:
-    """Componentwise |[Pi(t), Pi(t)]| at random base points.
-
-    The Schouten bracket of a bivector with itself in coordinates:
-    [Pi, Pi]^{abc} = 2 sum_d (Pi^{ad} d_d Pi^{bc} + Pi^{bd} d_d Pi^{ca}
-    + Pi^{cd} d_d Pi^{ab}).  All components must vanish numerically for
-    a Hirota solution.
-
-    Pi^{ab} vanishes unless exactly one of a, b is a y, and no component
-    depends on a y, so d runs over the x's and Pi^{ad} needs a = y.  A
-    term survives only when the other two indices are one x and one y:
-    only the components (x_a, y_i, y_j), i < j, can be nonzero, and each
-    is 2 [L_i(t), L_j(t)]^{x_a}.  Those are the ones built, in the order
-    of the full enumeration.
-    """
-    pi: dict[tuple[str, str], Expr] = {}  # Pi^{ab}, both orders
-    for (a, b), e in poisson_pencil_components(web, tval).items():
-        pi[(a, b)], pi[(b, a)] = e, neg(e)
-
-    ys = extended_coords(web)[len(web.coords):]
-    exprs = []
-    for a in web.coords:
-        for bi, b in enumerate(ys):
-            for c in ys[bi + 1:]:
-                terms = []
-                for d in web.coords:
-                    # the rotations (b, c, a) and (c, a, b); (a, b, c) has Pi^{ad} = 0
-                    for (u, v, z) in ((b, c, a), (c, a, b)):
-                        p = pi.get((u, d), ZERO)
-                        if p is ZERO:
-                            continue
-                        dd = differentiate(pi.get((v, z), ZERO), d)
-                        if dd is ZERO:
-                            continue
-                        terms.append(mul(p, dd))
-                e = add_iter(terms)
-                if e is not ZERO:
-                    exprs.append(mul(rational(2), e))
-    symbols = set()
-    for e in exprs:
-        symbols.update(free_symbols(e))
-    symbols = sorted(symbols, key=lambda s: s.key)
-    rng = random.Random(seed)
-    out = []
-
-    def evaluate(env):
-        # One memo for the point: the components share most of their nodes.
-        memo: dict = {}
-        return [abs(float(eval_numeric(e, env, memo))) for e in exprs]
-
-    for _ in range(point_samples):
-        vals = _base_point_values(rng, symbols, evaluate)
-        out.extend(vals if vals else [0.0])
-    return out
-

@@ -249,6 +249,25 @@ class TestWebObjects:
         assert rep["verdicts"]["hirota"] and "flat" in rep["verdicts"]
         assert sorted(built) == ["_canonical_connection", "_hirota_residuals"]
 
+    def test_each_spectral_matrix_is_inverted_once(self, monkeypatch):
+        # A k = 3 report inverts the node matrix of its connection and the
+        # null-curve coefficient matrix, which the Bryant forms and their
+        # Christoffel table share, once each.  Another web with the same
+        # spectral constants inverts neither again.
+        calls = []
+
+        def counting(matrix, one, zero, *rest, _real=webs_mod._gauss_jordan):
+            calls.append(len(matrix))
+            return _real(matrix, one, zero, *rest)
+
+        monkeypatch.setattr(webs_mod, "_gauss_jordan", counting)
+        webs_mod._inverse.cache_clear()
+        rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": NONFLAT_W[3]}))
+        assert "bryant" in rep["derived"] and rep["derived"]["connection"]["type"] == "diagonal"
+        assert calls == [4, 4]
+        analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
+        assert calls == [4, 4]
+
     def test_cache_is_per_instance(self):
         w = "x0 + x1^2/2 + x2"
         default = make_web(2, w)

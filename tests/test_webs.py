@@ -3,7 +3,8 @@ Bryant forms, Ricci and bi-Hamiltonian checks.
 
 Numeric oracles (finite-difference curvature, the decomposable-bivector
 expansion of the Schouten bracket) are implemented here, independently
-of the library code paths they check.
+of the library code paths they check; the Schouten bracket of the
+bi-Hamiltonian pencil is built in oracles.py.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ from paraweb.webs import (
     null_curve,
     omega_at,
     omega_coefficient_forms,
-    poisson_pencil_components,
     ricci_null_residuals,
     ricci_tensor,
-    schouten_residuals,
     torsion,
     weyl_compatibility_residuals,
     weyl_form_from_connection,
@@ -65,6 +64,7 @@ from paraweb.webs import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
+import oracles
 from conftest import (
     NONFLAT_W,
     NONFLAT_W5,
@@ -74,6 +74,7 @@ from conftest import (
     sample_point,
     zakharevich_oracle,
 )
+from oracles import poisson_pencil_components, schouten_components, schouten_residuals
 
 ZT = ZeroTester()
 EXACT = ZeroTester(trials=8, tolerance=0)
@@ -671,6 +672,7 @@ class TestRicci:
         conn = canonical_connection(web, ZT)
         off_solution = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
         monkeypatch.setattr(webs_mod, "eval_numeric", broken)
+        monkeypatch.setattr(oracles, "eval_numeric", broken)
         with pytest.raises(TypeError, match="injected"):
             ricci_null_residuals(web, conn, seed=3)
         with pytest.raises(TypeError, match="injected"):
@@ -812,6 +814,21 @@ def schouten_residuals_by_lookup(web, tval, point_samples, seed):
     return out
 
 
+SCHOUTEN_TVALS = (Fraction(1, 2), Fraction(7), Fraction(-3, 2), Fraction(13, 3), Fraction(9))
+
+
+@pytest.fixture(scope="module")
+def schouten_cases(corpus):
+    """(web, Hirota verdict, {t: oracle components of [Pi(t), Pi(t)]}) for
+    every corpus web, in corpus order, and then the nonflat k = 5 web."""
+    out = []
+    for k, w in [(k, w) for k, w, _tag in corpus] + [(5, NONFLAT_W5)]:
+        web = make_web(k, w)
+        by_t = {tv: schouten_components(web, tv) for tv in SCHOUTEN_TVALS}
+        out.append((web, is_hirota_solution(web, EXACT), by_t))
+    return out
+
+
 class TestBiHamiltonian:
     def test_pencil_is_affine(self):
         # Affinity in t is by construction, so it holds for solutions and
@@ -824,11 +841,29 @@ class TestBiHamiltonian:
         for web in webs:
             assert pencil_affinity_exact(web), (web.k, web.t_params)
 
-    def test_schouten_vanishes_on_solutions(self):
-        for k in (2, 3):
-            web = make_web(k, NONFLAT_W[k])
-            vals = schouten_residuals(web, Fraction(1, 2), point_samples=4, seed=7)
-            assert max(vals) < 1e-8
+    def test_schouten_is_the_lax_expansion(self, schouten_cases):
+        # (x_a, y_i, y_j) = 2 [L_i(t), L_j(t)]^{x_a} = 2 sum_d t^d lax[i,j;x_a;t^d],
+        # so the report's Lax verdict decides [Pi(t), Pi(t)] = 0 for every t
+        for web, _ok, by_t in schouten_cases:
+            lax = lax_commutator_residuals(web, EXACT)
+            for tv, comps in by_t.items():
+                assert len(comps) == (web.k + 1) * web.k * (web.k - 1) // 2
+                for (x, yi, yj), comp in comps.items():
+                    i, j = int(yi[1:]), int(yj[1:])
+                    expansion = add_iter(
+                        mul(rational(2 * tv ** d), lax[(i, j, x, d)][0])
+                        for d in range(3) if (i, j, x, d) in lax
+                    )
+                    diff = sub(comp, expansion)
+                    assert diff is ZERO or EXACT.verdict(diff) is Verdict.ZERO, (web.w, tv, x, yi, yj)
+
+    def test_schouten_vanishes_on_solutions(self, schouten_cases):
+        solutions = [(web, by_t) for web, ok, by_t in schouten_cases if ok]
+        assert len(solutions) == 9
+        for web, by_t in solutions:
+            for tv, comps in by_t.items():
+                for key, e in comps.items():
+                    assert EXACT.verdict(e) is Verdict.ZERO, (web.w, tv, key)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_schouten_matches_the_lookup_reference(self, k):
@@ -838,10 +873,14 @@ class TestBiHamiltonian:
             got = schouten_residuals(web, Fraction(1, 2), point_samples=2, seed=5)
             assert got == schouten_residuals_by_lookup(web, Fraction(1, 2), 2, 5), w
 
-    def test_schouten_nonzero_off_solutions(self):
-        web = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
-        vals = schouten_residuals(web, Fraction(1, 2), point_samples=4, seed=7)
-        assert max(vals) > 1e-3
+    def test_schouten_nonzero_off_solutions(self, schouten_cases, corpus_reports):
+        off = [(web, rep, by_t) for (web, ok, by_t), rep in zip(schouten_cases, corpus_reports) if not ok]
+        assert len(off) == 20
+        for web, rep, by_t in off:
+            assert rep["verdicts"]["lax"] is False, web.w
+            assert any(
+                EXACT.verdict(e) is Verdict.NONZERO for comps in by_t.values() for e in comps.values()
+            ), web.w
 
     def test_matches_decomposable_expansion(self):
         # oracle: [Pi, Pi] = sum_{i,j} [L_i, L_j] ^ dy_i ^ dy_j, so the
@@ -875,3 +914,4 @@ class TestBiHamiltonian:
             schouten_c = mul(rational(2), add_iter(terms))
             want = mul(rational(2), br.comp(c))
             assert ZT.verdict(sub(schouten_c, want)) is Verdict.ZERO, c
+            assert ZT.verdict(sub(schouten_components(web, tv)[(c, "y1", "y2")], want)) is Verdict.ZERO, c
