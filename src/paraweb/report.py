@@ -313,7 +313,7 @@ def analyze_web(spec: ProblemSpec) -> dict:
         # sum_i L_i(t) ^ d/dy_i: its only components that can be nonzero are
         # (x_a, y_i, y_j) = 2 sum_d t^d lax[i,j;x_a;t^d].
         "lax": all(v is Verdict.ZERO for _, v in lr.values()),
-        "zakharevich": zakharevich_verdict(web, None, zero),
+        "zakharevich": zakharevich_verdict(web, zero),
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
         # (see lax_tuple), so this holds for every web candidate.
         "pencil_affine": True,

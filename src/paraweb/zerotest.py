@@ -11,13 +11,16 @@ Expressions whose only functions are exps of rational linear forms in
 the coordinates (the exp class, below) are sampled exactly as well.
 Any other elementary function (sin, cos, log, sqrt, or exp of a
 non-linear argument) sends the expression to floating point, where it is
-compared against a relative tolerance.
+compared against a relative tolerance.  Each sample is one walk of
+``expr._evaluate``: mod p for exact samples, in exact numbers for the
+``Fraction`` checks below, and in (value, magnitude) float pairs for
+float samples, whose magnitude scales the tolerance.
 
 Exact samples are taken modulo the prime p = 2^61 - 1, not in
 ``Fraction``.  A drawn rational ``num/den`` becomes ``num * den^-1 mod p``,
-and sums, products and powers are reduced mod p, so a value never grows
-past 122 bits, however large the rational it stands for; ``x^1000000``
-costs a few dozen multiplications.  A negative power of a base that is
+and each sum, product and power is reduced mod p, so no value reaches
+p, however large the rational it stands for; ``x^1000000`` costs a few
+dozen multiplications.  A negative power of a base that is
 0 mod p counts as a pole.  Every value is then the image of a rational
 whose denominator p does not divide, so a nonzero residue proves the
 rational value nonzero.  The converse can fail, since a nonzero value
@@ -76,12 +79,13 @@ from .expr import (
     SYM,
     EvalDomainError,
     Expr,
+    _EXACT,
+    _FLOAT_PAIRS,
     _P,
     _PrimeInDenominator,
-    _eval_mod,
-    eval_numeric,
+    _RESIDUES,
+    _evaluate,
     free_symbols,
-    magnitude_estimate,
 )
 from .parser import MAX_EXPONENT
 
@@ -218,8 +222,8 @@ class ZeroTester:
         if exps is None:
             def float_zero(point):
                 env = {s: num / den for s, (num, den) in zip(symbols, point)}
-                val = float(eval_numeric(e, env))
-                return abs(val) <= self.tolerance * max(1.0, magnitude_estimate(e, env))
+                val, scale = _evaluate(e, env, {}, _FLOAT_PAIRS)
+                return abs(float(val)) <= self.tolerance * max(1.0, scale)
 
             return self._tally(e, _FLOAT_BOX, len(symbols), float_zero)[:2]
         # Each exp node is a monomial in the generators, which are drawn
@@ -239,10 +243,10 @@ class ZeroTester:
 
         def residue_zero(point):
             env, memo = image(point, _residue_of, _monomial_mod)
-            return _eval_mod(e, env, memo) == 0
+            return _evaluate(e, env, memo, _RESIDUES) == 0
 
         def exact_value(point):
-            return eval_numeric(e, *image(point, Fraction, _monomial))
+            return _evaluate(e, *image(point, Fraction, _monomial), _EXACT)
 
         try:
             verdict, samples, first = self._tally(e, _EXACT_BOX, width, residue_zero)

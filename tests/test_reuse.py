@@ -21,7 +21,7 @@ import paraweb.webs as webs_mod
 import paraweb.zerotest as zerotest_mod
 from paraweb.expr import (
     ZERO,
-    _eval_mod,
+    _evaluate,
     add_iter,
     differentiate,
     eval_numeric,
@@ -183,18 +183,13 @@ class TestVerdictMemo:
     def test_repeated_call_does_not_sample(self, monkeypatch):
         evaluations = []
 
-        def counting_eval(e, env, memo=None):
+        def counting_evaluate(e, env, memo, arithmetic):
             evaluations.append(e)
-            return eval_numeric(e, env, memo)
+            return _evaluate(e, env, memo, arithmetic)
 
-        def counting_eval_mod(e, env, memo):
-            evaluations.append(e)
-            return _eval_mod(e, env, memo)
-
-        # The exp web is sampled mod p, and a nonzero residue needs no
-        # exact evaluation, so both evaluators are counted.
-        monkeypatch.setattr(zerotest_mod, "eval_numeric", counting_eval)
-        monkeypatch.setattr(zerotest_mod, "_eval_mod", counting_eval_mod)
+        # Every sample is one walk of the evaluator: mod p here, since the
+        # exp web is sampled exactly and a nonzero residue needs no more.
+        monkeypatch.setattr(zerotest_mod, "_evaluate", counting_evaluate)
         web = make_web(2, NONFLAT_W[2])
         tester = ZeroTester(seed=9)
         first = tester.verdict_stats(web.dw2(0, 1))

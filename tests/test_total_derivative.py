@@ -64,9 +64,9 @@ def freeze_functions(e, memo: dict):
     Both paths differentiate a function node by the same rule, so their
     results agree as rational functions of the coordinates, the
     F-derivatives and the function nodes taken as free variables; the
-    exact zero test decides that.  (The float path is no judge here: its
-    ``magnitude_estimate`` of a negative power of a nearly cancelling sum
-    is far too small, so equal trees can read as nonzero.)
+    exact zero test decides that.  (The float path is no judge here: the
+    magnitude it scales its tolerance by is far too small at a negative
+    power of a nearly cancelling sum, so equal trees can read as nonzero.)
     """
     got = memo.get(e)
     if got is None:

@@ -14,8 +14,10 @@ functions are exps of rational linear forms are sampled exactly too
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -26,16 +28,23 @@ from hypothesis import given, settings, strategies as st
 
 from paraweb import zerotest
 from paraweb.expr import (
+    ADD,
+    MUL,
+    POW,
     EvalDomainError,
-    _eval_mod,
+    EvaluationError,
+    UnassignedSymbolError,
+    _EXACT,
+    _FLOAT_PAIRS,
     _PrimeInDenominator,
+    _RESIDUES,
+    _evaluate,
     add,
     add_iter,
     div,
     eval_numeric,
     free_symbols,
     fun,
-    magnitude_estimate,
     mul,
     mul_iter,
     opaque,
@@ -70,6 +79,32 @@ def p(text):
 
 # ---------------------------------------------------------------------------
 # Reference sampler
+
+
+def magnitude(e, env, memo=None):
+    """The float tolerance's scale: absolute values added over sums and
+    multiplied over products, ``|value|`` at every other node."""
+    if memo is None:
+        memo = {}
+    if e.uid in memo:
+        return memo[e.uid]
+    if e.kind == ADD:
+        val = sum(magnitude(c, env, memo) for c in e.children)
+    elif e.kind == MUL:
+        val = 1.0
+        for c in e.children:
+            val *= magnitude(c, env, memo)
+    elif e.kind == POW:
+        base = magnitude(e.children[0], env, memo)
+        if base == 0.0 and e.payload < 0:
+            raise EvalDomainError("division by zero")
+        val = base ** e.payload
+    else:
+        val = abs(float(eval_numeric(e, env)))
+    if not math.isfinite(val):
+        raise EvalDomainError("non-finite magnitude")
+    memo[e.uid] = val
+    return val
 
 
 def ref_verdict_stats(e, trials=8, tolerance=1e-9, seed=0, exact_box=EXACT_BOX, poles=None):
@@ -109,7 +144,7 @@ def ref_verdict_stats(e, trials=8, tolerance=1e-9, seed=0, exact_box=EXACT_BOX, 
                         for g, n in zip(gens, powers):
                             memo[node.uid] *= g ** n
                 val = eval_numeric(e, env, memo)
-                scale = 0.0 if exact else magnitude_estimate(e, env)
+                scale = 0.0 if exact else magnitude(e, env)
                 break
             except (EvalDomainError, ZeroDivisionError, OverflowError):
                 if poles is not None:
@@ -282,7 +317,7 @@ class TestDrawnPoints:
     def test_a_pole_mod_p_is_a_pole(self):
         x1 = sym("x1")
         with pytest.raises(EvalDomainError):
-            _eval_mod(pow_int(add(x1, rational(-3)), -1), {x1: 3}, {})
+            _evaluate(pow_int(add(x1, rational(-3)), -1), {x1: 3}, {}, _RESIDUES)
 
     def test_every_point_a_pole(self):
         e = p("1/((x1 + 1)^2 - x1^2 - 2*x1 - 1) + x2")
@@ -294,7 +329,7 @@ class TestPrimeInAnExpression:
         x1, x2 = sym("x1"), sym("x2")
         nonzero = add(mul(rational(1, P), x1), x2)
         with pytest.raises(_PrimeInDenominator):
-            _eval_mod(nonzero, {x1: 1, x2: 2}, {})
+            _evaluate(nonzero, {x1: 1, x2: 2}, {}, _RESIDUES)
         assert assert_same(nonzero) == (Verdict.NONZERO, 1)
         zero = mul(rational(5, 3 * P), _identity(p("(x1 + 1)*(x1 - 1/2)/(x2 + 3)")))
         assert assert_same(zero) == (Verdict.ZERO, 8)
@@ -348,7 +383,11 @@ EXP_MULTIPLE_OF_P = ("(exp(x2) + 2147483648)*(exp(x2) + 1073741824) - exp(2*x2)"
 
 def exact_only():
     """Fail on any float sample: the exp class never takes one."""
-    return mock.patch.object(zerotest, "magnitude_estimate", side_effect=AssertionError("float path"))
+    def evaluate(e, env, memo, arithmetic):
+        assert arithmetic is not _FLOAT_PAIRS, "float path"
+        return _evaluate(e, env, memo, arithmetic)
+
+    return mock.patch.object(zerotest, "_evaluate", evaluate)
 
 
 class TestExpClass:
@@ -407,3 +446,92 @@ class TestExpClass:
             for seed in range(24):
                 assert ZeroTester(seed=seed).verdict_stats(p("exp(x1)*x2 + exp(x2)")) == (Verdict.NONZERO, 1)
                 assert ZeroTester(seed=seed).verdict_stats(p(EXP_ZEROS[2])) == (Verdict.ZERO, 8)
+
+
+# ---------------------------------------------------------------------------
+# One evaluator, three arithmetics
+
+
+def _residue_of(q):
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+# Each arithmetic, with what an assignment holds for a rational q and
+# what the arithmetic's value of q is.
+ARITHMETICS = [
+    pytest.param(_EXACT, Fraction, Fraction, id="exact"),
+    pytest.param(_RESIDUES, _residue_of, _residue_of, id="residues"),
+    pytest.param(_FLOAT_PAIRS, float, lambda q: (float(q), abs(float(q))), id="float-pairs"),
+]
+
+
+@pytest.mark.parametrize("arithmetic, point, value", ARITHMETICS)
+class TestArithmetics:
+    def test_negative_power_of_zero_is_a_pole(self, arithmetic, point, value):
+        x1, x2 = sym("x1"), sym("x2")
+        e = add(pow_int(sub(x1, rational(3)), -2), x2)
+        env = {x1: point(Fraction(3)), x2: point(Fraction(1, 2))}
+        with pytest.raises(EvalDomainError):
+            _evaluate(e, env, {}, arithmetic)
+
+    def test_unassigned_symbol(self, arithmetic, point, value):
+        with pytest.raises(UnassignedSymbolError):
+            _evaluate(p("x1 + x2"), {sym("x1"): point(Fraction(1))}, {}, arithmetic)
+
+    def test_function(self, arithmetic, point, value):
+        e = p("sin(x1) + x2")
+        env = {sym("x1"): point(Fraction(1, 2)), sym("x2"): point(Fraction(3))}
+        if arithmetic is _RESIDUES:
+            with pytest.raises(EvaluationError, match="mod p"):
+                _evaluate(e, env, {}, arithmetic)
+            return
+        got = _evaluate(e, env, {}, arithmetic)
+        want = 3 + math.sin(0.5)
+        assert got == ((want, want) if arithmetic is _FLOAT_PAIRS else want)
+
+    def test_seeded_memo_is_the_node_value(self, arithmetic, point, value):
+        # The zero test seeds exp nodes with their images: mod p an exp
+        # node has no value of its own.
+        exp_x1 = fun("exp", sym("x1"))
+        e = mul(exp_x1, sym("x2"))
+        env = {sym("x1"): point(Fraction(1, 2)), sym("x2"): point(Fraction(8))}
+        assert _evaluate(e, env, {exp_x1.uid: value(Fraction(5, 8))}, arithmetic) == value(Fraction(5))
+
+    def test_no_garbage_cycle(self, arithmetic, point, value):
+        # A cycle would keep each sample's memo until the collector runs.
+        e = p("(x1 + 2)^2*x2 - x1/3")
+        env = {sym("x1"): point(Fraction(1, 2)), sym("x2"): point(Fraction(8))}
+        gc.collect()
+        gc.disable()
+        try:
+            _evaluate(e, env, {}, arithmetic)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("arithmetic", [_EXACT, _FLOAT_PAIRS], ids=["exact", "float-pairs"])
+@pytest.mark.parametrize("text", ["x1 + x2", "x1*x2"])
+def test_infinite_float_is_a_pole(arithmetic, text):
+    with pytest.raises(EvalDomainError):
+        _evaluate(p(text), {sym("x1"): 1e308, sym("x2"): 1e308}, {}, arithmetic)
+
+
+# The last text is a long float sum: a sum that rounds unlike the builtin one shows.
+@pytest.mark.parametrize("text", FLOAT_PATH + ["exp(exp(exp(x1)))", "sin(x1) + x1/3 + x2/7 - x0/11 + x1*x2/13"])
+def test_float_pair_is_value_and_magnitude(text):
+    e = p(text)
+    rng = random.Random(text)
+    outcomes = set()
+    for _ in range(40):
+        env = {s: rng.randint(-48, 48) / rng.randint(16, 64) for s in free_symbols(e)}
+        try:
+            want = (eval_numeric(e, env), magnitude(e, env))
+        except EvalDomainError:
+            with pytest.raises(EvalDomainError):
+                _evaluate(e, env, {}, _FLOAT_PAIRS)
+            outcomes.add("pole")
+            continue
+        assert _evaluate(e, env, {}, _FLOAT_PAIRS) == want
+        outcomes.add("value")
+    assert "value" in outcomes
