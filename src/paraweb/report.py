@@ -281,7 +281,7 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 
 def analyze_web(spec: ProblemSpec) -> dict:
     """Run the web pipeline: Hirota/Lax/Zakharevich verdicts, then (for
-    solutions) connection data, flatness and Ricci-null samples."""
+    solutions) connection data, flatness and the Ricci-null maximum."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -353,8 +353,15 @@ def analyze_web(spec: ProblemSpec) -> dict:
                     ("alpha", bf.alpha),
                 )
             }
-        ric = ricci_null_residuals(web, conn, seed=spec.seed)
-        derived["ricci_null_max"] = max(ric)
+        if conn.kind == "diagonal":
+            # The only nonzero symbols are Gamma(a, b, b) = d_a ln(dw/dx_b) +
+            # alpha_a, so Ric_bc = d_c alpha_b - d_b alpha_c is antisymmetric
+            # and Ric(V, V) = 0 for every V and t (proved by
+            # tests/test_webs.py::TestRicci::test_diagonal_ricci_is_d_alpha).
+            derived["ricci_null_max"] = 0.0
+        else:
+            ric = ricci_null_residuals(web, conn, seed=spec.seed)
+            derived["ricci_null_max"] = max(ric)
 
     return _render({
         "problem": spec.echo(),

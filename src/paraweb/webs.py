@@ -875,7 +875,9 @@ def _base_point_values(rng: random.Random, symbols, evaluate):
 def ricci_null_residuals(web: VeroneseWeb, conn: WebConnection, seed: int = 0) -> list[float]:
     """|Ric(V(t), V(t))| at the 2k+1 spectral nodes t and at four random
     base points (small rationals, resampled on poles).  All values should
-    sit at numerical zero for a genuine web.
+    sit at numerical zero for a genuine web.  The report samples only the
+    k = 2 Weyl connection: for a diagonal connection Ric is antisymmetric,
+    so its maximum is exactly 0.0.
     """
     k = web.k
     ric = ricci_tensor(conn)

@@ -22,7 +22,7 @@ from paraweb.report import (
 )
 from paraweb.webs import InterpolationError, NotAWebError, WebError
 
-from conftest import random_polynomial_w
+from conftest import NONFLAT_W, random_polynomial_w
 
 DATA = Path(__file__).parent / "data"
 
@@ -160,6 +160,39 @@ class TestAnalyzeWeb:
         for entry in entries:
             assert "jacobi_max" not in entry["derived"], entry["problem"]
             assert "jacobi" not in entry["verdicts"], entry["problem"]
+
+    def test_diagonal_connection_reports_exact_ricci_null(self, monkeypatch):
+        # Ric of a diagonal connection is antisymmetric (test_webs.py::
+        # TestRicci::test_diagonal_ricci_is_d_alpha), so the report builds
+        # no Ricci tensor and samples nothing for it.
+        import paraweb.report as report_mod
+        import paraweb.webs as webs_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Ricci built for a diagonal connection")
+
+        monkeypatch.setattr(report_mod, "ricci_null_residuals", boom)
+        monkeypatch.setattr(webs_mod, "ricci_tensor", boom)
+        for k, w in ((3, NONFLAT_W[3]), (5, "x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4 + 6*x5")):
+            rep = analyze_web(spec({"kind": "web", "k": k, "w": w}))
+            assert rep["derived"]["connection"]["type"] == "diagonal", w
+            assert rep["derived"]["ricci_null_max"] == 0.0, w
+
+    def test_weyl_connection_samples_ricci_null_once(self, monkeypatch):
+        import paraweb.report as report_mod
+
+        sampler = report_mod.ricci_null_residuals
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "ricci_null_residuals", counting)
+        rep = analyze_web(spec({"kind": "web", "k": 2, "w": NONFLAT_W[2]}))
+        assert rep["derived"]["connection"]["type"] == "weyl"
+        assert len(calls) == 1
+        assert rep["derived"]["ricci_null_max"] < 1e-6
 
     def test_k3_solution_emits_bryant_and_flatness(self):
         rep = analyze_web(spec({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))

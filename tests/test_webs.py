@@ -633,7 +633,40 @@ def _fd_ricci(conn, base_env, b, c, h=1e-5):
     return acc
 
 
+def _separable_w(k: int, polynomial: bool) -> str:
+    if polynomial:
+        return " + ".join(f"x{i} + {2 + i % 7}*x{i}^{2 + i % 2}" for i in range(k + 1))
+    return " + ".join(f"{1 + i % 9}*x{i}" for i in range(k + 1))
+
+
+# Webs whose canonical connection is diagonal: the separable and nonflat
+# k = 3, 4 webs of the seeded corpus, the two separable shapes of the
+# benchmark's web-ladder at k = 1 and 5..8, and the nonflat k = 5 web.
+DIAGONAL_WEBS = (
+    [(k, _separable_w(k, poly)) for k in (1, 5, 6, 7, 8) for poly in (False, True)]
+    + [(3, "x0+x1+x2+x3"), (3, "2*x0 + x1 + x2^2/2 + x3"), (4, "x0+x1+x2+x3+x4")]
+    + [(3, NONFLAT_W[3]), (4, NONFLAT_W[4]), (5, NONFLAT_W5)]
+)
+
+
 class TestRicci:
+    @pytest.mark.parametrize("k,w", DIAGONAL_WEBS)
+    def test_diagonal_ricci_is_d_alpha(self, k, w):
+        # Gamma(a, b, b) = d_a ln(dw/dx_b) + alpha_a is the only nonzero
+        # symbol, so the product sums cancel, as do the second derivatives
+        # of ln(dw/dx_c): Ric_bc = d_c alpha_b - d_b alpha_c.  Ric is then
+        # antisymmetric and Ric(V, V) = 0, which the report relies on.
+        web = make_web(k, w)
+        conn = canonical_connection(web, ZT)
+        assert conn.kind == "diagonal"
+        alpha = conn.alpha
+        ric = ricci_tensor(conn)
+        assert len(ric) == (k + 1) ** 2
+        for (b, c), e in ric.items():
+            curl = sub(differentiate(alpha.comp(b), c), differentiate(alpha.comp(c), b))
+            assert EXACT.verdict(sub(e, curl)) is Verdict.ZERO, (b, c)
+            assert EXACT.verdict(add(e, ric[(c, b)])) is Verdict.ZERO, (b, c)
+
     def test_symbolic_matches_finite_difference(self):
         web = make_web(2, NONFLAT_W[2])
         conn = canonical_connection(web, ZT)
