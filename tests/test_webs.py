@@ -9,6 +9,7 @@ bi-Hamiltonian pencil is built in oracles.py.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from paraweb.expr import (
     to_string,
 )
 from paraweb.jet import VectorField, _gauss_jordan, exterior_derivative, lie_bracket, wedge3
+from paraweb.report import ProblemSpec, analyze_web, dumps_report
 import paraweb.webs as webs
 from paraweb.webs import (
     DegenerateWebError,
@@ -462,6 +464,7 @@ def alpha_oracle(web, nodes):
 
 
 SHIFTED_T3 = (0, 1, 2, 3, 5)
+RATIONAL_T5 = [Fraction(3 * n * n - 7, n + 2) for n in range(7)]
 # A nonflat k = 3 web for SHIFTED_T3: a~_i (m_i - 1) = 6 for a~ = (1/4, 2/3, 3/2).
 NONFLAT_SHIFTED_W3 = "exp(x1+x2+x3) + exp(x0+25*x1+10*x2+5*x3)"
 CONNECTION_CASES = (
@@ -469,9 +472,32 @@ CONNECTION_CASES = (
     + [(k, separable_w(k), None) for k in range(3, 9)]
     + [(k, NONFLAT_W[k], None) for k in (3, 4)]
     + [(5, NONFLAT_W5, None)]
-    + [(5, separable_w(5), [Fraction(3 * n * n - 7, n + 2) for n in range(7)])]
+    + [(5, separable_w(5), RATIONAL_T5)]
     + [(3, NONFLAT_SHIFTED_W3, SHIFTED_T3)]
 )
+
+
+# SHA-256 of the rendered report entry (seed 0): the golden batch has no
+# web with k >= 3, so these pin the printed diagonal connections.
+REPORT_PINS = (
+    (3, NONFLAT_W[3], None, "def333ba227543a36e6213ae9ebda1c5efedfe117bfae586c21c0d02a00c895e"),
+    (4, NONFLAT_W[4], None, "802a7f931e96c30dda4379474c81ac6bf63e694b1771ea8171118832e54a5788"),
+    (5, NONFLAT_W5, None, "8278c2cf4c4510ea85a3d81ab3904385e01231371aeea6fd1712e4f78fc3164f"),
+    (5, separable_w(5), None, "eab03cd588ce1d76dec0d1d8c9f061340103c38b5b44e3a451cd88ae033418ca"),
+    (8, separable_w(8), None, "72a048e5e848283b1408bf6bc92536dd4d154c57a392e6fb15a8f28b5705abc8"),
+    (3, NONFLAT_SHIFTED_W3, SHIFTED_T3, "a03c0fd9262e90785c5965040a9d5464ef1d2b2e59c20c404c33145f26e7991d"),
+    (5, separable_w(5), RATIONAL_T5, "d31d94eecb9b8dcc02b38f18b8cc1d8c2597489698abc7cb142f189f9c47579d"),
+)
+
+
+@pytest.mark.parametrize("k, w, t_params, digest", REPORT_PINS)
+def test_diagonal_connection_report_bytes(k, w, t_params, digest):
+    raw = {"kind": "web", "k": k, "w": w}
+    if t_params is not None:
+        raw["t_params"] = [str(Fraction(t)) for t in t_params]
+    text = dumps_report(analyze_web(ProblemSpec.from_dict(raw)))
+    assert "alpha" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFrameBrackets:
