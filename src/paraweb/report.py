@@ -61,6 +61,10 @@ __all__ = [
 # The zero test draws up to ``trials`` points per expression, so an
 # unbounded value could keep a problem running until it is killed.
 MAX_TRIALS = 1000
+# Digits plus the size of the decimal exponent of one spectral constant:
+# unbounded, "1e-99999999" would be built as 10^99999999 before any
+# check, and "1e999999" would fail when its echo is printed.
+MAX_LITERAL_DIGITS = 40
 
 CLASS_TOTALLY_GEODESIC = "totally-geodesic paraconformal"
 CLASS_WUNSCHMANN_ONLY = "Wünschmann only"
@@ -73,14 +77,18 @@ class InputError(ValueError):
 
 
 def _parse_fraction(text: Any) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {text!r}") from exc
-    raise InputError(f"rationals must be strings like 'p/q', got {text!r}")
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        raise InputError(f"rationals must be strings like 'p/q', got {text!r}")
+    literal = str(text).strip()
+    digits = sum(ch.isdigit() for ch in literal)
+    exponent = literal.lower().partition("e")[2]
+    try:
+        if digits <= MAX_LITERAL_DIGITS and digits + abs(int(exponent or 0)) <= MAX_LITERAL_DIGITS:
+            return Fraction(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal {text!r}") from exc
+    raise InputError(f"budget exceeded: a rational literal has at most {MAX_LITERAL_DIGITS} "
+                     f"digits plus the size of its exponent, got {text!r}")
 
 
 def _int_option(options: dict, name: str, default: int) -> int:
@@ -134,7 +142,7 @@ class ProblemSpec:
         if kind == "ode":
             order = raw.get("order")
             rhs = raw.get("rhs")
-            if not isinstance(order, int) or order < 2:
+            if isinstance(order, bool) or not isinstance(order, int) or order < 2:
                 raise InputError("ode problems need an integer order >= 2")
             if order > 10:
                 raise InputError("orders beyond 10 are not supported")
@@ -143,7 +151,7 @@ class ProblemSpec:
             return cls(kind, order=order, rhs=rhs, trials=trials, tolerance=tolerance, seed=seed)
         k = raw.get("k")
         w = raw.get("w")
-        if not isinstance(k, int) or k < 1 or k > 8:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1 or k > 8:
             raise InputError("web problems need an integer k in 1..8")
         if not isinstance(w, str):
             raise InputError("web problems need a w expression string")

@@ -19,8 +19,10 @@ omega(t) and V(t) in a coordinate is a rational multiple of one fixed
 expression, dw/dx_i for omega and its inverse for V, so a value at t is
 kept factored as (rational in t) * (that expression), never distributed
 into a sum.  The canonical connection uses the same split: V(t) =
-sum_j c_j(t) e_j with e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), so
-its bracket function is built from the fixed frame brackets [e_j, e_l].
+sum_j c_j(t) e_j with e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), and
+[e_j, e_l] = b_jl (e_j - e_l) with b_jl = w_jl / (w_j w_l), so its alpha
+is a rational combination of the b_jl whose coefficients depend only on
+the spectral constants.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from itertools import combinations, count, islice
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .expr import (
@@ -202,8 +205,8 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
 def _inverse(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of a rational matrix, computed once per distinct matrix.
 
-    The matrices inverted here depend only on the spectral constants and
-    a fixed node family, so the webs of a batch share a few of them.  The
+    The null-curve coefficient matrices inverted here depend only on the
+    spectral constants, so the webs of a batch share a few of them.  The
     rows are tuples, because every caller gets the same object.
     """
     return tuple(map(tuple, _gauss_jordan(matrix, Fraction(1), Fraction(0))))
@@ -291,13 +294,11 @@ class NullCurve:
     web: VeroneseWeb
     fields: tuple[VectorField, ...] = field(init=False)
     _matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
-    _denominators: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         web = self.web
         k, t = web.k, web.t_params
-        denominators = tuple((t[k + 1] - t[j]) * prod(t[j] - t[l] for l in range(k + 1) if l != j)
-                             for j in range(k + 1))
+        denominators = _null_denominators(t)
         matrix = tuple(
             tuple(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j] for j in range(k + 1))
             for i in range(k + 1)
@@ -308,7 +309,6 @@ class NullCurve:
             for row in matrix
         )
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_denominators", denominators)
         object.__setattr__(self, "fields", fields)
 
     def coefficient_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -324,6 +324,24 @@ class NullCurve:
 
 def null_curve(web: VeroneseWeb) -> NullCurve:
     return _once(web, "null_curve", NullCurve)
+
+
+@lru_cache(maxsize=32)
+def _null_denominators(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """den_j = (t_{k+1} - t_j) prod_{l <= k, l != j} (t_j - t_l), for j <= k:
+    that is, -prod_{l != j} (t_j - t_l) over all k + 2 constants."""
+    return tuple(-prod(tj - tl for tl in t if tl != tj) for tj in t[:-1])
+
+
+def _null_values(t: tuple[Fraction, ...], s: Fraction, order: int = 0) -> list[Fraction]:
+    """c_j(s), or its order-th derivative, where V(s) = sum_j c_j(s) e_j and
+    e_j = (dw/dx_j)^-1 d/dx_j.  With r the coefficient matrix, c_j(s) =
+    sum_i s^i r[i][j] = (t_j - s)^k / den_j, and its order-th derivative
+    (order <= k) is (-1)^order k!/(k - order)! (t_j - s)^(k - order) / den_j.
+    """
+    k = len(t) - 2
+    scale = (-1) ** order * factorial(k) // factorial(k - order)
+    return [scale * (tj - s) ** (k - order) / den for tj, den in zip(t, _null_denominators(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -467,80 +485,61 @@ class WebConnection:
         return div(d2, self.web.dw(ib)) + self.alpha.comp(a)
 
 
-def _spectral_nodes(web: VeroneseWeb, count: int, start: int = 0) -> list[Fraction]:
-    """Deterministic rational values outside the spectral set."""
-    banned = set(web.t_params)
-    out: list[Fraction] = []
-    n = start
-    while len(out) < count:
-        cand = Fraction(n)
-        if cand not in banned:
-            out.append(cand)
-        n += 1
-    return out
+def _spectral_nodes(t: tuple[Fraction, ...], n: int, start: int = 0) -> list[Fraction]:
+    """The first n integers from ``start`` outside the spectral set t."""
+    return [Fraction(m) for m in islice((m for m in count(start) if m not in t), n)]
 
 
-def _null_values(curve: NullCurve, s: Fraction, order: int = 0) -> list[Fraction]:
-    """c_j(s), or its order-th derivative, where V(s) = sum_j c_j(s) e_j and
-    e_j = (dw/dx_j)^-1 d/dx_j.
+def _bracket_h(t: tuple[Fraction, ...], s: Fraction) -> list[Fraction]:
+    """H_jl(s) for (j, l) in ``combinations(range(k + 1), 2)``, where
+    [V(s), V'(s)] = h(s) V'(s) mod V(s) and h(s) = sum H_jl(s) b_jl.
 
-    Entry (i, j) of the coefficient matrix is (-1)^i C(k, i) t_j^(k-i) / den_j,
-    so c_j(s) = sum_i s^i r[i][j] = (t_j - s)^k / den_j in closed form, and
-    its order-th derivative (order <= k) is
-    (-1)^order k!/(k - order)! (t_j - s)^(k - order) / den_j.
+    [V(s), V'(s)] = sum D_jl(s) b_jl (e_j - e_l) with D_jl = c_j c_l' - c_l c_j'.
+    h is read off through omega^(k-1)(s), which is -k! on V'(s), 0 on V(s)
+    and q_j(s) = (t_{k+1} - t_j) (k-1)! (k s - sum_{m <= k, m != j} t_m) on
+    e_j, so H_jl = -D_jl (q_j - q_l) / k!.
     """
-    k, t = curve.web.k, curve.web.t_params
-    scale = (-1) ** order * factorial(k) // factorial(k - order)
-    return [scale * (t[j] - s) ** (k - order) / den for j, den in enumerate(curve._denominators)]
+    k = len(t) - 2
+    shift = k * s - sum(t[:-1])
+    # c_j, c_j' and q_j / (k-1)! (so the k! becomes k), each as integers
+    # over one denominator
+    (d0, c), (d1, dc), (d2, q) = map(_integers, (_null_values(t, s), _null_values(t, s, order=1),
+                                                 [(t[-1] - tj) * (shift + tj) for tj in t[:-1]]))
+    return [Fraction(-(c[j] * dc[l] - c[l] * dc[j]) * (q[j] - q[l]), k * d0 * d1 * d2)
+            for j, l in combinations(range(k + 1), 2)]
 
 
-def _frame_brackets(web: VeroneseWeb) -> dict[tuple[int, int], VectorField]:
-    """The nonzero [e_j, e_l], j < l, of the frame e_j = (dw/dx_j)^-1 d/dx_j."""
-    frame = [VectorField(web.coords, {f"x{j}": pow_int(web.dw(j), -1)}) for j in range(web.k + 1)]
-    out = {}
-    for j in range(web.k + 1):
-        for l in range(j + 1, web.k + 1):
-            br = lie_bracket(frame[j], frame[l])
-            if br.comps:
-                out[(j, l)] = br
-    return out
+def _integers(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, n) with vec[i] = n[i] / d for the least common denominator d."""
+    d = lcm(*(v.denominator for v in vec))
+    return d, [v.numerator * (d // v.denominator) for v in vec]
 
 
-def _bracket_h(
-    web: VeroneseWeb,
-    curve: NullCurve,
-    brackets: dict[tuple[int, int], VectorField],
-    s: Fraction,
-) -> Expr:
-    """h(s) defined by [V(s), V'(s)] = h(s) V'(s) mod V(s).
+def _matmul(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact matrix product, each entry one integer dot product."""
+    cs = [_integers(col) for col in zip(*cols)]
+    return tuple(tuple(Fraction(sum(a * b for a, b in zip(r, c)), dr * dc) for dc, c in cs)
+                 for dr, r in map(_integers, rows))
 
-    The c_j(s) are rational, so [V(s), V'(s)] = sum_{j<l} D_jl(s) [e_j, e_l]
-    with D_jl = c_j c_l' - c_l c_j'.  h is read off through the dual
-    pairing, omega^(k-1)(s)(V'(s)) = -k! while omega^(k-1)(s)(V(s)) = 0:
 
-        h(s) = -1/k! sum_{j<l} D_jl(s) omega^(k-1)(s)([e_j, e_l]).
+@lru_cache(maxsize=32)
+def _diagonal_tables(t: tuple[Fraction, ...], start: int):
+    """(check, alpha), coefficients over the b_jl of ``_bracket_h``, for the
+    k + 2 nodes from ``start``.  check is the interpolant of h through the
+    other nodes, at the last node, minus h there: zero when h has degree
+    at most k.  alpha[j] is alpha_j / (dw/dx_j): alpha(V(s)) = h(s) at the
+    first k + 1 nodes is the rational system N[s][j] = c_j(s), so
+    alpha_j / (dw/dx_j) is (N^-1 h)_j.
     """
-    k = web.k
-    c, dc = _null_values(curve, s), _null_values(curve, s, order=1)
-    om = omega_at(web, s, order=k - 1)
-    scale = Fraction(-1, factorial(k))
-    terms = []
-    for (j, l), br in brackets.items():
-        d_jl = c[j] * dc[l] - c[l] * dc[j]
-        if d_jl:
-            terms.append(mul(rational(scale * d_jl), om(br)))
-    return add_iter(terms)
+    *inner, at = nodes = _spectral_nodes(t, len(t), start)
+    hs = [_bracket_h(t, s) for s in nodes]
+    weights = [prod((at - r) / (n - r) for r in inner if r != n) for n in inner]
+    dinv = _gauss_jordan([_null_values(t, s) for s in inner], Fraction(1), Fraction(0))
+    return _matmul([weights + [-1]], hs)[0], _matmul(dinv, hs[:-1])
 
 
-def _lagrange_combination(nodes: list[Fraction], values: list[Expr], at: Fraction) -> Expr:
-    terms = []
-    for s in range(len(nodes)):
-        c = Fraction(1)
-        for r, node in enumerate(nodes):
-            if r != s:
-                c *= (at - node) / (nodes[s] - node)
-        terms.append(mul(rational(c), values[s]))
-    return add_iter(terms)
+def _bracket_sum(coeffs: Sequence[Fraction], basis: list[Expr]) -> Expr:
+    return add_iter(mul(rational(c), b) for c, b in zip(coeffs, basis) if c and b is not ZERO)
 
 
 def canonical_connection(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> WebConnection:
@@ -575,26 +574,17 @@ def _canonical_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
 
 
 def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
-    k = web.k
-    curve = null_curve(web)
-    brackets = _frame_brackets(web)
+    basis = [ZERO if (d2 := web.dw2(j, l)) is ZERO else mul(d2, pow_int(web.dw(j), -1), pow_int(web.dw(l), -1))
+             for j, l in combinations(range(web.k + 1), 2)]
     # On a web h(t) has degree at most k: interpolate it at k+1 nodes and
     # check the bound at one more, trying a second node family once.
-    for attempt in (0, 1):
-        nodes = _spectral_nodes(web, k + 2, start=101 * attempt)
-        hs = [_bracket_h(web, curve, brackets, s) for s in nodes]
-        interp = _lagrange_combination(nodes[: k + 1], hs[: k + 1], nodes[k + 1])
-        if zero.verdict(sub(interp, hs[k + 1])) is Verdict.ZERO:
+    for start in (0, 101):
+        check, alpha = _diagonal_tables(web.t_params, start)
+        if zero.verdict(_bracket_sum(check, basis)) is Verdict.ZERO:
             break
     else:
         raise InterpolationError("bracket function h(t) violates its degree bound")
-    # alpha(V(t_s)) = h(t_s): with V(t_s)^j = c_j(t_s) / (dw/dx_j) the system
-    # is rational, D[s][j] = c_j(t_s), and alpha_j = dw/dx_j * (D^-1 h)_j.
-    dinv = _inverse(tuple(tuple(_null_values(curve, s)) for s in nodes[: k + 1]))
-    comps = {}
-    for j in range(k + 1):
-        combo = add_iter(mul(rational(dinv[j][s]), hs[s]) for s in range(k + 1))
-        comps[f"x{j}"] = mul(web.dw(j), combo)
+    comps = {f"x{j}": mul(web.dw(j), _bracket_sum(row, basis)) for j, row in enumerate(alpha)}
     return WebConnection(web, "diagonal", alpha=OneForm(web.coords, comps))
 
 
@@ -882,7 +872,7 @@ def ricci_null_residuals(web: VeroneseWeb, conn: WebConnection, seed: int = 0) -
     k = web.k
     ric = ricci_tensor(conn)
     nc = null_curve(web)
-    tvals = _spectral_nodes(web, 2 * k + 1)
+    tvals = _spectral_nodes(web.t_params, 2 * k + 1)
     rng = random.Random(seed)
     symbols = set()
     for e in ric.values():

@@ -193,6 +193,6 @@ def zakharevich_oracle(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> b
     omega(t) ^ d omega(t) zero-tested at k+3 values outside the spectral set."""
     return all(
         zero.verdict(e) is Verdict.ZERO
-        for tval in _spectral_nodes(web, web.k + 3)
+        for tval in _spectral_nodes(web.t_params, web.k + 3)
         for e in omega_wedge_d_omega(web, tval).comps.values()
     )

@@ -72,6 +72,19 @@ class TestProblemSpec:
         assert code == 1
         assert [r["status"] for r in report["reports"]] == ["error", "ok"]
 
+    @pytest.mark.parametrize("raw", [
+        {"kind": "web", "k": True, "w": "x0+x1"},
+        {"kind": "ode", "order": True, "rhs": "0"},
+        {"kind": "web", "k": 1, "w": "x0+x1", "t_params": ["0", True, "2"]},
+    ])
+    def test_bool_is_not_an_integer(self, raw):
+        # JSON true is a Python int; it must not pass as k = 1 or t = 1.
+        with pytest.raises(InputError):
+            spec(raw)
+        report, code = analyze_batch({"problems": [raw, {"kind": "web", "k": 1, "w": "x0+x1"}]})
+        assert code == 1
+        assert [r["status"] for r in report["reports"]] == ["error", "ok"]
+
     def test_options_must_be_an_object(self):
         with pytest.raises(InputError, match="options"):
             spec({"kind": "ode", "order": 3, "rhs": "0", "options": [["seed", 1]]})
@@ -314,6 +327,23 @@ class TestBatchAndCli:
         assert time.monotonic() - start < 5
         assert code == 0
         assert report["reports"][0]["status"] == "ok"
+
+    @pytest.mark.parametrize("literal", ["1e999999", "1e-99999999"])
+    def test_huge_rational_literal_is_an_error_entry(self, tmp_path, literal):
+        # Unbounded, the first could not be echoed (its numerator exceeds
+        # the int-to-str digit limit) and the second was never built.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "web", "k": 1, "w": "x0+x1"},
+            {"kind": "web", "k": 1, "w": "x0+x1", "t_params": ["0", "1", literal]},
+        ]}), encoding="utf-8")
+        start = time.monotonic()
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        assert time.monotonic() - start < 5
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["ok", "error"]
+        assert data["reports"][1]["error"].startswith("budget exceeded: ")
 
     def test_trials_beyond_the_budget_is_an_error_entry(self, tmp_path):
         # Unbounded, the zero test would draw this many points per

@@ -86,7 +86,7 @@ def _ricci_null_per_component(web, conn, point_samples: int = 4, seed: int = 0) 
     k = web.k
     ric = _ricci_with_zero_terms(conn)
     fields = null_curve(web).fields
-    tvals = _spectral_nodes(web, 2 * k + 1)
+    tvals = _spectral_nodes(web.t_params, 2 * k + 1)
     rng = random.Random(seed)
     symbols = set()
     for e in ric.values():
@@ -245,10 +245,10 @@ class TestWebObjects:
         assert sorted(built) == ["_canonical_connection", "_hirota_residuals"]
 
     def test_each_spectral_matrix_is_inverted_once(self, monkeypatch):
-        # A k = 3 report inverts the node matrix of its connection and the
-        # null-curve coefficient matrix, which the Bryant forms and their
-        # Christoffel table share, once each.  Another web with the same
-        # spectral constants inverts neither again.
+        # A k = 3 report inverts the node matrix of its connection's tables
+        # and the null-curve coefficient matrix, which the Bryant forms and
+        # their Christoffel table share, once each.  Another web with the
+        # same spectral constants inverts neither again.
         calls = []
 
         def counting(matrix, one, zero, *rest, _real=webs_mod._gauss_jordan):
@@ -257,6 +257,7 @@ class TestWebObjects:
 
         monkeypatch.setattr(webs_mod, "_gauss_jordan", counting)
         webs_mod._inverse.cache_clear()
+        webs_mod._diagonal_tables.cache_clear()
         rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": NONFLAT_W[3]}))
         assert "bryant" in rep["derived"] and rep["derived"]["connection"]["type"] == "diagonal"
         assert calls == [4, 4]

@@ -247,7 +247,7 @@ class TestNullCurve:
                 for order in (0, 1):
                     weights = webs._spectral_weights(k + 1, s, order)
                     want = [sum(weight * r[m][j] for m, weight in weights) for j in range(k + 1)]
-                    assert webs._null_values(curve, s, order) == want, (t_params, s, order)
+                    assert webs._null_values(curve.web.t_params, s, order) == want, (t_params, s, order)
 
     def test_duality_table(self):
         # omega^(i)(t)(V^(j)(t)) = 0 for i+j < k and (-1)^j k! at i+j = k
@@ -500,16 +500,33 @@ def test_diagonal_connection_report_bytes(k, w, t_params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def table_h(web, s):
+    """h(s) from the rational coefficients of ``webs._bracket_h``, over the
+    basis b_jl = w_jl / (w_j w_l) built here from its definition."""
+    basis = [div(web.dw2(j, l), mul(web.dw(j), web.dw(l)))
+             for j in range(web.k + 1) for l in range(j + 1, web.k + 1)]
+    coeffs = webs._bracket_h(web.t_params, s)
+    assert len(coeffs) == len(basis)
+    return add_iter(mul(rational(c), b) for c, b in zip(coeffs, basis))
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty table cache before and after the test, so that tables
+    built from a patched h never reach another test."""
+    webs._diagonal_tables.cache_clear()
+    yield
+    webs._diagonal_tables.cache_clear()
+
+
 class TestFrameBrackets:
     @pytest.mark.parametrize("k, w, t_params", CONNECTION_CASES)
     def test_h_and_alpha_match_the_bracket_oracle(self, k, w, t_params):
         web = make_web(k, w, t_params)
         assert is_hirota_solution(web, EXACT)
-        curve, brackets = null_curve(web), webs._frame_brackets(web)
-        nodes = webs._spectral_nodes(web, k + 2)
+        nodes = webs._spectral_nodes(web.t_params, k + 2)
         for s in nodes:
-            got = webs._bracket_h(web, curve, brackets, s)
-            assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
+            assert EXACT.verdict(sub(table_h(web, s), bracket_h_oracle(web, s))) is Verdict.ZERO, s
         alpha = webs._diagonal_connection(web, EXACT).alpha
         want = alpha_oracle(web, nodes[: k + 1])
         for c in web.coords:
@@ -518,13 +535,12 @@ class TestFrameBrackets:
     @pytest.mark.parametrize("k", range(3, 9))
     def test_h_matches_the_bracket_oracle_off_solutions(self, k):
         # h(s) is defined for any w; these cross terms break the Hirota
-        # system, and every frame bracket with w_jl != 0 enters.
+        # system, and every b_jl with w_jl != 0 enters.
         web = make_web(k, random_polynomial_w(k, random.Random(k)))
-        curve, brackets = null_curve(web), webs._frame_brackets(web)
-        assert brackets
         for s in (Fraction(-1, 2), Fraction(k + 5), Fraction(7, 3)):
-            got = webs._bracket_h(web, curve, brackets, s)
-            assert EXACT.verdict(sub(got, bracket_h_oracle(web, s))) is Verdict.ZERO, s
+            want = bracket_h_oracle(web, s)
+            assert want is not ZERO
+            assert EXACT.verdict(sub(table_h(web, s), want)) is Verdict.ZERO, s
 
     def test_mixed_partials_are_one_node(self, corpus):
         for k, w, _ in corpus:
@@ -540,21 +556,22 @@ class TestFrameBrackets:
         assert len(alpha.comps) == k + 1
         assert all(len(to_string(e)) <= 5000 for e in alpha.comps.values())
 
-    def test_degree_bound_retry_and_failure(self, monkeypatch):
+    def test_degree_bound_retry_and_failure(self, monkeypatch, fresh_tables):
         web = make_web(3, NONFLAT_W[3])
         want = webs._diagonal_connection(web, ZT).alpha
         real_h = webs._bracket_h
         seen = []
 
         def off_degree(limit):
-            # h plus s^(k+1), which breaks the degree bound, at nodes below limit
-            def h(web, curve, brackets, s):
+            # h plus s^(k+1) sum_jl b_jl, which breaks the degree bound, at
+            # nodes below limit
+            def h(t, s):
                 seen.append(s)
-                value = real_h(web, curve, brackets, s)
-                return add(value, rational(s ** (web.k + 1))) if s < limit else value
+                return [c + s ** (len(t) - 1) if s < limit else c for c in real_h(t, s)]
             return h
 
         # the first node family starts at 0, the retry at 101
+        webs._diagonal_tables.cache_clear()
         monkeypatch.setattr(webs, "_bracket_h", off_degree(101))
         alpha = webs._diagonal_connection(web, ZT).alpha
         assert len(seen) == 2 * (web.k + 2) and max(seen) >= 101
@@ -562,9 +579,34 @@ class TestFrameBrackets:
         for c in web.coords:
             assert EXACT.verdict(sub(alpha.comp(c), want.comp(c))) is Verdict.ZERO, c
 
+        webs._diagonal_tables.cache_clear()
         monkeypatch.setattr(webs, "_bracket_h", off_degree(math.inf))
         with pytest.raises(InterpolationError):
             canonical_connection(web, ZT)
+
+    def test_tables_are_built_once_per_constants_and_node_family(self, monkeypatch, fresh_tables):
+        real_h = webs._bracket_h
+        seen = []
+
+        def counting(t, s):
+            seen.append((t, s))
+            return real_h(t, s)
+
+        monkeypatch.setattr(webs, "_bracket_h", counting)
+        web = make_web(3, NONFLAT_W[3])
+        canonical_connection(web, ZT)
+        assert len(seen) == web.k + 2
+        # another web with the same spectral constants builds no table
+        canonical_connection(make_web(3, "x0 + x1^2/2 + x2 + x3"), ZT)
+        assert len(seen) == web.k + 2
+        # other spectral constants, and the other node family, each build one
+        canonical_connection(make_web(3, NONFLAT_SHIFTED_W3, SHIFTED_T3), ZT)
+        assert len(seen) == 2 * (web.k + 2)
+        retry = webs._diagonal_tables(web.t_params, 101)
+        assert len(seen) == 3 * (web.k + 2) and min(s for _, s in seen[-web.k - 2:]) == 101
+        assert retry is not webs._diagonal_tables(web.t_params, 0)
+        assert retry is webs._diagonal_tables(web.t_params, 101)
+        assert len(seen) == 3 * (web.k + 2)
 
 
 class TestWeylStructure:
@@ -791,7 +833,7 @@ class TestZakharevich:
         for web in cases:
             k, t = web.k, web.t_params
             hr = hirota_residuals(web, EXACT)
-            for s in webs._spectral_nodes(web, k + 3):
+            for s in webs._spectral_nodes(web.t_params, k + 3):
                 three = omega_wedge_d_omega(web, s)
                 assert set(three.comps) <= {tuple(f"x{i}" for i in key) for key in hr}
                 p = math.prod(s - t[j] for j in range(k + 1))
