@@ -7,6 +7,7 @@ them exactly (after expansion) or up to a zero verdict.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from paraweb.report import (
     CLASS_WUNSCHMANN_ONLY,
     ProblemSpec,
     analyze_ode,
+    dumps_report,
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
@@ -327,6 +329,23 @@ class TestBeta:
         ode = OdeProblem.from_rhs(4, "0")
         b, beta, _ = beta_coefficient(ode, zero=ZT)
         assert b is ZERO and beta.comps == {}
+
+
+# SHA-256 of the rendered report entry (seed 0) of ODEs that reach beta:
+# no golden ODE does, so these pin the printed beta_b and beta_form.
+BETA_PINS = (
+    (4, "5*x3^2/(3*x2)", "b21aa9ee24c2824cc478e2f484ae2e5906ae977db1904a1a9d326819f5556c81"),
+    (4, "4*x3^2/(3*x2)", "e0cf88f2cedd889320204bde50d6d0dfc44106a3c3b584eb2b555daa1ba9f020"),
+    (4, "0", "464c07419b11f665bc9434becc94ce0cb078ce8ac9506dcabeba3c2186914704"),
+    (5, "5*x4^2/(4*x3)", "f8ab6ad0d1680bffb0f9cdf3a24a3efb187c93a4d1d9206aaaf70550b99e98ca"),
+)
+
+
+@pytest.mark.parametrize("order, rhs, digest", BETA_PINS)
+def test_beta_report_bytes(order, rhs, digest):
+    text = dumps_report(analyze_ode(ProblemSpec("ode", order=order, rhs=rhs)))
+    assert '"beta_b"' in text and '"beta_form"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestConnection:

@@ -500,6 +500,26 @@ def test_diagonal_connection_report_bytes(k, w, t_params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# The same pins for webs read in the null frame's dual at non-default
+# spectral constants: the k = 2 Weyl connection and the k = 3 Bryant forms.
+T2 = ("-7/2", "1/3", "2", "9/5")
+NULL_DUAL_PINS = (
+    (2, "x0+x1+x2", T2, "ae70cdb20d7baf84f031acd70e060c7602c59ba104997fbf6236fdcceb459cf2"),
+    # a Hirota solution at T2: 2 a(0,1,2) + a(1,2,0) + (219/242) a(2,0,1) = 0
+    (2, "exp(x1+x2) + exp(x0+2*x1+219/242*x2)", T2,
+     "a2d99e4748557663e3a55538da66129d7ab2287b2b0cc79fe6097ffa5ed29b6f"),
+    (3, "x0+x1+x2+x3", ("-7/2", "-5/3", "5/4", "29/5", "73/6"),
+     "487e60e5c2ca2a1b6f34a6bd281a4fa41194ec24ad68c2b39edb484e110c4bfa"),
+)
+
+
+@pytest.mark.parametrize("k, w, t_params, digest", NULL_DUAL_PINS)
+def test_null_dual_report_bytes(k, w, t_params, digest):
+    report = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": k, "w": w, "t_params": list(t_params)}))
+    assert report["verdicts"]["hirota"] and ("bryant" in report["derived"]) == (k == 3)
+    assert hashlib.sha256(dumps_report(report).encode()).hexdigest() == digest
+
+
 def table_h(web, s):
     """h(s) from the rational coefficients of ``webs._bracket_h``, over the
     basis b_jl = w_jl / (w_j w_l) built here from its definition."""
