@@ -41,7 +41,6 @@ from .jet import (
     TwoForm,
     VectorField,
     differential,
-    dual_coframe,
     exterior_derivative,
     lie_bracket,
     lie_derivative_oneform,

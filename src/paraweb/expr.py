@@ -42,6 +42,8 @@ __all__ = [
     "UnassignedSymbolError",
     "EvalDomainError",
     "SubstitutionError",
+    "BudgetError",
+    "MAX_CONSTANT_DIGITS",
     "ELEMENTARY_FUNCTIONS",
     "rational",
     "integer",
@@ -92,6 +94,22 @@ class EvalDomainError(EvaluationError):
 
 class SubstitutionError(ExprError):
     pass
+
+
+class BudgetError(ExprError):
+    """A constant outgrew ``MAX_CONSTANT_DIGITS``."""
+
+
+# Digits of the numerator or denominator of one rational constant.  The
+# printer converts constants with ``str``, which refuses more than 4,300
+# digits by default; bounding every constant node keeps each report
+# printable and stops a nested power of a literal before it is built.
+MAX_CONSTANT_DIGITS = 4000
+_CONSTANT_LIMIT = 10 ** MAX_CONSTANT_DIGITS
+
+
+def _too_large() -> BudgetError:
+    return BudgetError(f"budget exceeded: constants have at most {MAX_CONSTANT_DIGITS} digits")
 
 
 class Expr:
@@ -270,7 +288,7 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
 # Constructors
 
 def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
-    """Exact rational constant p/q."""
+    """Exact rational constant p/q; ``BudgetError`` past ``MAX_CONSTANT_DIGITS``."""
     if q != 1:
         p = Fraction(p, q)
     elif type(p) is not int and not isinstance(p, Fraction):
@@ -280,6 +298,8 @@ def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
     node = _RAT_INTERN.get(ident)
     if node is not None:
         return node
+    if not -_CONSTANT_LIMIT < ident[0] < _CONSTANT_LIMIT or ident[1] >= _CONSTANT_LIMIT:
+        raise _too_large()
     node = _make(RAT, Fraction(p), ())
     return _RAT_INTERN.setdefault(ident, node)
 
@@ -509,9 +529,15 @@ def pow_int(base: Expr, n: int) -> Expr:
     if n == 1:
         return base
     if base.kind == RAT:
-        if base.payload == 0 and n < 0:
+        q = base.payload
+        if q == 0 and n < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        return rational(base.payload ** n)
+        # q^n has a part of at least |n| (bits - 1) + 1 bits: a power that
+        # must pass the limit is refused before it is computed
+        bits = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+        if abs(n) * (bits - 1) >= _CONSTANT_LIMIT.bit_length():
+            raise _too_large()
+        return rational(q ** n)
     if base.kind == MUL:
         return mul_iter(pow_int(c, n) for c in base.children)
     if base.kind == POW:

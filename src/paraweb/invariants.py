@@ -40,7 +40,6 @@ from .jet import (
     ScalingRule,
     VectorField,
     differential,
-    dual_coframe,
     lie_bracket,
     lie_derivative_oneform,
     total_derivative_field,
@@ -296,16 +295,16 @@ def beta_coefficient(
     ode: OdeProblem,
     chain: CurvatureChain | None = None,
     zero: ZeroTester = DEFAULT_TESTER,
-) -> tuple[Expr, OneForm, list[OneForm]]:
+) -> tuple[Expr, OneForm]:
     """The unique candidate (b, beta) for orders >= 4.
 
     b = (-1)^k * 2 * V^(k-3)(K_{k-1}) / binom(k+2, 3), and beta = b *
-    theta_k where theta_k is dual to V^(k); by duality beta annihilates
-    V^(i) for every i < k.  For orders 2 and 3 the coefficient is fixed
-    by scalar differential equations along the total derivative, not
+    theta_k where theta_k is dual to V^(k).  The chain is triangular:
+    V^(i) has no dx_m component for m < k - i and exactly (-1)^i on
+    dx_{k-i}, so theta_k = (-1)^k dx0, and beta annihilates V^(i) for
+    every i < k.  For orders 2 and 3 the coefficient is fixed by scalar
+    differential equations along the total derivative, not
     algebraically, so this raises ValueError there.
-
-    Returns (b, beta, theta) with theta the full dual coframe.
     """
     if ode.order < 4:
         raise ValueError("beta is algebraically determined only for order >= 4")
@@ -315,9 +314,7 @@ def beta_coefficient(
         rational(Fraction(2 * (-1) ** k, comb(k + 2, 3))),
         chain.fields[k - 3].apply(chain.curvatures[k - 1]),
     )
-    theta = dual_coframe(chain.fields[: k + 1], coords=ode.x_coords, zero=zero)
-    beta = theta[k].scaled(b)
-    return b, beta, theta
+    return b, OneForm(ode.coords, {"x0": mul(rational((-1) ** k), b)})
 
 
 def connection_forms(

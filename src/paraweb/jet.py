@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .expr import (
     ADD,
@@ -48,7 +47,6 @@ from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 __all__ = [
     "FrameError",
-    "SingularFrameError",
     "VectorField",
     "OneForm",
     "TwoForm",
@@ -62,16 +60,11 @@ __all__ = [
     "differential",
     "exterior_derivative",
     "wedge3",
-    "dual_coframe",
 ]
 
 
 class FrameError(ValueError):
     pass
-
-
-class SingularFrameError(ValueError):
-    """No generically invertible pivot could be found while inverting a frame."""
 
 
 def _clean(comps: dict) -> dict:
@@ -418,85 +411,3 @@ def wedge3(w: OneForm, eta: TwoForm) -> ThreeForm:
                     [mul(w.comp(v), eta.comp(u, z))],
                 )
     return ThreeForm(frame, comps)
-
-
-# ---------------------------------------------------------------------------
-# Dual coframes
-
-def _probably_nonzero(e: Expr, zero: ZeroTester) -> bool:
-    if e is ZERO:
-        return False
-    if e.kind == 0:  # rational constant
-        return True
-    return ZeroTester(trials=2, tolerance=zero.tolerance, seed=zero.seed).verdict(e) is Verdict.NONZERO
-
-
-def _gauss_jordan(matrix: list[list], one, zero, pivot_tests: Sequence[Callable] = ()) -> list[list]:
-    """Inverse of a square matrix by Gauss-Jordan elimination on [A | I].
-
-    The entries are Fractions or expressions: the elimination uses only
-    field arithmetic, with ``one`` and ``zero`` the units of that field.
-    ``pivot_tests`` (by default just ``!= zero``) are tried in order; a
-    column's pivot is its first entry at or below the diagonal that
-    passes the earliest test any such entry passes.  A column where none
-    passes any test makes the matrix singular.
-    """
-    n = len(matrix)
-    tests = pivot_tests or (lambda v: v != zero,)
-    a = list(matrix)  # rows are replaced below, never changed in place
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((row for test in tests for row in range(col, n) if test(a[row][col])), None)
-        if piv is None:
-            raise SingularFrameError(f"singular matrix: no usable pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = one / a[col][col]
-        a[col] = [scale * v for v in a[col]]
-        inv[col] = [scale * v for v in inv[col]]
-        for row in range(n):
-            if row == col or a[row][col] == zero:
-                continue
-            factor = a[row][col]
-            a[row] = [v - factor * p for v, p in zip(a[row], a[col])]
-            inv[row] = [v - factor * p for v, p in zip(inv[row], inv[col])]
-    return inv
-
-
-def dual_coframe(
-    fields: Sequence[VectorField],
-    coords: Sequence[str] | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> list[OneForm]:
-    """One-forms theta_i with theta_i(fields[j]) = delta_ij.
-
-    ``coords`` restricts the coframe to a sub-frame (for jet chains the
-    span of dx0..dxk: the fields must have no components outside it).
-    Pivots are chosen by a cheap randomized nonzero test, preferring exact
-    rational entries; if no usable pivot exists the matrix is reported
-    singular.
-    """
-    if not fields:
-        raise ValueError("empty frame")
-    frame = fields[0].frame
-    cols = tuple(coords) if coords is not None else frame
-    n = len(fields)
-    if len(cols) != n:
-        raise FrameError("need exactly as many coordinates as fields")
-    for f in fields:
-        for c in f.comps:
-            if c not in cols:
-                raise FrameError(f"field has a component on {c!r} outside the coframe span")
-    inv = _gauss_jordan(
-        [[f.comp(c) for c in cols] for f in fields],
-        ONE,
-        ZERO,
-        (lambda e: e.kind == 0 and e is not ZERO, lambda e: _probably_nonzero(e, zero)),
-    )
-    # Theta_i,c solves sum_c Theta_i,c A_j,c = delta_ij, i.e. Theta = (A^-1)^T read
-    # column-wise: Theta_i,c = (A^-1)_{c,i}.
-    thetas = []
-    for i in range(n):
-        comps = {cols[c]: inv[c][i] for c in range(n)}
-        thetas.append(OneForm(frame, comps))
-    return thetas

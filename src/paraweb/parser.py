@@ -8,12 +8,14 @@ Grammar (whitespace insignificant)::
     power   := atom ('^' signed-integer)?
     atom    := integer | identifier | identifier '(' expr ')' | '(' expr ')' | '@' integer
 
-Integers are unsigned digit runs; rationals are spelled ``p/q`` and fall
-out of ordinary division.  An exponent is at most ``MAX_EXPONENT`` in
-absolute value: the exact zero test raises sampled rationals to it, and
-that cost grows with the exponent.  Identifiers must be declared
-coordinates, declared opaque function names, elementary function names
-in call position, or opaque-derivative names of the form ``F_x1_x1``
+Integers are unsigned digit runs of at most ``expr.MAX_CONSTANT_DIGITS``
+digits, a bound every constant built from them keeps too (see
+``expr.rational``); rationals are spelled ``p/q`` and fall out of
+ordinary division.  An exponent is at most ``MAX_EXPONENT`` in absolute
+value: the exact zero test raises sampled rationals to it, and that cost
+grows with the exponent.  Identifiers must be declared coordinates,
+declared opaque function names, elementary function names in call
+position, or opaque-derivative names of the form ``F_x1_x1``
 (the base function name followed by one underscore-separated coordinate
 per derivative taken).  That last form is also what the printer emits, so
 parse -> print -> parse is the identity on canonical expressions.
@@ -32,6 +34,7 @@ from typing import Sequence
 
 from .expr import (
     ELEMENTARY_FUNCTIONS,
+    MAX_CONSTANT_DIGITS,
     Expr,
     div,
     fun,
@@ -195,6 +198,9 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "int":
+            # the length test keeps int() off very long digit runs
+            if len(val.lstrip("0")) > MAX_CONSTANT_DIGITS:
+                raise ParseError(f"budget exceeded: integers have at most {MAX_CONSTANT_DIGITS} digits", pos)
             return rational(int(val))
         if kind == "op" and val == "(":
             e = self.expr()
@@ -243,7 +249,9 @@ def parse_expr(text: str, ctx: Context, defs: Sequence[Expr] | None = None) -> E
 
     ``@n`` is ``defs[n-1]``.  Raises ``ParseError`` (with position) on
     syntax errors, unknown identifiers, non-integer exponents, exponents
-    beyond ``MAX_EXPONENT`` and references outside ``defs`` (every
-    reference, when ``defs`` is None).
+    beyond ``MAX_EXPONENT``, integer literals beyond
+    ``expr.MAX_CONSTANT_DIGITS`` and references outside ``defs`` (every
+    reference, when ``defs`` is None), and ``expr.BudgetError`` when a
+    constant built from the literals outgrows that bound.
     """
     return _Parser(text, ctx, defs).parse()

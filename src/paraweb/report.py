@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, TextIO
 
-from .expr import Expr, Printer, mul, rational, sub, to_string
+from .expr import BudgetError, Expr, Printer, mul, rational, sub, to_string
 from .invariants import (
     ExtractionError,
     Residual,
@@ -29,7 +29,7 @@ from .invariants import (
     gamma_k,
     wunschmann_residuals,
 )
-from .jet import FrameError, OdeProblem, SingularFrameError, total_derivative_field
+from .jet import FrameError, OdeProblem, total_derivative_field
 from .webs import (
     WebError,
     bryant_forms,
@@ -273,7 +273,7 @@ def analyze_ode(spec: ProblemSpec) -> dict:
         },
     }
     if ode.order >= 4 and wun_ok and car_ok:
-        b, beta, _theta = beta_coefficient(ode, chain, zero)
+        b, beta = beta_coefficient(ode, chain, zero)
         derived["beta_b"] = b
         derived["beta_form"] = beta.comps
 
@@ -390,10 +390,11 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     """Analyze {"problems": [...]} (or a bare problem object).
 
     Returns (report document, exit code): 0 clean, 1 if any problem had
-    an input error, 2 if the analysis of a valid problem failed (an
-    extraction failure, a web construction or base-point sampling that
-    failed, a singular frame).  Each failure is an error entry and the
-    rest of the batch still runs.
+    an input error or exceeded a budget (a constant of more than
+    ``expr.MAX_CONSTANT_DIGITS`` digits, say), 2 if the analysis of a
+    valid problem failed (an extraction failure, a web construction or
+    base-point sampling that failed).  Each failure is an error entry
+    and the rest of the batch still runs.
     """
     if isinstance(document, dict) and "problems" in document:
         raw_problems = document["problems"]
@@ -407,13 +408,13 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
         try:
             spec = ProblemSpec.from_dict(raw, defaults)
             reports.append(analyze_problem(spec))
-        except InputError as exc:
+        except (InputError, BudgetError) as exc:
             reports.append({"problem": raw, "status": "error", "error": str(exc)})
             code = max(code, 1)
         except ExtractionError as exc:
             reports.append({"problem": raw, "status": "error", "error": f"extraction failure: {exc}"})
             code = 2
-        except (WebError, FrameError, SingularFrameError) as exc:
+        except (WebError, FrameError) as exc:
             reports.append({"problem": raw, "status": "error", "error": f"analysis failure: {exc}"})
             code = 2
     return {"reports": reports}, code

@@ -52,7 +52,7 @@ from .expr import (
     rational,
     sub,
 )
-from .jet import OneForm, VectorField, _gauss_jordan, lie_bracket
+from .jet import OneForm, VectorField, lie_bracket
 from .parser import Context, parse_expr
 from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
@@ -201,15 +201,20 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-@lru_cache(maxsize=32)
-def _inverse(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a rational matrix, computed once per distinct matrix.
+def _omega_table(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    """W[m][j]: omega_m = sum_j W[m][j] dw/dx_j dx_j."""
+    per_j = [_poly_from_roots([r for r in t[:-1] if r != tj]) for tj in t[:-1]]
+    return [[(t[-1] - tj) * p[m] for tj, p in zip(t, per_j)] for m in range(len(t) - 1)]
 
-    The null-curve coefficient matrices inverted here depend only on the
-    spectral constants, so the webs of a batch share a few of them.  The
-    rows are tuples, because every caller gets the same object.
-    """
-    return tuple(map(tuple, _gauss_jordan(matrix, Fraction(1), Fraction(0))))
+
+def _null_dual(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    """D[j][i] with d/dx_j = dw/dx_j sum_i D[j][i] V_i, the inverse of the
+    null-curve coefficient matrix.  omega(s)(V(t)) = (s - t)^k makes
+    omega_m(V_i) = (-1)^i binom(k, i) when m = k - i and 0 otherwise, so
+    the coframe dual to V_i is (-1)^i omega_{k-i} / binom(k, i)."""
+    k = len(t) - 2
+    w = _omega_table(t)
+    return [[(-1) ** i * w[k - i][j] / comb(k, i) for i in range(k + 1)] for j in range(k + 1)]
 
 
 def _once(web: VeroneseWeb, key, build, *args):
@@ -226,19 +231,8 @@ def omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
 
 
 def _omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
-    k, t = web.k, web.t_params
-    per_i = []
-    for i in range(k + 1):
-        per_i.append(_poly_from_roots([t[j] for j in range(k + 1) if j != i]))
-    out = []
-    for m in range(k + 1):
-        comps = {}
-        for i in range(k + 1):
-            c = (t[k + 1] - t[i]) * per_i[i][m]
-            if c:
-                comps[f"x{i}"] = mul(rational(c), web.dw(i))
-        out.append(OneForm(web.coords, comps))
-    return tuple(out)
+    return tuple(OneForm(web.coords, {f"x{j}": mul(rational(c), web.dw(j)) for j, c in enumerate(row) if c})
+                 for row in _omega_table(web.t_params))
 
 
 def _spectral_weights(count: int, tval: Fraction, order: int) -> list[tuple[int, Fraction]]:
@@ -288,7 +282,9 @@ class NullCurve:
 
     Normalised so that omega(s)(V(t)) = (s - t)^k identically; hence
     omega^(i)(t)(V^(j)(t)) vanishes for i + j < k and equals (-1)^j k!
-    when i + j = k.
+    when i + j = k, and omega_m(V_i) is (-1)^i binom(k, i) for m = k - i
+    and 0 otherwise: the coframe dual to V_0..V_k is (-1)^i omega_{k-i} /
+    binom(k, i), read from omega's coefficients (``_null_dual``).
     """
 
     web: VeroneseWeb
@@ -529,13 +525,18 @@ def _diagonal_tables(t: tuple[Fraction, ...], start: int):
     other nodes, at the last node, minus h there: zero when h has degree
     at most k.  alpha[j] is alpha_j / (dw/dx_j): alpha(V(s)) = h(s) at the
     first k + 1 nodes is the rational system N[s][j] = c_j(s), so
-    alpha_j / (dw/dx_j) is (N^-1 h)_j.
+    alpha_j / (dw/dx_j) is (N^-1 h)_j.  N[n][j] = sum_i s_n^i r[i][j] with
+    r the null-curve coefficient matrix, so N^-1 = D L with D of
+    ``_null_dual`` and L[i][n] the s^i coefficient of node n's Lagrange
+    basis polynomial.
     """
     *inner, at = nodes = _spectral_nodes(t, len(t), start)
     hs = [_bracket_h(t, s) for s in nodes]
-    weights = [prod((at - r) / (n - r) for r in inner if r != n) for n in inner]
-    dinv = _gauss_jordan([_null_values(t, s) for s in inner], Fraction(1), Fraction(0))
-    return _matmul([weights + [-1]], hs)[0], _matmul(dinv, hs[:-1])
+    others = [[r for r in inner if r != n] for n in inner]
+    scales = [prod(n - r for r in rest) for n, rest in zip(inner, others)]
+    weights = [prod(at - r for r in rest) / d for rest, d in zip(others, scales)]
+    lagrange = [[c / d for c in _poly_from_roots(rest)] for rest, d in zip(others, scales)]
+    return _matmul([weights + [-1]], hs)[0], _matmul(_matmul(_null_dual(t), list(zip(*lagrange))), hs[:-1])
 
 
 def _bracket_sum(coeffs: Sequence[Fraction], basis: list[Expr]) -> Expr:
@@ -676,7 +677,7 @@ def _paraconformal_christoffels(
         if i + 1 <= k:
             psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
 
-    rinv = _inverse(nc.coefficient_matrix())
+    rinv = _null_dual(web.t_params)
     # d/dx_b = sum_i xi[b][i] V_i with xi[b][i] = dw/dx_b * rinv[b][i]
     xi = [[mul(web.dw(b), rational(rinv[b][i])) for i in range(k + 1)] for b in range(k + 1)]
 
@@ -942,14 +943,12 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
     if not is_hirota_solution(web, zero):
         raise NotAWebError("the function does not satisfy the Hirota system")
     nc = null_curve(web)
-    rinv = _inverse(nc.coefficient_matrix())
+    rinv = _null_dual(web.t_params)
     # eta_l = sum_j dw/dx_j rinv[j][l] dx_j  (dual to the V-frame)
-    eta = []
-    for l in range(4):
-        comps = {
-            f"x{j}": mul(web.dw(j), rational(rinv[j][l])) for j in range(4) if rinv[j][l]
-        }
-        eta.append(OneForm(web.coords, comps))
+    eta = tuple(
+        OneForm(web.coords, {f"x{j}": mul(web.dw(j), rational(row[l])) for j, row in enumerate(rinv) if row[l]})
+        for l in range(4)
+    )
     c: dict[tuple[int, int, int], Expr] = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -992,7 +991,7 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
         .plus(eta[3].scaled(neg(cc(0, 3, 0))))
     )
     table = _paraconformal_christoffels(web, nc, alpha, [beta0, beta1, beta2])
-    return BryantForms(web, c, tuple(eta), beta0, beta1, beta2, alpha, table)
+    return BryantForms(web, c, eta, beta0, beta1, beta2, alpha, table)
 
 
 def bryant_torsion_residuals(

@@ -1,6 +1,6 @@
 """Shared fixtures: the seeded web corpus, numeric helpers, and the
-checks ``expand``, ``lax_commutes`` and ``zakharevich_oracle`` that only
-tests use."""
+checks ``expand``, ``lax_commutes``, ``zakharevich_oracle`` and
+``dual_coframe_oracle`` that only tests use."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from paraweb.expr import (
     POW,
     RAT,
     SYM,
+    ZERO,
     Expr,
     add_iter,
     eval_numeric,
@@ -24,8 +25,9 @@ from paraweb.expr import (
     fun,
     mul,
     pow_int,
+    sub,
 )
-from paraweb.jet import ThreeForm, exterior_derivative, wedge3
+from paraweb.jet import OneForm, ThreeForm, VectorField, exterior_derivative, wedge3
 from paraweb.report import ProblemSpec, analyze_web
 from paraweb.webs import VeroneseWeb, _spectral_nodes, lax_commutator_residuals, omega_at
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
@@ -196,3 +198,26 @@ def zakharevich_oracle(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> b
         for tval in _spectral_nodes(web.t_params, web.k + 3)
         for e in omega_wedge_d_omega(web, tval).comps.values()
     )
+
+
+def dual_coframe_oracle(fields: list[VectorField], coords, zero: ZeroTester = DEFAULT_TESTER) -> list[OneForm]:
+    """One-forms theta_i with theta_i(fields[j]) = delta_ij on the span of
+    ``coords``, by Gauss-Jordan elimination of the component matrix
+    A[i][c] = fields[i]^c; each column's pivot is its first remaining
+    entry that the zero test calls nonzero.  theta_i^c = (A^-1)[c][i]."""
+    n = len(fields)
+    a = [[f.comp(c) for c in coords] for f in fields]
+    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if zero.verdict(a[r][col]) is Verdict.NONZERO)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = pow_int(a[col][col], -1)
+        a[col] = [mul(scale, v) for v in a[col]]
+        inv[col] = [mul(scale, v) for v in inv[col]]
+        for r in range(n):
+            factor = a[r][col]
+            if r != col and factor is not ZERO:
+                a[r] = [sub(v, mul(factor, p)) for v, p in zip(a[r], a[col])]
+                inv[r] = [sub(v, mul(factor, p)) for v, p in zip(inv[r], inv[col])]
+    return [OneForm(fields[0].frame, {c: inv[ci][i] for ci, c in enumerate(coords)}) for i in range(n)]

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraweb.expr import (
+    MAX_CONSTANT_DIGITS,
+    BudgetError,
     EvalDomainError,
     UnassignedSymbolError,
     ZERO,
@@ -101,6 +103,23 @@ class TestParsing:
         for text in ("x1^1001", "x1^-1001", "x1^100000000", "2^" + "9" * 5000):
             with pytest.raises(ParseError, match="budget exceeded"):
                 p(text)
+
+    def test_constant_bound(self):
+        # Every constant has at most MAX_CONSTANT_DIGITS digits: a longer
+        # literal is a parse error, and a longer power or product of
+        # literals is refused as it is built, a nested power before it is
+        # computed.
+        largest = 10 ** MAX_CONSTANT_DIGITS - 1
+        assert p("9" * MAX_CONSTANT_DIGITS + "*x1") is mul(rational(largest), sym("x1"))
+        assert p("00" + "9" * MAX_CONSTANT_DIGITS) is rational(largest)
+        assert p("x1/" + "9" * MAX_CONSTANT_DIGITS) is mul(rational(Fraction(1, largest)), sym("x1"))
+        with pytest.raises(ParseError, match="budget exceeded"):
+            p("1" + "0" * MAX_CONSTANT_DIGITS)
+        for text in ("(10^1000)^4", "(1/10^1000)^4", "9" * MAX_CONSTANT_DIGITS + "*10*x1",
+                     "((10^1000)^1000)^1000"):
+            with pytest.raises(BudgetError, match="budget exceeded"):
+                p(text)
+        assert p("(10^999)^4") is rational(10 ** 3996)
 
 
     def test_references_resolve_to_earlier_definitions(self):

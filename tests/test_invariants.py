@@ -35,7 +35,7 @@ from paraweb.invariants import (
     gamma_k,
     wunschmann_residuals,
 )
-from paraweb.jet import OdeProblem, OneForm, ScalingRule, dual_coframe, total_derivative_field
+from paraweb.jet import OdeProblem, OneForm, ScalingRule, total_derivative_field
 from paraweb.report import (
     CLASS_TOTALLY_GEODESIC,
     CLASS_WUNSCHMANN_ONLY,
@@ -45,7 +45,7 @@ from paraweb.report import (
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import expand
+from conftest import dual_coframe_oracle, expand
 
 ZT = ZeroTester()
 
@@ -310,7 +310,7 @@ class TestBeta:
     def test_order4_coefficient(self):
         ode = OdeProblem.abstract(4)
         chain = curvature_chain(ode, ZT)
-        b, beta, theta = beta_coefficient(ode, chain, ZT)
+        b, beta = beta_coefficient(ode, chain, ZT)
         want = mul(rational(Fraction(-1, 5)), chain.fields[0].apply(chain.curvatures[2]))
         assert expand(sub(b, want)) is ZERO
         for i in range(3):
@@ -321,13 +321,24 @@ class TestBeta:
         # binom(6,3) = 20 and sign (-1)^4: b = V'(K3)/10
         ode = OdeProblem.abstract(5)
         chain = curvature_chain(ode, ZT)
-        b, beta, _ = beta_coefficient(ode, chain, ZT)
+        b, beta = beta_coefficient(ode, chain, ZT)
         want = mul(rational(Fraction(1, 10)), chain.fields[1].apply(chain.curvatures[3]))
         assert ZT.verdict(sub(b, want)) is Verdict.ZERO
 
+    def test_order4_nonzero_coefficient(self):
+        # x^(4) = 5 (x^(3))^2 / (3 x^(2)) is totally geodesic with b = -x3/(3 x2^2)
+        ode = OdeProblem.from_rhs(4, "5*x3^2/(3*x2)")
+        chain = curvature_chain(ode, ZT)
+        b, beta = beta_coefficient(ode, chain, ZT)
+        x2, x3 = sym("x2"), sym("x3")
+        assert ZT.verdict(add(b, mul(rational(Fraction(1, 3)), x3, pow_int(x2, -2)))) is Verdict.ZERO
+        for i in range(3):
+            assert ZT.verdict(beta(chain.fields[i])) is Verdict.ZERO, i
+        assert ZT.verdict(sub(beta(chain.fields[3]), b)) is Verdict.ZERO
+
     def test_trivial_equation_beta_vanishes(self):
         ode = OdeProblem.from_rhs(4, "0")
-        b, beta, _ = beta_coefficient(ode, zero=ZT)
+        b, beta = beta_coefficient(ode, zero=ZT)
         assert b is ZERO and beta.comps == {}
 
 
@@ -364,7 +375,7 @@ class TestConnection:
         ode = OdeProblem(4, ctx, ctx.opaque_symbol("F"))
         chain = curvature_chain(ode, ZT)
         x = total_derivative_field(ode)
-        theta = dual_coframe(chain.fields[:4], coords=ode.x_coords, zero=ZT)
+        theta = dual_coframe_oracle(chain.fields[:4], ode.x_coords, ZT)
         b = ctx.opaque_symbol("b")
         beta = theta[3].scaled(b)
         alpha = OneForm(ode.coords, {})
@@ -394,7 +405,7 @@ class TestConnection:
         for order in (4, 5):
             ode = OdeProblem.abstract(order)
             chain = curvature_chain(ode, ZT)
-            _, beta, _ = beta_coefficient(ode, chain, ZT)
+            _, beta = beta_coefficient(ode, chain, ZT)
             res = {r.name: r for r in connection_residuals(
                 ode, OneForm(ode.coords, {}), beta, chain, ZT)}
             name = f"beta-equation[V^({ode.k - 3})]"

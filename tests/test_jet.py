@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from paraweb.expr import ZERO, div, mul, neg, rational, sub, sym
+from paraweb.expr import ZERO, div, neg, rational, sub, sym
 from paraweb.jet import (
     FrameError,
     OdeProblem,
@@ -15,7 +15,6 @@ from paraweb.jet import (
     ScalingRule,
     VectorField,
     differential,
-    dual_coframe,
     exterior_derivative,
     lie_bracket,
     lie_derivative_oneform,
@@ -26,7 +25,7 @@ from paraweb.parser import parse_expr
 from paraweb.webs import make_web, omega_at
 from paraweb.zerotest import Verdict, ZeroTester
 
-from conftest import expand
+from conftest import dual_coframe_oracle, expand
 
 ZT = ZeroTester()
 
@@ -180,22 +179,14 @@ class TestForms:
 
 
 class TestDualCoframe:
-    def test_coordinate_frame(self):
-        ode = OdeProblem.abstract(2)
-        fields = [
-            VectorField(ode.coords, {"x0": rational(1)}),
-            VectorField(ode.coords, {"x1": rational(1)}),
-        ]
-        thetas = dual_coframe(fields, coords=("x0", "x1"))
-        assert thetas[0].comps == {"x0": rational(1)}
-        assert thetas[1].comps == {"x1": rational(1)}
-
+    # The coframe dual to the chain, from the test-side elimination: the
+    # form dual to V^(k) is the (-1)^k dx0 that beta_coefficient uses.
     def test_triangular_chain_trivial_equation(self):
         from paraweb.invariants import curvature_chain
 
         ode = OdeProblem.from_rhs(4, "0")
         chain = curvature_chain(ode, ZT)
-        thetas = dual_coframe(chain.fields[:4], coords=ode.x_coords)
+        thetas = dual_coframe_oracle(chain.fields[:4], ode.x_coords, ZT)
         # V^(i) = (-1)^i d/dx(k-i), so theta_i = (-1)^i dx(k-i)
         for i, th in enumerate(thetas):
             assert th.comps == {f"x{3 - i}": rational((-1) ** i)}
@@ -203,33 +194,42 @@ class TestDualCoframe:
     def test_duality_for_generic_third_order(self):
         from paraweb.invariants import curvature_chain
 
-        ode = OdeProblem.abstract(3)
-        chain = curvature_chain(ode, ZT)
-        thetas = dual_coframe(chain.fields[:3], coords=ode.x_coords)
-        for i in range(3):
-            for j in range(3):
-                val = thetas[i](chain.fields[j])
-                expected = rational(1) if i == j else ZERO
-                assert ZT.verdict(sub(val, expected)) is Verdict.ZERO
+        for order in (3, 4, 5):
+            ode = OdeProblem.abstract(order)
+            k = ode.k
+            chain = curvature_chain(ode, ZT)
+            thetas = dual_coframe_oracle(chain.fields[:k + 1], ode.x_coords, ZT)
+            for i in range(k + 1):
+                for j in range(k + 1):
+                    val = thetas[i](chain.fields[j])
+                    expected = rational(1) if i == j else ZERO
+                    assert ZT.verdict(sub(val, expected)) is Verdict.ZERO, (order, i, j)
+            assert thetas[k].comps == {"x0": rational((-1) ** k)}, order
 
-    def test_singular_matrix_rejected(self):
-        from paraweb.jet import SingularFrameError
 
-        ode = OdeProblem.abstract(2)
-        fields = [
-            VectorField(ode.coords, {"x0": sym("x1")}),
-            VectorField(ode.coords, {"x0": mul(rational(2), sym("x1"))}),
-        ]
-        with pytest.raises(SingularFrameError):
-            dual_coframe(fields, coords=("x0", "x1"))
+# Concrete right-hand sides of orders 2..10, the grammar's ceiling.
+CONCRETE_RHS = [
+    (2, "x1^2/x0 + t"),
+    (3, "x2^3"),
+    (4, "5*x3^2/(3*x2)"),
+    (5, "5*x4^2/(4*x3)"),
+    (6, "x5^2*x1 + exp(x0)"),
+    (7, "t*x6 + x0*x1*x5"),
+    (8, "x7^3/(x6 + 1)"),
+    (9, "sin(x8) + x2*x3"),
+    (10, "x9^2/x8 + x0*x9"),
+]
 
 
 class TestChainTriangularity:
     def test_leading_components(self):
         from paraweb.invariants import curvature_chain
 
-        for order in (3, 5):
-            ode = OdeProblem.abstract(order)
+        # V^(i) has no dx_m component for m < k - i and exactly (-1)^i on
+        # dx_{k-i}: the triangularity that fixes the dual of V^(k).
+        odes = [OdeProblem.abstract(order) for order in range(2, 8)]
+        odes += [OdeProblem.from_rhs(order, rhs) for order, rhs in CONCRETE_RHS]
+        for ode in odes:
             k = ode.k
             chain = curvature_chain(ode, ZT)
             for i in range(k + 1):

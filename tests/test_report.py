@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from paraweb.cli import main as cli_main
-from paraweb.jet import FrameError, SingularFrameError
+from paraweb.jet import FrameError
 from paraweb.report import (
     MAX_TRIALS,
     InputError,
@@ -272,7 +272,7 @@ class TestBatchAndCli:
         assert entry["verdicts"]["lax"]
 
     @pytest.mark.parametrize("error", [
-        InterpolationError, NotAWebError, WebError, FrameError, SingularFrameError])
+        InterpolationError, NotAWebError, WebError, FrameError])
     def test_analysis_failures_exit_2(self, monkeypatch, error):
         import paraweb.report as report_mod
 
@@ -344,6 +344,29 @@ class TestBatchAndCli:
         data = json.loads(out.read_text(encoding="utf-8"))
         assert [r["status"] for r in data["reports"]] == ["ok", "error"]
         assert data["reports"][1]["error"].startswith("budget exceeded: ")
+
+    @pytest.mark.parametrize("w", [
+        "(10^40)^1000*x0 + x1 + x2",
+        "C*x0*x1 + C*x1*x2 + x0 + x2".replace("C", "9" * 3000),
+    ], ids=["nested-power", "squared-in-hirota"])
+    def test_huge_integer_constant_is_an_error_entry(self, tmp_path, w):
+        # Unbounded, the printer met a constant of more than 4,300 digits
+        # (10^40000, or the square of the 3,000-digit constant in a Hirota
+        # residual), raised past the int-to-str digit limit, and the CLI
+        # wrote no report at all.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_text(json.dumps({"problems": [
+            {"kind": "web", "k": 2, "w": "x0+x1+x2"},
+            {"kind": "web", "k": 2, "w": w},
+            {"kind": "ode", "order": 3, "rhs": "0"},
+        ]}), encoding="utf-8")
+        start = time.monotonic()
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        assert time.monotonic() - start < 5
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["status"] for r in data["reports"]] == ["ok", "error", "ok"]
+        assert "budget exceeded: constants have at most 4000 digits" in data["reports"][1]["error"]
 
     def test_trials_beyond_the_budget_is_an_error_entry(self, tmp_path):
         # Unbounded, the zero test would draw this many points per

@@ -244,25 +244,30 @@ class TestWebObjects:
         assert rep["verdicts"]["hirota"] and "flat" in rep["verdicts"]
         assert sorted(built) == ["_canonical_connection", "_hirota_residuals"]
 
-    def test_each_spectral_matrix_is_inverted_once(self, monkeypatch):
-        # A k = 3 report inverts the node matrix of its connection's tables
-        # and the null-curve coefficient matrix, which the Bryant forms and
-        # their Christoffel table share, once each.  Another web with the
-        # same spectral constants inverts neither again.
-        calls = []
+    def test_null_dual_is_read_not_inverted(self, monkeypatch):
+        # A k = 3 report reads the dual of the null frame from omega's
+        # coefficients for its connection tables, the Bryant coframe and
+        # the Bryant Christoffel table; another web with the same spectral
+        # constants reuses the tables.  Each read is the exact inverse of
+        # the null-curve coefficient matrix r: sum_j r[i][j] D[j][l] is 1
+        # when i = l and 0 otherwise.
+        reads = []
 
-        def counting(matrix, one, zero, *rest, _real=webs_mod._gauss_jordan):
-            calls.append(len(matrix))
-            return _real(matrix, one, zero, *rest)
+        def recording(t, _real=webs_mod._null_dual):
+            reads.append(_real(t))
+            return reads[-1]
 
-        monkeypatch.setattr(webs_mod, "_gauss_jordan", counting)
-        webs_mod._inverse.cache_clear()
+        monkeypatch.setattr(webs_mod, "_null_dual", recording)
         webs_mod._diagonal_tables.cache_clear()
         rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": NONFLAT_W[3]}))
         assert "bryant" in rep["derived"] and rep["derived"]["connection"]["type"] == "diagonal"
-        assert calls == [4, 4]
+        assert len(reads) == 3
         analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
-        assert calls == [4, 4]
+        assert len(reads) == 5
+        r = null_curve(make_web(3, NONFLAT_W[3])).coefficient_matrix()
+        for d in reads:
+            assert [[sum(r[i][j] * d[j][l] for j in range(4)) for l in range(4)] for i in range(4)] == \
+                [[int(i == l) for l in range(4)] for i in range(4)]
 
     def test_cache_is_per_instance(self):
         w = "x0 + x1^2/2 + x2"
