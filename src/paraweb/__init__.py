@@ -5,9 +5,9 @@ The expression kernel (exact rationals, opaque derivative symbols,
 randomized zero testing) lives in ``expr``/``parser``/``zerotest``; jet
 space geometry in ``jet``; the curvature chain and Wunschmann/Cartan
 invariants in ``invariants``; the Veronese web side (Hirota system, Lax
-tuple, canonical and Bryant connections, Einstein-Weyl data,
-Ricci-null samples) in ``webs``; batch analysis and the JSON report
-schema in ``report``/``cli``.
+tuple, canonical and Bryant connections, Einstein-Weyl data) in
+``webs``; batch analysis and the JSON report schema in
+``report``/``cli``.
 """
 
 from .expr import (
@@ -71,11 +71,8 @@ from .webs import (
     flatness_verdict,
     hirota_residuals,
     lax_commutator_residuals,
-    lax_tuple,
     make_web,
     null_curve,
-    omega_at,
-    ricci_null_residuals,
     torsion,
     zakharevich_verdict,
 )

@@ -40,7 +40,6 @@ from .webs import (
     hirota_residuals,
     lax_commutator_residuals,
     make_web,
-    ricci_null_residuals,
     weyl_form_from_connection,
     zakharevich_verdict,
 )
@@ -289,7 +288,7 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 
 def analyze_web(spec: ProblemSpec) -> dict:
     """Run the web pipeline: Hirota/Lax/Zakharevich verdicts, then (for
-    solutions) connection data, flatness and the Ricci-null maximum."""
+    solutions) connection data and flatness."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -323,7 +322,8 @@ def analyze_web(spec: ProblemSpec) -> dict:
         "lax": all(v is Verdict.ZERO for _, v in lr.values()),
         "zakharevich": zakharevich_verdict(web, zero),
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
-        # (see lax_tuple), so this holds for every web candidate.
+        # (L_i(t) = base + t * direction, see webs._lax_pencil), so this
+        # holds for every web candidate.
         "pencil_affine": True,
     }
     derived: dict[str, Any] = {
@@ -361,15 +361,14 @@ def analyze_web(spec: ProblemSpec) -> dict:
                     ("alpha", bf.alpha),
                 )
             }
-        if conn.kind == "diagonal":
-            # The only nonzero symbols are Gamma(a, b, b) = d_a ln(dw/dx_b) +
-            # alpha_a, so Ric_bc = d_c alpha_b - d_b alpha_c is antisymmetric
-            # and Ric(V, V) = 0 for every V and t (proved by
-            # tests/test_webs.py::TestRicci::test_diagonal_ricci_is_d_alpha).
-            derived["ricci_null_max"] = 0.0
-        else:
-            ric = ricci_null_residuals(web, conn, seed=spec.seed)
-            derived["ricci_null_max"] = max(ric)
+        # Ric(V(t), V(t)) = 0 for every t on every Hirota solution, so the
+        # key is kept for the schema's sake only.  For a diagonal connection
+        # the only nonzero symbols are Gamma(a, b, b) = d_a ln(dw/dx_b) +
+        # alpha_a, so Ric_bc = d_c alpha_b - d_b alpha_c is antisymmetric.
+        # At k = 2 the Weyl connection is Einstein-Weyl (Veronese webs give
+        # the hyper-CR Einstein-Weyl structures) and the null vectors V(t)
+        # sweep its null cone.  tests/test_webs.py::TestRicci proves both.
+        derived["ricci_null_max"] = 0.0
 
     return _render({
         "problem": spec.echo(),
@@ -392,8 +391,9 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     Returns (report document, exit code): 0 clean, 1 if any problem had
     an input error or exceeded a budget (a constant of more than
     ``expr.MAX_CONSTANT_DIGITS`` digits, say), 2 if the analysis of a
-    valid problem failed (an extraction failure, a web construction or
-    base-point sampling that failed).  Each failure is an error entry
+    valid problem failed (an extraction failure, or a web construction
+    that failed after validation, such as the bracket function breaking
+    its degree bound).  Each failure is an error entry
     and the rest of the batch still runs.
     """
     if isinstance(document, dict) and "problems" in document:

@@ -1,5 +1,5 @@
 """Veronese webs: Hirota system, Lax tuple, canonical connections,
-Einstein-Weyl data, Bryant forms and Ricci-null samples.
+Einstein-Weyl data and Bryant forms.
 
 A web on a (k+1)-manifold is presented by a function w(x0..xk) and k+2
 pairwise distinct spectral constants t_0..t_{k+1}: the foliation at the
@@ -27,7 +27,6 @@ the spectral constants.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +43,6 @@ from .expr import (
     add_iter,
     differentiate,
     div,
-    eval_numeric,
-    free_symbols,
     mul,
     neg,
     pow_int,
@@ -54,7 +51,7 @@ from .expr import (
 )
 from .jet import OneForm, VectorField, lie_bracket
 from .parser import Context, parse_expr
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
+from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 __all__ = [
     "WebError",
@@ -67,13 +64,11 @@ __all__ = [
     "BryantForms",
     "web_context",
     "make_web",
-    "omega_at",
     "omega_coefficient_forms",
     "null_curve",
     "hirota_residuals",
     "is_hirota_solution",
     "eq1_residuals",
-    "lax_tuple",
     "lax_commutator_residuals",
     "canonical_connection",
     "torsion",
@@ -82,8 +77,6 @@ __all__ = [
     "weyl_form_from_connection",
     "weyl_compatibility_residuals",
     "bryant_torsion_residuals",
-    "ricci_tensor",
-    "ricci_null_residuals",
     "bryant_forms",
     "zakharevich_verdict",
 ]
@@ -271,11 +264,6 @@ def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
     return type(coeffs[0])(frame, comps)
 
 
-def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:
-    """omega(t), or its order-th t-derivative, at an exact rational t."""
-    return _spectral_at(omega_coefficient_forms(web), tval, order)
-
-
 @dataclass(frozen=True)
 class NullCurve:
     """The polynomial family V(t) = V_0 + t V_1 + ... + t^k V_k dual to omega.
@@ -289,29 +277,21 @@ class NullCurve:
 
     web: VeroneseWeb
     fields: tuple[VectorField, ...] = field(init=False)
-    _matrix: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j, with the coefficient matrix
+        # r[i][j] = (-1)^i binom(k, i) t_j^(k-i) / den_j
         web = self.web
         k, t = web.k, web.t_params
         denominators = _null_denominators(t)
-        matrix = tuple(
-            tuple(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j] for j in range(k + 1))
+        fields = tuple(
+            VectorField(web.coords, {
+                f"x{j}": mul(rational(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j]),
+                             pow_int(web.dw(j), -1))
+                for j in range(k + 1)})
             for i in range(k + 1)
         )
-        fields = tuple(
-            VectorField(web.coords, {f"x{j}": mul(rational(c), pow_int(web.dw(j), -1))
-                                     for j, c in enumerate(row)})
-            for row in matrix
-        )
-        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "fields", fields)
-
-    def coefficient_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rational parts r[i][j]: V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j.
-
-        Computed once per null curve; the rows are immutable."""
-        return self._matrix
 
     def at(self, tval: Fraction, order: int = 0) -> VectorField:
         """V(t), or its order-th t-derivative, at an exact rational t."""
@@ -415,12 +395,6 @@ def _lax_pencil(web: VeroneseWeb) -> list[tuple[VectorField, VectorField]]:
         direction = VectorField(web.coords, {"x0": neg(ratio), f"x{i}": rational(web.a_i(i))})
         out.append((base, direction))
     return out
-
-
-def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
-    """L_1(t)..L_k(t), tangent to the web foliation at spectral value t."""
-    t = rational(Fraction(tval))
-    return [base.plus(direction.scaled(t)) for base, direction in _lax_pencil(web)]
 
 
 def lax_commutator_residuals(
@@ -811,101 +785,6 @@ def weyl_compatibility_residuals(
                     mul(phi.comp(a), _metric_comp(g, b, c)),
                 )
                 out[(a, b, c)] = (e, zero.verdict(e))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Ricci curvature
-
-def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
-    """Ric(Y, Z) = trace(X -> R(X, Y) Z) of a web connection, componentwise."""
-    web = conn.web
-    coords = web.coords
-    gam = {
-        (a, b, c): conn.christoffel(a, b, c)
-        for a in coords
-        for b in coords
-        for c in coords
-    }
-    out = {}
-    # A term with a zero factor adds nothing to the (sorted) sum, so it is
-    # never built: a diagonal connection has (k+1)^2 nonzero symbols of
-    # (k+1)^3.
-    for b in coords:
-        for c in coords:
-            terms, minus = [], []
-            for a in coords:
-                if gam[(b, c, a)] is not ZERO:
-                    terms.append(differentiate(gam[(b, c, a)], a))
-                if gam[(a, c, a)] is not ZERO:
-                    minus.append(differentiate(gam[(a, c, a)], b))
-                for m in coords:
-                    if gam[(a, m, a)] is not ZERO and gam[(b, c, m)] is not ZERO:
-                        terms.append(mul(gam[(a, m, a)], gam[(b, c, m)]))
-                    if gam[(b, m, a)] is not ZERO and gam[(a, c, m)] is not ZERO:
-                        minus.append(mul(gam[(b, m, a)], gam[(a, c, m)]))
-            out[(b, c)] = add_iter(terms, minus)
-    return out
-
-
-def _base_point_values(rng: random.Random, symbols, evaluate):
-    """``evaluate`` at a pole-free random base point: 40 attempts in the box
-    of numerators -8..8 over denominators 4..12, then 40 in the box of
-    numerators -64..64 over 4..12 (|x| <= 16), which reaches webs defined
-    only away from the origin."""
-    for bound in (8, 64):
-        values = _pole_free(
-            lambda: {s: Fraction(rng.randint(-bound, bound), rng.randint(4, 12)) for s in symbols},
-            evaluate, 40,
-        )
-        if values is not None:
-            return values
-    raise WebError("could not sample a pole-free base point")
-
-
-def ricci_null_residuals(web: VeroneseWeb, conn: WebConnection, seed: int = 0) -> list[float]:
-    """|Ric(V(t), V(t))| at the 2k+1 spectral nodes t and at four random
-    base points (small rationals, resampled on poles).  All values should
-    sit at numerical zero for a genuine web.  The report samples only the
-    k = 2 Weyl connection: for a diagonal connection Ric is antisymmetric,
-    so its maximum is exactly 0.0.
-    """
-    k = web.k
-    ric = ricci_tensor(conn)
-    nc = null_curve(web)
-    tvals = _spectral_nodes(web.t_params, 2 * k + 1)
-    rng = random.Random(seed)
-    symbols = set()
-    for e in ric.values():
-        symbols.update(free_symbols(e))
-    for f in nc.fields:
-        for e in f.comps.values():
-            symbols.update(free_symbols(e))
-    symbols = sorted(symbols, key=lambda s: s.key)
-
-    def evaluate(env):
-        # One memo for the point: the components share most of their nodes.
-        memo: dict = {}
-        ric_num = {key: float(eval_numeric(e, env, memo)) for key, e in ric.items()}
-        v_num = {
-            i: {c: float(eval_numeric(e, env, memo)) for c, e in nc.fields[i].comps.items()}
-            for i in range(k + 1)
-        }
-        return ric_num, v_num
-
-    out = []
-    for _ in range(4):
-        ric_num, v_num = _base_point_values(rng, symbols, evaluate)
-        for tval in tvals:
-            t = float(tval)
-            vt = {c: 0.0 for c in web.coords}
-            for i in range(k + 1):
-                for c, val in v_num[i].items():
-                    vt[c] += t ** i * val
-            acc = 0.0
-            for (b, c), val in ric_num.items():
-                acc += val * vt[b] * vt[c]
-            out.append(abs(acc))
     return out
 
 

@@ -29,8 +29,10 @@ from paraweb.expr import (
 )
 from paraweb.jet import OneForm, ThreeForm, VectorField, exterior_derivative, wedge3
 from paraweb.report import ProblemSpec, analyze_web
-from paraweb.webs import VeroneseWeb, _spectral_nodes, lax_commutator_residuals, omega_at
+from paraweb.webs import VeroneseWeb, _spectral_nodes, lax_commutator_residuals
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
+
+from oracles import omega_at
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
 # (0, 1, ..., k+1) the two-exponential ansatz

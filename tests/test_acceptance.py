@@ -75,7 +75,7 @@ from conftest import (
     sample_point,
     zakharevich_oracle,
 )
-from oracles import schouten_components
+from oracles import RICCI_NULL_NODES, ricci_null_value, ricci_tensor, schouten_components
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
     closed_forms_order2,
@@ -286,11 +286,15 @@ def test_criterion_6_einstein_weyl_structures(corpus):
                 assert abs(_fd_ricci_value(conn, env, vt)) < 1e-7
         tested += 1
     assert tested >= 2
-    # the non-separable exponential solution passes the same checks
+    # the non-separable exponential solution passes the same checks, and
+    # Ric(V(t), V(t)), of degree at most 4 in t, is exactly zero at five t
     web = make_web(2, NONFLAT_W[2])
     conn = canonical_connection(web, ZT)
     res = weyl_compatibility_residuals(web, conn, zero=ZT)
     assert all(v is Verdict.ZERO for _, v in res.values())
+    ric, exact = ricci_tensor(conn), ZeroTester(trials=8, tolerance=0)
+    for tv in RICCI_NULL_NODES:
+        assert exact.verdict(ricci_null_value(conn, ric, tv)) is Verdict.ZERO, tv
     _passed(6, "k = 2 Einstein-Weyl data: Weyl condition, null cone, Ricci")
 
 

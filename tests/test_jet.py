@@ -22,10 +22,11 @@ from paraweb.jet import (
     wedge3,
 )
 from paraweb.parser import parse_expr
-from paraweb.webs import make_web, omega_at
+from paraweb.webs import make_web
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
+from oracles import omega_at
 
 ZT = ZeroTester()
 

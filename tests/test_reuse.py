@@ -1,50 +1,37 @@
 """Work done once per problem on the web path gives what recomputing gives.
 
 The oracles here are the straightforward versions: the Ricci tensor with
-every Christoffel product built, each Ricci component evaluated with its
-own memo at base points drawn from the small box only, and every zero
-test sampled by a fresh tester.
+every Christoffel product built, and every zero test sampled by a fresh
+tester.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import random
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import paraweb.webs as webs_mod
 import paraweb.zerotest as zerotest_mod
-from paraweb.expr import (
-    ZERO,
-    _evaluate,
-    add_iter,
-    differentiate,
-    eval_numeric,
-    free_symbols,
-    mul,
-    neg,
-)
+from paraweb.expr import ZERO, _evaluate, add_iter, differentiate, mul, neg
 from paraweb.report import ProblemSpec, analyze_batch, analyze_web
 from paraweb.webs import (
     WebConnection,
-    _spectral_nodes,
     bryant_forms,
     canonical_connection,
     hirota_residuals,
     make_web,
     null_curve,
     omega_coefficient_forms,
-    ricci_null_residuals,
-    ricci_tensor,
 )
-from paraweb.zerotest import DEFAULT_TESTER, ZeroTester, _pole_free
+from paraweb.zerotest import DEFAULT_TESTER, ZeroTester
 
+import oracles
 from conftest import NONFLAT_W, zakharevich_oracle
+from oracles import coefficient_matrix, ricci_tensor
 
 DATA = Path(__file__).parent / "data"
 ZT = ZeroTester()
@@ -80,43 +67,6 @@ def _ricci_with_zero_terms(conn: WebConnection) -> dict:
     return out
 
 
-def _ricci_null_per_component(web, conn, point_samples: int = 4, seed: int = 0) -> list[float]:
-    """|Ric(V(t), V(t))| with one memo per component and per field
-    component, base points from numerators -8..8 over 4..12 only."""
-    k = web.k
-    ric = _ricci_with_zero_terms(conn)
-    fields = null_curve(web).fields
-    tvals = _spectral_nodes(web.t_params, 2 * k + 1)
-    rng = random.Random(seed)
-    symbols = set()
-    for e in ric.values():
-        symbols.update(free_symbols(e))
-    for f in fields:
-        for e in f.comps.values():
-            symbols.update(free_symbols(e))
-    symbols = sorted(symbols, key=lambda s: s.key)
-
-    def evaluate(env):
-        ric_num = {key: float(eval_numeric(e, env)) for key, e in ric.items()}
-        v_num = [{c: float(eval_numeric(e, env)) for c, e in f.comps.items()} for f in fields]
-        return ric_num, v_num
-
-    out = []
-    for _ in range(point_samples):
-        values = _pole_free(
-            lambda: {s: Fraction(rng.randint(-8, 8), rng.randint(4, 12)) for s in symbols}, evaluate, 40)
-        assert values is not None
-        ric_num, v_num = values
-        for tval in tvals:
-            t = float(tval)
-            vt = {c: 0.0 for c in web.coords}
-            for i, comps in enumerate(v_num):
-                for c, val in comps.items():
-                    vt[c] += t ** i * val
-            out.append(abs(sum(val * vt[b] * vt[c] for (b, c), val in ric_num.items())))
-    return out
-
-
 def _connections(k: int, w: str) -> list[WebConnection]:
     web = make_web(k, w)
     conns = [canonical_connection(web, ZT)]
@@ -142,17 +92,9 @@ class TestRicci:
             return mul(*factors)
 
         conn = canonical_connection(make_web(4, NONFLAT_W[4]), ZT)
-        monkeypatch.setattr(webs_mod, "mul", recording_mul)
+        monkeypatch.setattr(oracles, "mul", recording_mul)
         ricci_tensor(conn)
         assert built and not any(f is ZERO for factors in built for f in factors)
-
-    @pytest.mark.parametrize("k,w", [kw for kw in RICCI_WEBS if kw[0] >= 2])
-    def test_null_samples_equal_per_component_evaluation(self, k, w):
-        web = make_web(k, w)
-        conn = canonical_connection(web, ZT)
-        for seed in (0, 5):
-            assert ricci_null_residuals(web, conn, seed=seed) == \
-                _ricci_null_per_component(web, conn, seed=seed)
 
 
 class TestVerdictMemo:
@@ -264,7 +206,7 @@ class TestWebObjects:
         assert len(reads) == 3
         analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
         assert len(reads) == 5
-        r = null_curve(make_web(3, NONFLAT_W[3])).coefficient_matrix()
+        r = coefficient_matrix(null_curve(make_web(3, NONFLAT_W[3])))
         for d in reads:
             assert [[sum(r[i][j] * d[j][l] for j in range(4)) for l in range(4)] for i in range(4)] == \
                 [[int(i == l) for l in range(4)] for i in range(4)]
@@ -274,7 +216,7 @@ class TestWebObjects:
         default = make_web(2, w)
         moved = make_web(2, w, t_params=(0, 1, 2, 5))
         assert null_curve(default) is not null_curve(moved)
-        assert null_curve(default).coefficient_matrix() != null_curve(moved).coefficient_matrix()
+        assert coefficient_matrix(null_curve(default)) != coefficient_matrix(null_curve(moved))
         assert omega_coefficient_forms(default) is not omega_coefficient_forms(moved)
         assert omega_coefficient_forms(default)[0].comps != omega_coefficient_forms(moved)[0].comps
         # equal presentations compare equal whatever they cached
