@@ -21,11 +21,14 @@ from paraweb.report import (
     analyze_web,
     dumps_report,
 )
-from paraweb.webs import InterpolationError, NotAWebError, WebError
+from paraweb.webs import InterpolationError, NotAWebError, WebError, canonical_connection, make_web
+from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import NONFLAT_W, random_polynomial_w
+from oracles import RICCI_NULL_NODES, ricci_null_value, ricci_tensor
 
 DATA = Path(__file__).parent / "data"
+EXACT = ZeroTester(trials=8, tolerance=0)
 
 
 def spec(d, defaults=None):
@@ -191,6 +194,33 @@ class TestAnalyzeWeb:
             else:
                 assert "ricci_null_max" not in entry["derived"], entry["problem"]
 
+    def test_diagonal_connection_reports_exact_ricci_null(self):
+        # Ric of a diagonal connection is antisymmetric (test_webs.py::
+        # TestRicci::test_diagonal_ricci_is_d_alpha), so the report prints
+        # 0.0; the oracle's Ric(V(t), V(t)) decides zero at a node.
+        for k, w in ((3, NONFLAT_W[3]), (5, "x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4 + 6*x5")):
+            rep = analyze_web(spec({"kind": "web", "k": k, "w": w}))
+            assert rep["derived"]["connection"]["type"] == "diagonal", w
+            assert rep["derived"]["ricci_null_max"] == 0.0, w
+            conn = canonical_connection(make_web(k, w), EXACT)
+            assert conn.kind == "diagonal", w
+            value = ricci_null_value(conn, ricci_tensor(conn), RICCI_NULL_NODES[0])
+            assert EXACT.verdict(value) is Verdict.ZERO, w
+
+    def test_weyl_connection_samples_ricci_null_once(self):
+        # The k = 2 Weyl connection is Einstein-Weyl, so the report prints
+        # 0.0 without sampling; one exact sample of Ric(V(t), V(t)) at a
+        # node off the spectral constants agrees.
+        rep = analyze_web(spec({"kind": "web", "k": 2, "w": NONFLAT_W[2]}))
+        assert rep["derived"]["connection"]["type"] == "weyl"
+        assert rep["derived"]["ricci_null_max"] == 0.0
+        web = make_web(2, NONFLAT_W[2])
+        conn = canonical_connection(web, EXACT)
+        assert conn.kind == "weyl"
+        tval = RICCI_NULL_NODES[0]
+        assert tval not in web.t_params
+        assert EXACT.verdict(ricci_null_value(conn, ricci_tensor(conn), tval)) is Verdict.ZERO
+
     def test_k3_solution_emits_bryant_and_flatness(self):
         rep = analyze_web(spec({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
         assert rep["verdicts"]["flat"] is True
@@ -251,7 +281,7 @@ class TestBatchAndCli:
         assert data["reports"][0]["error"] == "analysis failure: bracket function h(t) violates its degree bound"
         assert "ERROR analysis failure" in capsys.readouterr().out
 
-    def test_web_defined_away_from_the_origin_is_an_ok_weyl_entry(self):
+    def test_web_defined_away_from_the_origin_is_sampled(self):
         # sqrt(x0 - 2) is real only for x0 > 2; the zero test samples it,
         # and its Ricci-null maximum is 0.0 like every solution's.
         report, code = analyze_batch({"kind": "web", "k": 2, "w": "sqrt(x0-2) + x1 + x2"})
