@@ -6,8 +6,8 @@ randomized zero testing) lives in ``expr``/``parser``/``zerotest``; jet
 space geometry in ``jet``; the curvature chain and Wunschmann/Cartan
 invariants in ``invariants``; the Veronese web side (Hirota system, Lax
 tuple, canonical and Bryant connections, Einstein-Weyl data) in
-``webs``; batch analysis and the JSON report schema in
-``report``/``cli``.
+``webs``, with the tables of its spectral constants in ``spectral``;
+batch analysis and the JSON report schema in ``report``/``cli``.
 """
 
 from .expr import (

@@ -13,33 +13,28 @@ holds.  The null curve V(t) dual to omega(t) is normalised here by
 omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
 
 Spectral-parameter families (omega, V, Lax fields) are handled as
-explicit polynomials in t with expression coefficients; evaluation at
-rational spectral values is exact.  Every coefficient of
-omega(t) and V(t) in a coordinate is a rational multiple of one fixed
-expression, dw/dx_i for omega and its inverse for V, so a value at t is
-kept factored as (rational in t) * (that expression), never distributed
-into a sum.  The canonical connection uses the same split: V(t) =
-sum_j c_j(t) e_j with e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), and
-[e_j, e_l] = b_jl (e_j - e_l) with b_jl = w_jl / (w_j w_l), so its alpha
-is a rational combination of the b_jl whose coefficients depend only on
-the spectral constants.
+explicit polynomials in t with expression coefficients.  Every
+coefficient of omega(t) and V(t) in a coordinate is a rational multiple
+of one fixed expression, dw/dx_i for omega and its inverse for V, and
+the rationals are tables of the spectral constants (``spectral``).  The
+canonical connection uses the same split: V(t) = sum_j c_j(t) e_j with
+e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), and [e_j, e_l] =
+b_jl (e_j - e_l) with b_jl = w_jl / (w_j w_l), so its alpha is a
+rational combination of the b_jl whose coefficients depend only on the
+spectral constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, count, islice
-from math import comb, factorial, lcm, prod
+from itertools import combinations
 from typing import Sequence
 
+from . import spectral
 from .expr import (
-    ONE,
-    RAT,
     Expr,
     ZERO,
-    _coeff_mono,
     add_iter,
     differentiate,
     div,
@@ -184,32 +179,6 @@ def make_web(
 # ---------------------------------------------------------------------------
 # omega(t) and the dual null curve
 
-def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
-    """Ascending coefficients of prod (t - r)."""
-    coeffs = [Fraction(1)]
-    for r in roots:
-        coeffs = [Fraction(0)] + coeffs
-        for m in range(len(coeffs) - 1):
-            coeffs[m] -= r * coeffs[m + 1]
-    return coeffs
-
-
-def _omega_table(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    """W[m][j]: omega_m = sum_j W[m][j] dw/dx_j dx_j."""
-    per_j = [_poly_from_roots([r for r in t[:-1] if r != tj]) for tj in t[:-1]]
-    return [[(t[-1] - tj) * p[m] for tj, p in zip(t, per_j)] for m in range(len(t) - 1)]
-
-
-def _null_dual(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    """D[j][i] with d/dx_j = dw/dx_j sum_i D[j][i] V_i, the inverse of the
-    null-curve coefficient matrix.  omega(s)(V(t)) = (s - t)^k makes
-    omega_m(V_i) = (-1)^i binom(k, i) when m = k - i and 0 otherwise, so
-    the coframe dual to V_i is (-1)^i omega_{k-i} / binom(k, i)."""
-    k = len(t) - 2
-    w = _omega_table(t)
-    return [[(-1) ** i * w[k - i][j] / comb(k, i) for i in range(k + 1)] for j in range(k + 1)]
-
-
 def _once(web: VeroneseWeb, key, build, *args):
     """``build(web, *args)``, made on the first call with ``key`` for this web only."""
     got = web._derived.get(key)
@@ -225,43 +194,7 @@ def omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
 
 def _omega_coefficient_forms(web: VeroneseWeb) -> tuple[OneForm, ...]:
     return tuple(OneForm(web.coords, {f"x{j}": mul(rational(c), web.dw(j)) for j, c in enumerate(row) if c})
-                 for row in _omega_table(web.t_params))
-
-
-def _spectral_weights(count: int, tval: Fraction, order: int) -> list[tuple[int, Fraction]]:
-    """The nonzero (m, weight) with d^order/dt^order t^m = weight at t = tval,
-    for m < count: the order-th t-derivative of sum_m t^m a_m at tval is
-    sum weight * a_m."""
-    tval = Fraction(tval)
-    out = []
-    for m in range(order, count):
-        c = Fraction(factorial(m), factorial(m - order)) * tval ** (m - order)
-        if c:
-            out.append((m, c))
-    return out
-
-
-def _spectral_at(coeffs: Sequence, tval: Fraction, order: int):
-    """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
-    an exact rational t.
-
-    In each coordinate x, every degree's component is q_m * base_x for one
-    base_x shared by all degrees (dw/dx_i for omega, (dw/dx_i)^-1 for V),
-    so the component at t is mul(rational(sum_m weight_m q_m), base_x).
-    """
-    weights = _spectral_weights(len(coeffs), tval, order)
-    frame = coeffs[0].frame
-    comps = {}
-    for x in frame:
-        total, base = 0, None
-        for m, weight in weights:
-            e = coeffs[m].comps.get(x)
-            if e is not None:
-                q, base = (e.payload, ONE) if e.kind == RAT else _coeff_mono(e)
-                total += weight * q
-        if base is not None:
-            comps[x] = mul(rational(total), base)
-    return type(coeffs[0])(frame, comps)
+                 for row in spectral._omega_table(web.t_params))
 
 
 @dataclass(frozen=True)
@@ -271,53 +204,28 @@ class NullCurve:
     Normalised so that omega(s)(V(t)) = (s - t)^k identically; hence
     omega^(i)(t)(V^(j)(t)) vanishes for i + j < k and equals (-1)^j k!
     when i + j = k, and omega_m(V_i) is (-1)^i binom(k, i) for m = k - i
-    and 0 otherwise: the coframe dual to V_0..V_k is (-1)^i omega_{k-i} /
-    binom(k, i), read from omega's coefficients (``_null_dual``).
+    and 0 otherwise: the coframe eta_0..eta_k dual to V_0..V_k is
+    (-1)^i omega_{k-i} / binom(k, i), eta_i = sum_j D[j][i] dw/dx_j dx_j
+    with D of ``spectral._null_dual``, and d/dx_b = sum_i eta_i(d/dx_b) V_i.
     """
 
     web: VeroneseWeb
     fields: tuple[VectorField, ...] = field(init=False)
+    coframe: tuple[OneForm, ...] = field(init=False)
 
     def __post_init__(self):
-        # V_i = sum_j r[i][j] (dw/dx_j)^-1 d/dx_j, with the coefficient matrix
-        # r[i][j] = (-1)^i binom(k, i) t_j^(k-i) / den_j
         web = self.web
-        k, t = web.k, web.t_params
-        denominators = _null_denominators(t)
-        fields = tuple(
-            VectorField(web.coords, {
-                f"x{j}": mul(rational(Fraction((-1) ** i * comb(k, i)) * t[j] ** (k - i) / denominators[j]),
-                             pow_int(web.dw(j), -1))
-                for j in range(k + 1)})
-            for i in range(k + 1)
-        )
-        object.__setattr__(self, "fields", fields)
-
-    def at(self, tval: Fraction, order: int = 0) -> VectorField:
-        """V(t), or its order-th t-derivative, at an exact rational t."""
-        return _spectral_at(self.fields, tval, order)
+        object.__setattr__(self, "fields", tuple(
+            VectorField(web.coords, {f"x{j}": mul(rational(c), pow_int(web.dw(j), -1)) for j, c in enumerate(row)})
+            for row in spectral._null_coefficients(web.t_params)))
+        dual = spectral._null_dual(web.t_params)
+        object.__setattr__(self, "coframe", tuple(
+            OneForm(web.coords, {f"x{j}": mul(web.dw(j), rational(row[i])) for j, row in enumerate(dual)})
+            for i in range(web.k + 1)))
 
 
 def null_curve(web: VeroneseWeb) -> NullCurve:
     return _once(web, "null_curve", NullCurve)
-
-
-@lru_cache(maxsize=32)
-def _null_denominators(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """den_j = (t_{k+1} - t_j) prod_{l <= k, l != j} (t_j - t_l), for j <= k:
-    that is, -prod_{l != j} (t_j - t_l) over all k + 2 constants."""
-    return tuple(-prod(tj - tl for tl in t if tl != tj) for tj in t[:-1])
-
-
-def _null_values(t: tuple[Fraction, ...], s: Fraction, order: int = 0) -> list[Fraction]:
-    """c_j(s), or its order-th derivative, where V(s) = sum_j c_j(s) e_j and
-    e_j = (dw/dx_j)^-1 d/dx_j.  With r the coefficient matrix, c_j(s) =
-    sum_i s^i r[i][j] = (t_j - s)^k / den_j, and its order-th derivative
-    (order <= k) is (-1)^order k!/(k - order)! (t_j - s)^(k - order) / den_j.
-    """
-    k = len(t) - 2
-    scale = (-1) ** order * factorial(k) // factorial(k - order)
-    return [scale * (tj - s) ** (k - order) / den for tj, den in zip(t, _null_denominators(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +261,7 @@ def eq1_residuals(
 ) -> dict[tuple[int, int], tuple[Expr, Verdict]]:
     """First-order form of the integrable hierarchy, one residual per pair.
 
-    Uses the hierarchy coefficients a_hirarchy(i) = (t_i - t_0) /
+    Uses the hierarchy coefficients a_hierarchy(i) = (t_i - t_0) /
     (t_{k+1} - t_i): with those, the residual of the pair (i, j) is a
     constant multiple of the Hirota residual of the triple (0, i, j).
     """
@@ -455,64 +363,6 @@ class WebConnection:
         return div(d2, self.web.dw(ib)) + self.alpha.comp(a)
 
 
-def _spectral_nodes(t: tuple[Fraction, ...], n: int, start: int = 0) -> list[Fraction]:
-    """The first n integers from ``start`` outside the spectral set t."""
-    return [Fraction(m) for m in islice((m for m in count(start) if m not in t), n)]
-
-
-def _bracket_h(t: tuple[Fraction, ...], s: Fraction) -> list[Fraction]:
-    """H_jl(s) for (j, l) in ``combinations(range(k + 1), 2)``, where
-    [V(s), V'(s)] = h(s) V'(s) mod V(s) and h(s) = sum H_jl(s) b_jl.
-
-    [V(s), V'(s)] = sum D_jl(s) b_jl (e_j - e_l) with D_jl = c_j c_l' - c_l c_j'.
-    h is read off through omega^(k-1)(s), which is -k! on V'(s), 0 on V(s)
-    and q_j(s) = (t_{k+1} - t_j) (k-1)! (k s - sum_{m <= k, m != j} t_m) on
-    e_j, so H_jl = -D_jl (q_j - q_l) / k!.
-    """
-    k = len(t) - 2
-    shift = k * s - sum(t[:-1])
-    # c_j, c_j' and q_j / (k-1)! (so the k! becomes k), each as integers
-    # over one denominator
-    (d0, c), (d1, dc), (d2, q) = map(_integers, (_null_values(t, s), _null_values(t, s, order=1),
-                                                 [(t[-1] - tj) * (shift + tj) for tj in t[:-1]]))
-    return [Fraction(-(c[j] * dc[l] - c[l] * dc[j]) * (q[j] - q[l]), k * d0 * d1 * d2)
-            for j, l in combinations(range(k + 1), 2)]
-
-
-def _integers(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, n) with vec[i] = n[i] / d for the least common denominator d."""
-    d = lcm(*(v.denominator for v in vec))
-    return d, [v.numerator * (d // v.denominator) for v in vec]
-
-
-def _matmul(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact matrix product, each entry one integer dot product."""
-    cs = [_integers(col) for col in zip(*cols)]
-    return tuple(tuple(Fraction(sum(a * b for a, b in zip(r, c)), dr * dc) for dc, c in cs)
-                 for dr, r in map(_integers, rows))
-
-
-@lru_cache(maxsize=32)
-def _diagonal_tables(t: tuple[Fraction, ...], start: int):
-    """(check, alpha), coefficients over the b_jl of ``_bracket_h``, for the
-    k + 2 nodes from ``start``.  check is the interpolant of h through the
-    other nodes, at the last node, minus h there: zero when h has degree
-    at most k.  alpha[j] is alpha_j / (dw/dx_j): alpha(V(s)) = h(s) at the
-    first k + 1 nodes is the rational system N[s][j] = c_j(s), so
-    alpha_j / (dw/dx_j) is (N^-1 h)_j.  N[n][j] = sum_i s_n^i r[i][j] with
-    r the null-curve coefficient matrix, so N^-1 = D L with D of
-    ``_null_dual`` and L[i][n] the s^i coefficient of node n's Lagrange
-    basis polynomial.
-    """
-    *inner, at = nodes = _spectral_nodes(t, len(t), start)
-    hs = [_bracket_h(t, s) for s in nodes]
-    others = [[r for r in inner if r != n] for n in inner]
-    scales = [prod(n - r for r in rest) for n, rest in zip(inner, others)]
-    weights = [prod(at - r for r in rest) / d for rest, d in zip(others, scales)]
-    lagrange = [[c / d for c in _poly_from_roots(rest)] for rest, d in zip(others, scales)]
-    return _matmul([weights + [-1]], hs)[0], _matmul(_matmul(_null_dual(t), list(zip(*lagrange))), hs[:-1])
-
-
 def _bracket_sum(coeffs: Sequence[Fraction], basis: list[Expr]) -> Expr:
     return add_iter(mul(rational(c), b) for c, b in zip(coeffs, basis) if c and b is not ZERO)
 
@@ -554,7 +404,7 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
     # On a web h(t) has degree at most k: interpolate it at k+1 nodes and
     # check the bound at one more, trying a second node family once.
     for start in (0, 101):
-        check, alpha = _diagonal_tables(web.t_params, start)
+        check, alpha = spectral._diagonal_tables(web.t_params, start)
         if zero.verdict(_bracket_sum(check, basis)) is Verdict.ZERO:
             break
     else:
@@ -651,18 +501,15 @@ def _paraconformal_christoffels(
         if i + 1 <= k:
             psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
 
-    rinv = _null_dual(web.t_params)
-    # d/dx_b = sum_i xi[b][i] V_i with xi[b][i] = dw/dx_b * rinv[b][i]
-    xi = [[mul(web.dw(b), rational(rinv[b][i])) for i in range(k + 1)] for b in range(k + 1)]
-
     table: dict[tuple[str, str, str], Expr] = {}
     coords = web.coords
-    for a_i, a in enumerate(coords):
-        for b_i, b in enumerate(coords):
+    for a in coords:
+        for b in coords:
             comp_terms: dict[str, list[Expr]] = {c: [] for c in coords}
             for i in range(k + 1):
-                # transport term: d/dx_a (xi) V_i
-                dxi = differentiate(xi[b_i][i], a)
+                # transport term: d/dx_a (xi) V_i, with d/dx_b = sum_i xi V_i
+                xi = nc.coframe[i].comp(b)
+                dxi = differentiate(xi, a)
                 if dxi is not ZERO:
                     for c, vic in nc.fields[i].comps.items():
                         comp_terms[c].append(mul(dxi, vic))
@@ -674,7 +521,7 @@ def _paraconformal_christoffels(
                     scal = form.comp(a)
                     if scal is ZERO:
                         continue
-                    coeff = mul(xi[b_i][i], scal)
+                    coeff = mul(xi, scal)
                     for c, vmc in nc.fields[m].comps.items():
                         comp_terms[c].append(mul(coeff, vmc))
             for c, terms in comp_terms.items():
@@ -822,12 +669,7 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
     if not is_hirota_solution(web, zero):
         raise NotAWebError("the function does not satisfy the Hirota system")
     nc = null_curve(web)
-    rinv = _null_dual(web.t_params)
-    # eta_l = sum_j dw/dx_j rinv[j][l] dx_j  (dual to the V-frame)
-    eta = tuple(
-        OneForm(web.coords, {f"x{j}": mul(web.dw(j), rational(row[l])) for j, row in enumerate(rinv) if row[l]})
-        for l in range(4)
-    )
+    eta = nc.coframe
     c: dict[tuple[int, int, int], Expr] = {}
     for i in range(4):
         for j in range(i + 1, 4):

@@ -29,7 +29,8 @@ from paraweb.expr import (
 )
 from paraweb.jet import OneForm, ThreeForm, VectorField, exterior_derivative, wedge3
 from paraweb.report import ProblemSpec, analyze_web
-from paraweb.webs import VeroneseWeb, _spectral_nodes, lax_commutator_residuals
+from paraweb.spectral import _spectral_nodes
+from paraweb.webs import VeroneseWeb, lax_commutator_residuals
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
 from oracles import omega_at

@@ -1,7 +1,8 @@
-"""Web objects that only tests use: omega(t), the Lax tuple, the null
-curve's coefficient matrix, the Ricci tensor and its null contraction,
-a base-point sampler, and the bi-Hamiltonian pencil with its Schouten
-bracket.
+"""Web objects that only tests use: omega(t) and V(t) at a given t, the
+Lax tuple, the null curve's coefficient matrix, the Ricci tensor and its
+null contraction, a base-point sampler, the bi-Hamiltonian pencil with
+its Schouten bracket, and a ``Fraction`` reference of every table of
+``paraweb.spectral``.
 
 Pi(t) = sum_i L_i(t) ^ d/dy_i lives on the extended space with
 coordinates x_0..x_k, y_1..y_k.  Reports decide [Pi(t), Pi(t)] = 0 from
@@ -20,15 +21,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, count, islice
+from math import comb, factorial, lcm, prod
+from typing import Sequence
 
-from paraweb.expr import RAT, ZERO, Expr, add_iter, differentiate, eval_numeric, free_symbols, mul, neg, rational
+from paraweb.expr import (
+    ONE,
+    RAT,
+    ZERO,
+    Expr,
+    _coeff_mono,
+    add_iter,
+    differentiate,
+    eval_numeric,
+    free_symbols,
+    mul,
+    neg,
+    rational,
+)
 from paraweb.jet import OneForm, VectorField
 from paraweb.webs import (
     NullCurve,
     VeroneseWeb,
     WebConnection,
     _lax_pencil,
-    _spectral_at,
     null_curve,
     omega_coefficient_forms,
 )
@@ -41,9 +57,50 @@ from paraweb.zerotest import _pole_free
 RICCI_NULL_NODES = tuple(Fraction(n, 3) for n in (-4, -1, 2, 5, 7))
 
 
+def spectral_weights(count: int, tval: Fraction, order: int) -> list[tuple[int, Fraction]]:
+    """The nonzero (m, weight) with d^order/dt^order t^m = weight at t = tval,
+    for m < count: the order-th t-derivative of sum_m t^m a_m at tval is
+    sum weight * a_m."""
+    tval = Fraction(tval)
+    out = []
+    for m in range(order, count):
+        c = Fraction(factorial(m), factorial(m - order)) * tval ** (m - order)
+        if c:
+            out.append((m, c))
+    return out
+
+
+def spectral_at(coeffs: Sequence, tval: Fraction, order: int):
+    """The order-th t-derivative of sum_m t^m coeffs[m] (fields or forms) at
+    an exact rational t.
+
+    In each coordinate x, every degree's component is q_m * base_x for one
+    base_x shared by all degrees (dw/dx_i for omega, (dw/dx_i)^-1 for V),
+    so the component at t is mul(rational(sum_m weight_m q_m), base_x).
+    """
+    weights = spectral_weights(len(coeffs), tval, order)
+    frame = coeffs[0].frame
+    comps = {}
+    for x in frame:
+        total, base = 0, None
+        for m, weight in weights:
+            e = coeffs[m].comps.get(x)
+            if e is not None:
+                q, base = (e.payload, ONE) if e.kind == RAT else _coeff_mono(e)
+                total += weight * q
+        if base is not None:
+            comps[x] = mul(rational(total), base)
+    return type(coeffs[0])(frame, comps)
+
+
 def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:
     """omega(t), or its order-th t-derivative, at an exact rational t."""
-    return _spectral_at(omega_coefficient_forms(web), tval, order)
+    return spectral_at(omega_coefficient_forms(web), tval, order)
+
+
+def null_curve_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> VectorField:
+    """V(t), or its order-th t-derivative, at an exact rational t."""
+    return spectral_at(null_curve(web).fields, tval, order)
 
 
 def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
@@ -97,7 +154,7 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
 def ricci_null_value(conn: WebConnection, ric: dict[tuple[str, str], Expr], tval: Fraction) -> Expr:
     """Ric(V(t), V(t)) at an exact rational t, as one expression, with
     ``ric`` the ``ricci_tensor`` of ``conn``."""
-    v = null_curve(conn.web).at(tval)
+    v = null_curve_at(conn.web, tval)
     return add_iter(mul(e, v.comp(b), v.comp(c)) for (b, c), e in ric.items())
 
 
@@ -187,3 +244,78 @@ def schouten_residuals(
         vals = base_point_values(rng, symbols, evaluate)
         out.extend(vals if vals else [0.0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The spectral tables as they were built before ``paraweb.spectral``: each
+# leave-one-out product expanded afresh in ``Fraction``, and integer dot
+# products over least common denominators.
+
+def poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
+    """Ascending coefficients of prod (t - r)."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [Fraction(0)] + coeffs
+        for m in range(len(coeffs) - 1):
+            coeffs[m] -= r * coeffs[m + 1]
+    return coeffs
+
+
+def omega_table(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    """W[m][j]: omega_m = sum_j W[m][j] dw/dx_j dx_j."""
+    per_j = [poly_from_roots([r for r in t[:-1] if r != tj]) for tj in t[:-1]]
+    return [[(t[-1] - tj) * p[m] for tj, p in zip(t, per_j)] for m in range(len(t) - 1)]
+
+
+def null_dual(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    """D[j][i] = (-1)^i W[k - i][j] / binom(k, i)."""
+    k = len(t) - 2
+    w = omega_table(t)
+    return [[(-1) ** i * w[k - i][j] / comb(k, i) for i in range(k + 1)] for j in range(k + 1)]
+
+
+def null_denominators(t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """den_j = -prod_{l != j} (t_j - t_l) over all k + 2 constants, j <= k."""
+    return tuple(-prod(tj - tl for tl in t if tl != tj) for tj in t[:-1])
+
+
+def null_values(t: tuple[Fraction, ...], s: Fraction, order: int = 0) -> list[Fraction]:
+    """c_j(s), or its order-th derivative: (-1)^order k!/(k - order)!
+    (t_j - s)^(k - order) / den_j."""
+    k = len(t) - 2
+    scale = (-1) ** order * factorial(k) // factorial(k - order)
+    return [scale * (tj - s) ** (k - order) / den for tj, den in zip(t, null_denominators(t))]
+
+
+def bracket_h(t: tuple[Fraction, ...], s: Fraction) -> list[Fraction]:
+    """H_jl(s) = -D_jl (q_j - q_l) / k!, D_jl = c_j c_l' - c_l c_j'."""
+    k = len(t) - 2
+    shift = k * s - sum(t[:-1])
+    (d0, c), (d1, dc), (d2, q) = map(_integers, (null_values(t, s), null_values(t, s, order=1),
+                                                 [(t[-1] - tj) * (shift + tj) for tj in t[:-1]]))
+    return [Fraction(-(c[j] * dc[l] - c[l] * dc[j]) * (q[j] - q[l]), k * d0 * d1 * d2)
+            for j, l in combinations(range(k + 1), 2)]
+
+
+def _integers(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
+    d = lcm(*(v.denominator for v in vec))
+    return d, [v.numerator * (d // v.denominator) for v in vec]
+
+
+def _matmul(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    cs = [_integers(col) for col in zip(*cols)]
+    return tuple(tuple(Fraction(sum(a * b for a, b in zip(r, c)), dr * dc) for dc, c in cs)
+                 for dr, r in map(_integers, rows))
+
+
+def diagonal_tables(t: tuple[Fraction, ...], start: int):
+    """(check, alpha) at the k + 2 integer nodes from ``start`` outside t:
+    the Lagrange weights at the last node minus 1 applied to the H rows,
+    and D L applied to the first k + 1 of them."""
+    *inner, at = nodes = [Fraction(m) for m in islice((m for m in count(start) if m not in t), len(t))]
+    hs = [bracket_h(t, s) for s in nodes]
+    others = [[r for r in inner if r != n] for n in inner]
+    scales = [prod(n - r for r in rest) for n, rest in zip(inner, others)]
+    weights = [prod(at - r for r in rest) / d for rest, d in zip(others, scales)]
+    lagrange = [[c / d for c in poly_from_roots(rest)] for rest, d in zip(others, scales)]
+    return _matmul([weights + [-1]], hs)[0], _matmul(_matmul(null_dual(t), list(zip(*lagrange))), hs[:-1])

@@ -260,15 +260,15 @@ class TestBatchAndCli:
         # A degree check that never vanishes: the k = 3 web passes
         # validation and every Hirota check, then its diagonal connection
         # raises InterpolationError.
-        import paraweb.webs as webs_mod
+        import paraweb.spectral as spectral
 
-        real = webs_mod._diagonal_tables
+        real = spectral._diagonal_tables
 
         def nonzero_check(t, start):
             check, alpha = real(t, start)
             return tuple(Fraction(1) for _ in check), alpha
 
-        monkeypatch.setattr(webs_mod, "_diagonal_tables", nonzero_check)
+        monkeypatch.setattr(spectral, "_diagonal_tables", nonzero_check)
         src = tmp_path / "problems.json"
         out = tmp_path / "report.json"
         src.write_text(json.dumps({"problems": [

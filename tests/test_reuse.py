@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import paraweb.spectral as spectral
 import paraweb.webs as webs_mod
 import paraweb.zerotest as zerotest_mod
 from paraweb.expr import ZERO, _evaluate, add_iter, differentiate, mul, neg
@@ -188,24 +189,25 @@ class TestWebObjects:
 
     def test_null_dual_is_read_not_inverted(self, monkeypatch):
         # A k = 3 report reads the dual of the null frame from omega's
-        # coefficients for its connection tables, the Bryant coframe and
-        # the Bryant Christoffel table; another web with the same spectral
-        # constants reuses the tables.  Each read is the exact inverse of
-        # the null-curve coefficient matrix r: sum_j r[i][j] D[j][l] is 1
-        # when i = l and 0 otherwise.
+        # coefficients once, for the coframe that the Bryant forms and the
+        # Bryant Christoffel table share; the diagonal connection's tables
+        # take it from the leave-one-out products, uncounted even when
+        # built afresh.  Another web reads it once more.  Each read is the
+        # exact inverse of the null-curve coefficient matrix r: sum_j
+        # r[i][j] D[j][l] is 1 when i = l and 0 otherwise.
         reads = []
 
-        def recording(t, _real=webs_mod._null_dual):
+        def recording(t, _real=spectral._null_dual):
             reads.append(_real(t))
             return reads[-1]
 
-        monkeypatch.setattr(webs_mod, "_null_dual", recording)
-        webs_mod._diagonal_tables.cache_clear()
+        monkeypatch.setattr(spectral, "_null_dual", recording)
+        spectral._diagonal_tables.cache_clear()
         rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": NONFLAT_W[3]}))
         assert "bryant" in rep["derived"] and rep["derived"]["connection"]["type"] == "diagonal"
-        assert len(reads) == 3
+        assert len(reads) == 1
         analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
-        assert len(reads) == 5
+        assert len(reads) == 2
         r = coefficient_matrix(null_curve(make_web(3, NONFLAT_W[3])))
         for d in reads:
             assert [[sum(r[i][j] * d[j][l] for j in range(4)) for l in range(4)] for i in range(4)] == \

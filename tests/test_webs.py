@@ -37,6 +37,7 @@ from paraweb.expr import (
 )
 from paraweb.jet import VectorField, exterior_derivative, lie_bracket, wedge3
 from paraweb.report import ProblemSpec, analyze_web, dumps_report
+import paraweb.spectral as spectral
 import paraweb.webs as webs
 from paraweb.webs import (
     DegenerateWebError,
@@ -76,12 +77,14 @@ from oracles import (
     RICCI_NULL_NODES,
     coefficient_matrix,
     lax_tuple,
+    null_curve_at,
     omega_at,
     poisson_pencil_components,
     ricci_null_value,
     ricci_tensor,
     schouten_components,
     schouten_residuals,
+    spectral_weights,
 )
 
 ZT = ZeroTester()
@@ -221,7 +224,7 @@ class TestNullCurve:
                 fields, forms = null_curve(web).fields, omega_coefficient_forms(web)
                 for tv in (Fraction(1, 2), Fraction(k + 3), Fraction(-3, 2)):
                     for order in range(k + 1):
-                        for got, coeffs in ((null_curve(web).at(tv, order), fields),
+                        for got, coeffs in ((null_curve_at(web, tv, order), fields),
                                             (omega_at(web, tv, order), forms)):
                             want = spectral_by_repeated_plus(coeffs, tv, order)
                             assert type(got) is type(want) and got.frame == want.frame
@@ -242,7 +245,7 @@ class TestNullCurve:
         for t_params in (None, moved, drawn):
             web = make_web(k, w, t_params)
             r = coefficient_matrix(null_curve(web))
-            assert webs._null_dual(web.t_params) == invert_rational(r), t_params
+            assert spectral._null_dual(web.t_params) == invert_rational(r), t_params
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_null_values_match_the_coefficient_matrix(self, k):
@@ -253,28 +256,26 @@ class TestNullCurve:
             r = coefficient_matrix(curve)
             for s in (Fraction(0), Fraction(k + 5), Fraction(-7, 3), Fraction(1, 2)):
                 for order in (0, 1):
-                    weights = webs._spectral_weights(k + 1, s, order)
+                    weights = spectral_weights(k + 1, s, order)
                     want = [sum(weight * r[m][j] for m, weight in weights) for j in range(k + 1)]
-                    assert webs._null_values(curve.web.t_params, s, order) == want, (t_params, s, order)
+                    assert oracles.null_values(curve.web.t_params, s, order) == want, (t_params, s, order)
 
     def test_duality_table(self):
         # omega^(i)(t)(V^(j)(t)) = 0 for i+j < k and (-1)^j k! at i+j = k
         for k, w in ((2, "x0+x1+x2"), (3, NONFLAT_W[3])):
             web = make_web(k, w)
-            nc = null_curve(web)
             for tv in (Fraction(k + 3), Fraction(-1, 2)):
                 for i in range(k + 1):
                     for j in range(k + 1 - i):
-                        val = omega_at(web, tv, order=i)(nc.at(tv, order=j))
+                        val = omega_at(web, tv, order=i)(null_curve_at(web, tv, order=j))
                         want = rational((-1) ** j * math.factorial(k)) if i + j == k else ZERO
                         assert ZT.verdict(sub(val, want)) is Verdict.ZERO
 
     def test_span_integrability_on_solution(self):
         # [V^(i)(t), V^(j)(t)] lies in span{V^(i), ..., V^(j)} at fixed t
         web = make_web(2, NONFLAT_W[2])
-        nc = null_curve(web)
         tv = Fraction(9, 2)
-        fields = [nc.at(tv, order=m) for m in range(3)]
+        fields = [null_curve_at(web, tv, order=m) for m in range(3)]
         thetas = dual_coframe_oracle(fields, web.coords, ZT)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -353,9 +354,8 @@ class TestCanonicalConnection:
         # nabla_Y V(t) proportional to V(t) for each t
         web = make_web(1, "x0 + x1 + x0*x1")
         conn = canonical_connection(web, ZT)
-        nc = null_curve(web)
         for tv in (Fraction(3), Fraction(-1, 2)):
-            v = nc.at(tv)
+            v = null_curve_at(web, tv)
             for a in web.coords:
                 comps = {}
                 for c in web.coords:
@@ -378,10 +378,9 @@ class TestCanonicalConnection:
         # the defining property: T(V(t), V'(t)) is proportional to V(t)
         web = make_web(3, NONFLAT_W[3])
         conn = canonical_connection(web, ZT)
-        nc = null_curve(web)
         tor = torsion(conn)
         for tv in (Fraction(6), Fraction(-1, 3)):
-            v, vp = nc.at(tv), nc.at(tv, order=1)
+            v, vp = null_curve_at(web, tv), null_curve_at(web, tv, order=1)
             tcomp = {c: ZERO for c in web.coords}
             for (a, b), tf in tor.items():
                 factor = sub(mul(v.comp(a), vp.comp(b)), mul(v.comp(b), vp.comp(a)))
@@ -419,9 +418,8 @@ class TestCanonicalConnection:
         # direction on the nose: nabla_Y V(t) = alpha(Y) V(t)
         web = make_web(3, NONFLAT_W[3])
         conn = canonical_connection(web, ZT)
-        nc = null_curve(web)
         for tv in (Fraction(5), Fraction(-1, 2)):
-            v = nc.at(tv)
+            v = null_curve_at(web, tv)
             for a in web.coords:
                 comps = {}
                 for c in web.coords:
@@ -541,11 +539,12 @@ def test_null_dual_pin_differs_from_the_sampled_one_only_in_ricci_null_max():
 
 
 def table_h(web, s):
-    """h(s) from the rational coefficients of ``webs._bracket_h``, over the
-    basis b_jl = w_jl / (w_j w_l) built here from its definition."""
+    """h(s) from the rational coefficients of ``spectral._bracket_h``, over
+    the basis b_jl = w_jl / (w_j w_l) built here from its definition."""
     basis = [div(web.dw2(j, l), mul(web.dw(j), web.dw(l)))
              for j in range(web.k + 1) for l in range(j + 1, web.k + 1)]
-    coeffs = webs._bracket_h(web.t_params, s)
+    scales, (row,) = spectral._bracket_h(web.t_params, [s])
+    coeffs = [h * x for h, x in zip(scales, row)]
     assert len(coeffs) == len(basis)
     return add_iter(mul(rational(c), b) for c, b in zip(coeffs, basis))
 
@@ -554,9 +553,9 @@ def table_h(web, s):
 def fresh_tables():
     """An empty table cache before and after the test, so that tables
     built from a patched h never reach another test."""
-    webs._diagonal_tables.cache_clear()
+    spectral._diagonal_tables.cache_clear()
     yield
-    webs._diagonal_tables.cache_clear()
+    spectral._diagonal_tables.cache_clear()
 
 
 class TestFrameBrackets:
@@ -564,7 +563,7 @@ class TestFrameBrackets:
     def test_h_and_alpha_match_the_bracket_oracle(self, k, w, t_params):
         web = make_web(k, w, t_params)
         assert is_hirota_solution(web, EXACT)
-        nodes = webs._spectral_nodes(web.t_params, k + 2)
+        nodes = spectral._spectral_nodes(web.t_params, k + 2)
         for s in nodes:
             assert EXACT.verdict(sub(table_h(web, s), bracket_h_oracle(web, s))) is Verdict.ZERO, s
         alpha = webs._diagonal_connection(web, EXACT).alpha
@@ -599,40 +598,42 @@ class TestFrameBrackets:
     def test_degree_bound_retry_and_failure(self, monkeypatch, fresh_tables):
         web = make_web(3, NONFLAT_W[3])
         want = webs._diagonal_connection(web, ZT).alpha
-        real_h = webs._bracket_h
+        real_h = spectral._bracket_h
         seen = []
 
         def off_degree(limit):
             # h plus s^(k+1) sum_jl b_jl, which breaks the degree bound, at
             # nodes below limit
-            def h(t, s):
-                seen.append(s)
-                return [c + s ** (len(t) - 1) if s < limit else c for c in real_h(t, s)]
+            def h(t, nodes):
+                seen.extend(nodes)
+                scales, rows = real_h(t, nodes)
+                return scales, [[c + s ** (len(t) - 1) / f if s < limit else c for c, f in zip(row, scales)]
+                                for s, row in zip(nodes, rows)]
             return h
 
         # the first node family starts at 0, the retry at 101
-        webs._diagonal_tables.cache_clear()
-        monkeypatch.setattr(webs, "_bracket_h", off_degree(101))
+        spectral._diagonal_tables.cache_clear()
+        monkeypatch.setattr(spectral, "_bracket_h", off_degree(101))
         alpha = webs._diagonal_connection(web, ZT).alpha
         assert len(seen) == 2 * (web.k + 2) and max(seen) >= 101
         # other nodes give another tree for the same alpha
         for c in web.coords:
             assert EXACT.verdict(sub(alpha.comp(c), want.comp(c))) is Verdict.ZERO, c
 
-        webs._diagonal_tables.cache_clear()
-        monkeypatch.setattr(webs, "_bracket_h", off_degree(math.inf))
+        spectral._diagonal_tables.cache_clear()
+        monkeypatch.setattr(spectral, "_bracket_h", off_degree(math.inf))
         with pytest.raises(InterpolationError):
             canonical_connection(web, ZT)
 
     def test_tables_are_built_once_per_constants_and_node_family(self, monkeypatch, fresh_tables):
-        real_h = webs._bracket_h
+        real_h = spectral._bracket_h
         seen = []
 
-        def counting(t, s):
-            seen.append((t, s))
-            return real_h(t, s)
+        def counting(t, nodes):
+            seen.extend((t, s) for s in nodes)
+            return real_h(t, nodes)
 
-        monkeypatch.setattr(webs, "_bracket_h", counting)
+        monkeypatch.setattr(spectral, "_bracket_h", counting)
         web = make_web(3, NONFLAT_W[3])
         canonical_connection(web, ZT)
         assert len(seen) == web.k + 2
@@ -642,10 +643,10 @@ class TestFrameBrackets:
         # other spectral constants, and the other node family, each build one
         canonical_connection(make_web(3, NONFLAT_SHIFTED_W3, SHIFTED_T3), ZT)
         assert len(seen) == 2 * (web.k + 2)
-        retry = webs._diagonal_tables(web.t_params, 101)
+        retry = spectral._diagonal_tables(web.t_params, 101)
         assert len(seen) == 3 * (web.k + 2) and min(s for _, s in seen[-web.k - 2:]) == 101
-        assert retry is not webs._diagonal_tables(web.t_params, 0)
-        assert retry is webs._diagonal_tables(web.t_params, 101)
+        assert retry is not spectral._diagonal_tables(web.t_params, 0)
+        assert retry is spectral._diagonal_tables(web.t_params, 101)
         assert len(seen) == 3 * (web.k + 2)
 
 
@@ -681,9 +682,8 @@ class TestWeylStructure:
     def test_metric_annihilates_null_directions(self):
         web = make_web(2, NONFLAT_W[2])
         g = conformal_metric(web)
-        nc = null_curve(web)
         for tv in (Fraction(4), Fraction(9, 2), Fraction(-1), Fraction(6), Fraction(-5, 3)):
-            v = nc.at(tv)
+            v = null_curve_at(web, tv)
             terms = []
             for (c, d), gv in g.items():
                 w = rational(1 if c == d else 2)
@@ -900,7 +900,7 @@ class TestZakharevich:
         for web in cases:
             k, t = web.k, web.t_params
             hr = hirota_residuals(web, EXACT)
-            for s in webs._spectral_nodes(web.t_params, k + 3):
+            for s in spectral._spectral_nodes(web.t_params, k + 3):
                 three = omega_wedge_d_omega(web, s)
                 assert set(three.comps) <= {tuple(f"x{i}" for i in key) for key in hr}
                 p = math.prod(s - t[j] for j in range(k + 1))
