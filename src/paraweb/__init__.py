@@ -37,15 +37,11 @@ from .jet import (
     OdeProblem,
     OneForm,
     ScalingRule,
-    ThreeForm,
-    TwoForm,
     VectorField,
     differential,
-    exterior_derivative,
     lie_bracket,
     lie_derivative_oneform,
     total_derivative_field,
-    wedge3,
 )
 from .invariants import (
     CurvatureChain,
@@ -74,7 +70,6 @@ from .webs import (
     make_web,
     null_curve,
     torsion,
-    zakharevich_verdict,
 )
 from .report import ProblemSpec, analyze_batch, analyze_ode, analyze_web
 

@@ -1,4 +1,4 @@
-"""Vector fields, differential forms and the total derivative on jet space.
+"""Vector fields, one-forms and the total derivative on jet space.
 
 Fields and forms are sparse coefficient maps over a frame of coordinate
 directions; all coefficients are canonical expressions.  On the jet space
@@ -49,8 +49,6 @@ __all__ = [
     "FrameError",
     "VectorField",
     "OneForm",
-    "TwoForm",
-    "ThreeForm",
     "OdeProblem",
     "ScalingRule",
     "TotalDerivative",
@@ -58,8 +56,6 @@ __all__ = [
     "lie_bracket",
     "lie_derivative_oneform",
     "differential",
-    "exterior_derivative",
-    "wedge3",
 ]
 
 
@@ -145,47 +141,6 @@ class OneForm:
 
     def scaled(self, s: Expr) -> "OneForm":
         return OneForm(self.frame, {c: mul(s, v) for c, v in self.comps.items()})
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Coefficients stored for ordered index pairs only."""
-
-    frame: tuple[str, ...]
-    comps: dict[tuple[str, str], Expr]
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _clean(self.comps))
-        order = {c: i for i, c in enumerate(self.frame)}
-        for u, v in self.comps:
-            if order[u] >= order[v]:
-                raise FrameError("two-form keys must be strictly ordered pairs")
-
-    def comp(self, u: str, v: str) -> Expr:
-        if u == v:
-            return ZERO
-        order = self.frame.index
-        if order(u) < order(v):
-            return self.comps.get((u, v), ZERO)
-        return mul(rational(-1), self.comps.get((v, u), ZERO))
-
-    def __call__(self, a: VectorField, b: VectorField) -> Expr:
-        terms = []
-        for (u, v), w in self.comps.items():
-            terms.append(mul(w, sub(mul(a.comp(u), b.comp(v)), mul(a.comp(v), b.comp(u)))))
-        return add_iter(terms)
-
-
-@dataclass(frozen=True)
-class ThreeForm:
-    frame: tuple[str, ...]
-    comps: dict[tuple[str, str, str], Expr]
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _clean(self.comps))
-
-    def comp(self, u: str, v: str, w: str) -> Expr:
-        return self.comps.get((u, v, w), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -384,30 +339,3 @@ def lie_derivative_oneform(x: VectorField, w: OneForm) -> OneForm:
 
 def differential(e: Expr, frame: tuple[str, ...]) -> OneForm:
     return OneForm(frame, {c: differentiate(e, c) for c in frame})
-
-
-def exterior_derivative(w: OneForm) -> TwoForm:
-    frame = w.frame
-    comps = {}
-    for i, u in enumerate(frame):
-        for v in frame[i + 1:]:
-            comps[(u, v)] = sub(differentiate(w.comp(v), u), differentiate(w.comp(u), v))
-    return TwoForm(frame, comps)
-
-
-def wedge3(w: OneForm, eta: TwoForm) -> ThreeForm:
-    """Totally antisymmetric coefficients of w wedge eta."""
-    if w.frame != eta.frame:
-        raise FrameError("form frames differ")
-    frame = w.frame
-    comps = {}
-    n = len(frame)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                u, v, z = frame[i], frame[j], frame[l]
-                comps[(u, v, z)] = add_iter(
-                    [mul(w.comp(u), eta.comp(v, z)), mul(w.comp(z), eta.comp(u, v))],
-                    [mul(w.comp(v), eta.comp(u, z))],
-                )
-    return ThreeForm(frame, comps)

@@ -41,7 +41,6 @@ from .webs import (
     lax_commutator_residuals,
     make_web,
     weyl_form_from_connection,
-    zakharevich_verdict,
 )
 from .zerotest import Verdict, ZeroTester
 
@@ -287,8 +286,9 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 
 
 def analyze_web(spec: ProblemSpec) -> dict:
-    """Run the web pipeline: Hirota/Lax/Zakharevich verdicts, then (for
-    solutions) connection data and flatness."""
+    """Run the web pipeline: one verdict, from the Hirota triples through 0,
+    printed as the Hirota, hierarchy, Lax and Zakharevich verdicts and on
+    every residual, then (for solutions) connection data and flatness."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -297,30 +297,31 @@ def analyze_web(spec: ProblemSpec) -> dict:
     except Exception as exc:
         raise InputError(f"bad w: {exc}") from exc
 
-    residuals: list[dict] = []
+    # One verdict decides the web, that of the Hirota triples through 0:
+    # the other triples, hierarchy[i,j] and lax[i,j;x0;t^d] are identities
+    # in them (webs._hirota_residuals, eq1_residuals and
+    # lax_commutator_residuals), and on every t outside the spectral set,
+    # for a < b < c, with T = t_{k+1} and P(t) = prod_{j <= k} (t - t_j),
+    #     (omega ^ d omega)_{abc}(t) = P(t)^2 (t - T) H_abc / ((t - t_a)(t - t_b)(t - t_c)).
     hr = hirota_residuals(web, zero)
-    for key in sorted(hr):
-        e, v = hr[key]
-        residuals.append(_verdict_entry(f"hirota[{key[0]},{key[1]},{key[2]}]", e, v))
-    er = eq1_residuals(web, zero)
-    for key in sorted(er):
-        e, v = er[key]
-        residuals.append(_verdict_entry(f"hierarchy[{key[0]},{key[1]}]", e, v))
-    lr = lax_commutator_residuals(web, zero)
-    for key in sorted(lr):
-        i, j, c, deg = key
-        e, v = lr[key]
-        residuals.append(_verdict_entry(f"lax[{i},{j};{c};t^{deg}]", e, v))
+    residuals = [_verdict_entry(f"hirota[{i},{j},{l}]", e, v) for (i, j, l), (e, v) in sorted(hr.items())]
+    for (i, j), e in sorted(eq1_residuals(web).items()):
+        residuals.append(_verdict_entry(f"hierarchy[{i},{j}]", e, hr[(0, i, j)][1]))
+    t0, top = web.t_params[0], web.t_params[-1]
+    lax_factor = (-t0 * top, t0 + top, -1)  # -(t - t_0)(t - T) by degree
+    for (i, j, c, deg), e in sorted(lax_commutator_residuals(web).items()):
+        residuals.append(_verdict_entry(f"lax[{i},{j};{c};t^{deg}]", e,
+                                        hr[(0, i, j)][1] if lax_factor[deg] else Verdict.ZERO))
 
-    hirota_ok = all(v is Verdict.ZERO for _, v in hr.values())
+    web_ok = all(v is Verdict.ZERO for _, v in hr.values())
     verdicts: dict[str, Any] = {
-        "hirota": hirota_ok,
-        "hierarchy": all(v is Verdict.ZERO for _, v in er.values()),
+        "hirota": web_ok,
+        "hierarchy": web_ok,
         # Also the verdict on [Pi(t), Pi(t)] = 0 for every t, with Pi(t) =
         # sum_i L_i(t) ^ d/dy_i: its only components that can be nonzero are
         # (x_a, y_i, y_j) = 2 sum_d t^d lax[i,j;x_a;t^d].
-        "lax": all(v is Verdict.ZERO for _, v in lr.values()),
-        "zakharevich": zakharevich_verdict(web, zero),
+        "lax": web_ok,
+        "zakharevich": web_ok,
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
         # (L_i(t) = base + t * direction, see webs._lax_pencil), so this
         # holds for every web candidate.
@@ -328,10 +329,10 @@ def analyze_web(spec: ProblemSpec) -> dict:
     }
     derived: dict[str, Any] = {
         "a_constants": [_frac_str(web.a_i(i)) for i in range(1, web.k + 1)],
-        "classification": "veronese web" if hirota_ok else "not a web",
+        "classification": "veronese web" if web_ok else "not a web",
     }
 
-    if hirota_ok:
+    if web_ok:
         conn = canonical_connection(web, zero)
         if web.k > 2:
             verdicts["flat"] = flatness_verdict(web, zero)

@@ -40,16 +40,6 @@ def _omega_table(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
     return [[f * Fraction(p[m], p[-1]) for f, p in rows] for m in range(len(t) - 1)]
 
 
-def _null_dual(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    """D[j][i] with d/dx_j = dw/dx_j sum_i D[j][i] V_i, the inverse of the
-    null-curve coefficient matrix.  omega(s)(V(t)) = (s - t)^k makes
-    omega_m(V_i) = (-1)^i binom(k, i) when m = k - i and 0 otherwise, so
-    the coframe dual to V_i is (-1)^i omega_{k-i} / binom(k, i)."""
-    k = len(t) - 2
-    w = _omega_table(t)
-    return [[(-1) ** i * w[k - i][j] / comb(k, i) for i in range(k + 1)] for j in range(k + 1)]
-
-
 def _null_coefficients(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
     """r[i][j], V_i's coefficient of e_j = (dw/dx_j)^-1 d/dx_j: c_j(s) = sum_i s^i r[i][j]
     = (t_j - s)^k / den_j, with den_j = -prod_{l != j} (t_j - t_l) over all k + 2 constants."""
@@ -92,8 +82,9 @@ def _diagonal_tables(t: tuple[Fraction, ...], start: int):
     """(check, alpha), coefficients over the b_jl of ``_bracket_h``, for the k + 2 nodes
     from ``start``.  check is the interpolant of h through the other nodes, at the last
     node, minus h there: zero when h has degree at most k.  alpha[j] = alpha_j / (dw/dx_j)
-    = (N^-1 h)_j with N[n][j] = c_j(s_n) at the first k + 1 nodes, and N^-1 = D L: D of
-    ``_null_dual``, L[i][n] the s^i coefficient of node n's Lagrange basis polynomial.
+    = (N^-1 h)_j with N[n][j] = c_j(s_n) at the first k + 1 nodes, and N^-1 = D L: D[j][i]
+    = (-1)^i W[k - i][j] / binom(k, i), W of ``_omega_table``, is the null dual (the coframe
+    of ``webs.NullCurve``), L[i][n] the s^i coefficient of node n's Lagrange basis polynomial.
     D, L and the H rows are integer matrices between rational row or column scales."""
     k = len(t) - 2
     *inner, at = nodes = _spectral_nodes(t, k + 2, start)

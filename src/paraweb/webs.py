@@ -9,7 +9,11 @@ annihilating one-form of the t-family is polynomial of degree k,
     omega(t) = sum_i (t_{k+1} - t_i) prod_{j != i} (t - t_j) dw/dx_i dx_i,
 
 and w presents a genuine web exactly when the quadratic Hirota system
-holds.  The null curve V(t) dual to omega(t) is normalised here by
+holds.  Its triples through 0 decide it: every other triple, the
+first-order hierarchy, the Lax commutators and omega ^ d omega are
+combinations of them (``_hirota_residuals``, ``eq1_residuals``,
+``lax_commutator_residuals``), so those are built as expressions only.
+The null curve V(t) dual to omega(t) is normalised here by
 omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
 
 Spectral-parameter families (omega, V, Lax fields) are handled as
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from . import spectral
@@ -73,7 +78,6 @@ __all__ = [
     "weyl_compatibility_residuals",
     "bryant_torsion_residuals",
     "bryant_forms",
-    "zakharevich_verdict",
 ]
 
 
@@ -205,8 +209,8 @@ class NullCurve:
     omega^(i)(t)(V^(j)(t)) vanishes for i + j < k and equals (-1)^j k!
     when i + j = k, and omega_m(V_i) is (-1)^i binom(k, i) for m = k - i
     and 0 otherwise: the coframe eta_0..eta_k dual to V_0..V_k is
-    (-1)^i omega_{k-i} / binom(k, i), eta_i = sum_j D[j][i] dw/dx_j dx_j
-    with D of ``spectral._null_dual``, and d/dx_b = sum_i eta_i(d/dx_b) V_i.
+    (-1)^i omega_{k-i} / binom(k, i), read from ``omega_coefficient_forms``,
+    and d/dx_b = sum_i eta_i(d/dx_b) V_i.
     """
 
     web: VeroneseWeb
@@ -218,10 +222,9 @@ class NullCurve:
         object.__setattr__(self, "fields", tuple(
             VectorField(web.coords, {f"x{j}": mul(rational(c), pow_int(web.dw(j), -1)) for j, c in enumerate(row)})
             for row in spectral._null_coefficients(web.t_params)))
-        dual = spectral._null_dual(web.t_params)
+        omegas, k = omega_coefficient_forms(web), web.k
         object.__setattr__(self, "coframe", tuple(
-            OneForm(web.coords, {f"x{j}": mul(web.dw(j), rational(row[i])) for j, row in enumerate(dual)})
-            for i in range(web.k + 1)))
+            omegas[k - i].scaled(rational(Fraction((-1) ** i, comb(k, i)))) for i in range(k + 1)))
 
 
 def null_curve(web: VeroneseWeb) -> NullCurve:
@@ -234,7 +237,9 @@ def null_curve(web: VeroneseWeb) -> NullCurve:
 def hirota_residuals(
     web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
 ) -> dict[tuple[int, int, int], tuple[Expr, Verdict]]:
-    """Residual of the quadratic Hirota equation per index triple; one shared dict per tester."""
+    """Residual of the quadratic Hirota equation per index triple, with its
+    verdict; a triple without 0 is tested only when one of its three
+    triples through 0 is not zero.  One shared dict per tester."""
     return _once(web, ("hirota", zero), _hirota_residuals, zero)
 
 
@@ -248,7 +253,14 @@ def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
             if d2 is not ZERO:
                 terms.append(mul(rational(web.a(p, q, r)), d2, web.dw(r)))
         e = add_iter(terms)
-        out[(i, j, l)] = (e, zero.verdict(e))
+        # With T = t_{k+1}, w_0 (t_0 - T) H_ijl = (t_l - T) w_l H_0ij
+        # - (t_j - T) w_j H_0il + (t_i - T) w_i H_0jl, and make_web keeps
+        # w_0 != 0: a triple without 0 vanishes with its triples through 0.
+        through_0 = ((0, i, j), (0, i, l), (0, j, l))
+        if i and all(out[key][1] is Verdict.ZERO for key in through_0):
+            out[(i, j, l)] = (e, Verdict.ZERO)
+        else:
+            out[(i, j, l)] = (e, zero.verdict(e))
     return out
 
 
@@ -256,14 +268,13 @@ def is_hirota_solution(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> b
     return all(v is Verdict.ZERO for _, v in hirota_residuals(web, zero).values())
 
 
-def eq1_residuals(
-    web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
-) -> dict[tuple[int, int], tuple[Expr, Verdict]]:
+def eq1_residuals(web: VeroneseWeb) -> dict[tuple[int, int], Expr]:
     """First-order form of the integrable hierarchy, one residual per pair.
 
     Uses the hierarchy coefficients a_hierarchy(i) = (t_i - t_0) /
-    (t_{k+1} - t_i): with those, the residual of the pair (i, j) is a
-    constant multiple of the Hirota residual of the triple (0, i, j).
+    (t_{k+1} - t_i): with those, the residual of the pair (i, j) is
+    H_0ij / ((t_{k+1} - t_i)(t_{k+1} - t_j)), H the Hirota residuals, so
+    it is printed with the verdict of the triple (0, i, j) and not tested.
     """
     out = {}
     d0 = web.dw(0)
@@ -273,11 +284,10 @@ def eq1_residuals(
             # a term with a zero second derivative is skipped, not built
             terms = [(sub(ai, aj), d0, web.dw2(i, j)), (aj, web.dw(i), web.dw2(j, 0))]
             minus = [(ai, web.dw(j), web.dw2(i, 0))]
-            e = add_iter(
+            out[(i, j)] = add_iter(
                 (mul(*t) for t in terms if t[2] is not ZERO),
                 (mul(*t) for t in minus if t[2] is not ZERO),
             )
-            out[(i, j)] = (e, zero.verdict(e))
     return out
 
 
@@ -305,11 +315,15 @@ def _lax_pencil(web: VeroneseWeb) -> list[tuple[VectorField, VectorField]]:
     return out
 
 
-def lax_commutator_residuals(
-    web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
-) -> dict[tuple[int, int, str, int], tuple[Expr, Verdict]]:
+def lax_commutator_residuals(web: VeroneseWeb) -> dict[tuple[int, int, str, int], Expr]:
     """Coefficients of [L_i, L_j] as polynomials in t, keyed
-    (i, j, coordinate, t-degree), each with a verdict."""
+    (i, j, coordinate, t-degree).
+
+    With T = t_{k+1}, [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij
+    / ((dw/dx_0)^2 (T - t_i)(T - t_j)) d/dx_0, H the Hirota residuals, so
+    each coefficient is printed with the verdict of the triple (0, i, j),
+    or as zero where the t-degree's coefficient of -(t - t_0)(t - T) is 0.
+    """
     out = {}
     parts = _lax_pencil(web)
     for i in range(1, web.k + 1):
@@ -323,7 +337,7 @@ def lax_commutator_residuals(
             }
             for deg, fieldv in by_degree.items():
                 for c, e in fieldv.comps.items():
-                    out[(i, j, c, deg)] = (e, zero.verdict(e))
+                    out[(i, j, c, deg)] = e
     return out
 
 
@@ -725,20 +739,3 @@ def bryant_torsion_residuals(
         for cname, e in fieldv.comps.items():
             out[(a, b, cname)] = (e, zero.verdict(e))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Zakharevich criterion
-
-def zakharevich_verdict(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-    """Decide integrability: omega(t) ^ d omega(t) = 0 at k+3 pairwise
-    distinct values t outside the spectral set (inside it the condition
-    is void).  There, for a < b < c, exactly
-
-        (omega ^ d omega)_{abc}(t) = P(t)^2 (t - t_{k+1}) H_{abc}
-                                     / ((t - t_a)(t - t_b)(t - t_c)),
-
-    with P(t) = prod_{j <= k} (t - t_j) and H the Hirota residuals.  The
-    factor is a nonzero rational, so the verdict is read from H.
-    """
-    return is_hirota_solution(web, zero)

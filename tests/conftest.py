@@ -27,13 +27,13 @@ from paraweb.expr import (
     pow_int,
     sub,
 )
-from paraweb.jet import OneForm, ThreeForm, VectorField, exterior_derivative, wedge3
+from paraweb.jet import OneForm, VectorField
 from paraweb.report import ProblemSpec, analyze_web
 from paraweb.spectral import _spectral_nodes
 from paraweb.webs import VeroneseWeb, lax_commutator_residuals
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
-from oracles import omega_at
+from oracles import ThreeForm, exterior_derivative, omega_at, wedge3
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
 # (0, 1, ..., k+1) the two-exponential ansatz
@@ -184,7 +184,9 @@ def _distribute(a: Expr, b: Expr) -> Expr:
 
 
 def lax_commutes(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-    return all(v is Verdict.ZERO for _, v in lax_commutator_residuals(web, zero).values())
+    """Every coefficient of every [L_i(t), L_j(t)] zero-tested by ``zero``
+    (reports read them from the Hirota residuals instead)."""
+    return all(zero.verdict(e) is Verdict.ZERO for e in lax_commutator_residuals(web).values())
 
 
 def omega_wedge_d_omega(web: VeroneseWeb, tval: Fraction) -> ThreeForm:

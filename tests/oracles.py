@@ -1,7 +1,9 @@
 """Web objects that only tests use: omega(t) and V(t) at a given t, the
-Lax tuple, the null curve's coefficient matrix, the Ricci tensor and its
-null contraction, a base-point sampler, the bi-Hamiltonian pencil with
-its Schouten bracket, and a ``Fraction`` reference of every table of
+Lax tuple, the rational matrices of the null curve's fields and coframe,
+the Ricci tensor and its null contraction, a base-point sampler, the
+bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
+with the exterior derivative and the wedge that omega(t) ^ d omega(t)
+needs, and a ``Fraction`` reference of every table of
 ``paraweb.spectral``.
 
 Pi(t) = sum_i L_i(t) ^ d/dy_i lives on the extended space with
@@ -20,6 +22,7 @@ tests can decide the identity exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import comb, factorial, lcm, prod
@@ -33,13 +36,15 @@ from paraweb.expr import (
     _coeff_mono,
     add_iter,
     differentiate,
+    div,
     eval_numeric,
     free_symbols,
     mul,
     neg,
     rational,
+    sub,
 )
-from paraweb.jet import OneForm, VectorField
+from paraweb.jet import FrameError, OneForm, VectorField
 from paraweb.webs import (
     NullCurve,
     VeroneseWeb,
@@ -116,6 +121,18 @@ def coefficient_matrix(curve: NullCurve) -> list[list[Fraction]]:
     out = []
     for f in curve.fields:
         row = [mul(f.comp(f"x{j}"), web.dw(j)) for j in range(web.k + 1)]
+        assert all(e.kind == RAT for e in row), row
+        out.append([e.payload for e in row])
+    return out
+
+
+def coframe_matrix(curve: NullCurve) -> list[list[Fraction]]:
+    """Rational parts D[j][i]: eta_i = sum_j D[j][i] dw/dx_j dx_j, read off
+    the null curve's coframe."""
+    web = curve.web
+    out = []
+    for j in range(web.k + 1):
+        row = [div(eta.comp(f"x{j}"), web.dw(j)) for eta in curve.coframe]
         assert all(e.kind == RAT for e in row), row
         out.append([e.payload for e in row])
     return out
@@ -244,6 +261,78 @@ def schouten_residuals(
         vals = base_point_values(rng, symbols, evaluate)
         out.extend(vals if vals else [0.0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Two- and three-forms, for omega(t) ^ d omega(t): reports read the
+# Zakharevich criterion from the Hirota residuals and build neither.
+
+@dataclass(frozen=True)
+class TwoForm:
+    """Coefficients stored for ordered index pairs only."""
+
+    frame: tuple[str, ...]
+    comps: dict[tuple[str, str], Expr]
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", {key: e for key, e in self.comps.items() if e is not ZERO})
+        order = {c: i for i, c in enumerate(self.frame)}
+        for u, v in self.comps:
+            if order[u] >= order[v]:
+                raise FrameError("two-form keys must be strictly ordered pairs")
+
+    def comp(self, u: str, v: str) -> Expr:
+        if u == v:
+            return ZERO
+        order = self.frame.index
+        if order(u) < order(v):
+            return self.comps.get((u, v), ZERO)
+        return mul(rational(-1), self.comps.get((v, u), ZERO))
+
+    def __call__(self, a: VectorField, b: VectorField) -> Expr:
+        terms = []
+        for (u, v), w in self.comps.items():
+            terms.append(mul(w, sub(mul(a.comp(u), b.comp(v)), mul(a.comp(v), b.comp(u)))))
+        return add_iter(terms)
+
+
+@dataclass(frozen=True)
+class ThreeForm:
+    frame: tuple[str, ...]
+    comps: dict[tuple[str, str, str], Expr]
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", {key: e for key, e in self.comps.items() if e is not ZERO})
+
+    def comp(self, u: str, v: str, w: str) -> Expr:
+        return self.comps.get((u, v, w), ZERO)
+
+
+def exterior_derivative(w: OneForm) -> TwoForm:
+    frame = w.frame
+    comps = {}
+    for i, u in enumerate(frame):
+        for v in frame[i + 1:]:
+            comps[(u, v)] = sub(differentiate(w.comp(v), u), differentiate(w.comp(u), v))
+    return TwoForm(frame, comps)
+
+
+def wedge3(w: OneForm, eta: TwoForm) -> ThreeForm:
+    """Totally antisymmetric coefficients of w wedge eta."""
+    if w.frame != eta.frame:
+        raise FrameError("form frames differ")
+    frame = w.frame
+    comps = {}
+    n = len(frame)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                u, v, z = frame[i], frame[j], frame[l]
+                comps[(u, v, z)] = add_iter(
+                    [mul(w.comp(u), eta.comp(v, z)), mul(w.comp(z), eta.comp(u, v))],
+                    [mul(w.comp(v), eta.comp(u, z))],
+                )
+    return ThreeForm(frame, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,16 @@ from paraweb.jet import (
     ScalingRule,
     VectorField,
     differential,
-    exterior_derivative,
     lie_bracket,
     lie_derivative_oneform,
     total_derivative_field,
-    wedge3,
 )
 from paraweb.parser import parse_expr
 from paraweb.webs import make_web
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
-from oracles import omega_at
+from oracles import exterior_derivative, omega_at, wedge3
 
 ZT = ZeroTester()
 

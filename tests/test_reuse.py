@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-import paraweb.spectral as spectral
 import paraweb.webs as webs_mod
 import paraweb.zerotest as zerotest_mod
 from paraweb.expr import ZERO, _evaluate, add_iter, differentiate, mul, neg
@@ -23,16 +22,18 @@ from paraweb.webs import (
     WebConnection,
     bryant_forms,
     canonical_connection,
+    eq1_residuals,
     hirota_residuals,
+    lax_commutator_residuals,
     make_web,
     null_curve,
     omega_coefficient_forms,
 )
-from paraweb.zerotest import DEFAULT_TESTER, ZeroTester
+from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 import oracles
-from conftest import NONFLAT_W, zakharevich_oracle
-from oracles import coefficient_matrix, ricci_tensor
+from conftest import NONFLAT_W, lax_commutes, zakharevich_oracle
+from oracles import coefficient_matrix, coframe_matrix, ricci_tensor
 
 DATA = Path(__file__).parent / "data"
 ZT = ZeroTester()
@@ -115,13 +116,37 @@ class TestVerdictMemo:
     def test_memo_equals_fresh_sampling(self, monkeypatch):
         problem = {"kind": "web", "k": 3, "w": NONFLAT_W[3], "options": {"seed": 4}}
         tester = self._report_tester(monkeypatch, problem)
-        # The report reads Zakharevich from the Hirota residuals; the
-        # sampled criterion adds the wedge components it used to test.
-        assert zakharevich_oracle(make_web(3, NONFLAT_W[3]), tester)
+        # The report reads Zakharevich, the hierarchy and Lax from the
+        # Hirota triples through 0; the sampled criteria add the wedge
+        # components, and the hierarchy and Lax residuals, it used to test.
+        web = make_web(3, NONFLAT_W[3])
+        assert zakharevich_oracle(web, tester) and lax_commutes(web, tester)
+        assert all(tester.verdict(e) is Verdict.ZERO for e in eq1_residuals(web).values())
         assert len(tester._verdicts) > 40
         for e, got in tester._verdicts.items():
             fresh = ZeroTester(trials=tester.trials, tolerance=tester.tolerance, seed=tester.seed)
             assert fresh.verdict_stats(e) == got
+
+    @pytest.mark.parametrize("k, w", [(4, "w"), (3, NONFLAT_W[3])], ids=["generic-k4", "nonflat-k3"])
+    def test_report_tests_no_residual_it_reads(self, monkeypatch, k, w):
+        # Hierarchy and Lax residuals carry the verdicts of the Hirota
+        # triples through 0, and on a solution so does the triple (1, 2, 3).
+        web = make_web(k, w)
+        read = [*eq1_residuals(web).values(), *lax_commutator_residuals(web).values()]
+        h123 = hirota_residuals(web, ZT)[(1, 2, 3)][0]
+        tested = []
+        verdict_stats = ZeroTester.verdict_stats
+
+        def record(tester, e):
+            tested.append(e)
+            return verdict_stats(tester, e)
+
+        monkeypatch.setattr(ZeroTester, "verdict_stats", record)
+        rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": k, "w": w}))
+        assert len(read) == k * (k - 1) // 2 * 3
+        assert tested and not set(read) & set(tested)
+        assert rep["verdicts"]["hirota"] is (w != "w")
+        assert (h123 in tested) is (w == "w")
 
     def test_repeated_call_does_not_sample(self, monkeypatch):
         evaluations = []
@@ -189,27 +214,28 @@ class TestWebObjects:
 
     def test_null_dual_is_read_not_inverted(self, monkeypatch):
         # A k = 3 report reads the dual of the null frame from omega's
-        # coefficients once, for the coframe that the Bryant forms and the
-        # Bryant Christoffel table share; the diagonal connection's tables
-        # take it from the leave-one-out products, uncounted even when
-        # built afresh.  Another web reads it once more.  Each read is the
-        # exact inverse of the null-curve coefficient matrix r: sum_j
-        # r[i][j] D[j][l] is 1 when i = l and 0 otherwise.
-        reads = []
+        # coefficient forms, built once for the coframe that the Bryant
+        # forms and the Bryant Christoffel table share; the diagonal
+        # connection's tables take it from the leave-one-out products.
+        # Another web builds them once more.  Each coframe is the exact
+        # inverse of the null-curve coefficient matrix r: sum_j r[i][j]
+        # D[j][l] is 1 when i = l and 0 otherwise.
+        built = []
 
-        def recording(t, _real=spectral._null_dual):
-            reads.append(_real(t))
-            return reads[-1]
+        def recording(web, _real=webs_mod._omega_coefficient_forms):
+            built.append(web)
+            return _real(web)
 
-        monkeypatch.setattr(spectral, "_null_dual", recording)
-        spectral._diagonal_tables.cache_clear()
+        monkeypatch.setattr(webs_mod, "_omega_coefficient_forms", recording)
         rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": NONFLAT_W[3]}))
         assert "bryant" in rep["derived"] and rep["derived"]["connection"]["type"] == "diagonal"
-        assert len(reads) == 1
+        assert len(built) == 1
         analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": "x0+x1+x2+x3"}))
-        assert len(reads) == 2
-        r = coefficient_matrix(null_curve(make_web(3, NONFLAT_W[3])))
-        for d in reads:
+        assert len(built) == 2
+        for web in built:
+            curve = null_curve(web)
+            r, d = coefficient_matrix(curve), coframe_matrix(curve)
+            assert d == oracles.null_dual(web.t_params)
             assert [[sum(r[i][j] * d[j][l] for j in range(4)) for l in range(4)] for i in range(4)] == \
                 [[int(i == l) for l in range(4)] for i in range(4)]
 

@@ -11,6 +11,7 @@ import pytest
 
 import paraweb.spectral as spectral
 from paraweb.report import MAX_LITERAL_DIGITS, _parse_fraction
+from paraweb.webs import make_web, null_curve
 
 import oracles
 
@@ -38,7 +39,13 @@ def test_tables_equal_the_fraction_reference(kind, k):
     t = tuple(CONSTANTS[kind](k))
     assert len(set(t)) == k + 2
     assert spectral._omega_table(t) == oracles.omega_table(t)
-    assert spectral._null_dual(t) == oracles.null_dual(t)
+    # the null dual is the coframe of the null curve, read from omega's
+    # coefficient forms; r D = I with r the null-curve coefficient matrix
+    d = oracles.coframe_matrix(null_curve(make_web(k, "w", t)))
+    assert d == oracles.null_dual(t)
+    r = spectral._null_coefficients(t)
+    assert [[sum(r[i][j] * d[j][l] for j in range(k + 1)) for l in range(k + 1)] for i in range(k + 1)] == \
+        [[int(i == l) for l in range(k + 1)] for i in range(k + 1)]
     # den_j = -prod_{l != j} (t_j - t_l), and c_j(s), c_j'(s) summed over
     # the null curve's coefficient matrix
     _, gaps = spectral._leave_one_out(t)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from paraweb.expr import (
     sym,
     to_string,
 )
-from paraweb.jet import VectorField, exterior_derivative, lie_bracket, wedge3
+from paraweb.jet import VectorField, lie_bracket
 from paraweb.report import ProblemSpec, analyze_web, dumps_report
 import paraweb.spectral as spectral
 import paraweb.webs as webs
@@ -76,6 +77,8 @@ from conftest import (
 from oracles import (
     RICCI_NULL_NODES,
     coefficient_matrix,
+    coframe_matrix,
+    exterior_derivative,
     lax_tuple,
     null_curve_at,
     omega_at,
@@ -85,6 +88,7 @@ from oracles import (
     schouten_components,
     schouten_residuals,
     spectral_weights,
+    wedge3,
 )
 
 ZT = ZeroTester()
@@ -237,7 +241,7 @@ class TestNullCurve:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_coefficient_matrix_inverse_is_exact(self, k):
-        # The dual read from omega's coefficients is the elimination's inverse.
+        # The coframe read from omega's coefficient forms is the elimination's inverse.
         w = " + ".join(f"x{i}" for i in range(k + 1))
         rng = random.Random(k)
         moved = [Fraction(3 * n * n - 7, n + 2) for n in range(k + 2)]
@@ -245,7 +249,7 @@ class TestNullCurve:
         for t_params in (None, moved, drawn):
             web = make_web(k, w, t_params)
             r = coefficient_matrix(null_curve(web))
-            assert spectral._null_dual(web.t_params) == invert_rational(r), t_params
+            assert coframe_matrix(null_curve(web)) == invert_rational(r), t_params
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_null_values_match_the_coefficient_matrix(self, k):
@@ -316,7 +320,7 @@ class TestHirotaLax:
         for k, w, _tag in corpus:
             web = make_web(k, w)
             h = is_hirota_solution(web, ZT)
-            e = all(v is Verdict.ZERO for _, v in eq1_residuals(web, ZT).values())
+            e = all(ZT.verdict(r) is Verdict.ZERO for r in eq1_residuals(web).values())
             l = lax_commutes(web, ZT)
             assert h == e == l, (k, w)
 
@@ -325,11 +329,91 @@ class TestHirotaLax:
         # hierarchy residual, so its t^2 coefficient is -residual/(dw/dx0)^2:
         # the two tests fail at exactly the same points
         web = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
-        lr = lax_commutator_residuals(web, ZT)
-        (e1, _), = eq1_residuals(web, ZT).values()
-        quad = lr[(1, 2, "x0", 2)][0]
+        lr = lax_commutator_residuals(web)
+        e1, = eq1_residuals(web).values()
+        quad = lr[(1, 2, "x0", 2)]
         rel = add(mul(pow_int(web.dw(0), 2), quad), e1)
         assert ZT.verdict(rel) is Verdict.ZERO
+
+
+def one_verdict_t_params(k: int, kind: str) -> list[Fraction] | None:
+    """Spectral constants for the identity tests: the default, drawn
+    rationals, or t_0 = -T with T = t_{k+1}, where the t^1 coefficient of
+    -(t - t_0)(t - T) vanishes instead of the t^0 one."""
+    if kind == "default":
+        return None
+    if kind == "drawn":
+        return random.Random(k + 40).sample(sorted({Fraction(m, d) for m in range(-30, 31) for d in range(1, 8)}), k + 2)
+    return [Fraction(-(k + 1))] + [Fraction(n) for n in range(1, k + 2)]
+
+
+class TestOneVerdict:
+    """The identities that let a report read the hierarchy, Lax and the
+    triples without 0 from the Hirota triples H_0ij through 0, with
+    T = t_{k+1}:
+
+        hierarchy[i,j] = H_0ij / ((T - t_i)(T - t_j)),
+        [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij / ((dw/dx0)^2 (T - t_i)(T - t_j)) d/dx0,
+        w_0 (t_0 - T) H_ijl = (t_l - T) w_l H_0ij - (t_j - T) w_j H_0il + (t_i - T) w_i H_0jl.
+
+    They are checked on the generic web "w", whose derivatives are
+    independent symbols, so they hold for every w.
+    """
+
+    @pytest.mark.parametrize("kind", ["default", "drawn", "t0=-T"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_identities_on_the_generic_web(self, k, kind):
+        web = make_web(k, "w", one_verdict_t_params(k, kind))
+        t = web.t_params
+        top = t[-1]
+        h = {key: e for key, (e, _) in hirota_residuals(web, EXACT).items()}
+        hierarchy, lax = eq1_residuals(web), lax_commutator_residuals(web)
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        factor = {0: -t[0] * top, 1: t[0] + top, 2: Fraction(-1)}
+        assert sorted(hierarchy) == pairs
+        assert set(lax) <= {(i, j, "x0", d) for i, j in pairs for d in factor}
+        assert kind != "t0=-T" or factor[1] == 0
+        for i, j in pairs:
+            h0 = h[(0, i, j)]
+            assert EXACT.verdict(h0) is Verdict.NONZERO
+            scale = 1 / ((top - t[i]) * (top - t[j]))
+            assert EXACT.verdict(sub(hierarchy[(i, j)], mul(rational(scale), h0))) is Verdict.ZERO, (i, j)
+            for d, c in factor.items():
+                want = mul(rational(c * scale), h0, pow_int(web.dw(0), -2))
+                assert EXACT.verdict(sub(lax.get((i, j, "x0", d), ZERO), want)) is Verdict.ZERO, (i, j, d)
+        for (i, j, l), e in h.items():
+            if i:
+                combination = add_iter(
+                    [mul(rational(t[l] - top), web.dw(l), h[(0, i, j)]),
+                     mul(rational(t[i] - top), web.dw(i), h[(0, j, l)])],
+                    [mul(rational(t[j] - top), web.dw(j), h[(0, i, l)])],
+                )
+                assert EXACT.verdict(sub(mul(rational(t[0] - top), web.dw(0), e), combination)) is Verdict.ZERO, \
+                    (i, j, l)
+
+    def test_reports_print_one_verdict(self, corpus, corpus_reports):
+        # Each hierarchy and Lax entry carries its hirota[0,i,j] verdict, or
+        # zero where its t-degree's factor vanishes; the four keys agree.
+        problems = [{"kind": "web", "k": k, "w": w} for k, w, _tag in corpus]
+        extra = [{"kind": "web", "k": k, "w": "w"} for k in range(1, 9)]
+        extra.append({"kind": "web", "k": 2, "w": "x0 + x1^2/2 + x2", "t_params": ["-2", "0", "1", "2"]})
+        extra.append({"kind": "web", "k": 3, "w": "w", "t_params": ["-4", "1", "2", "3", "4"]})
+        reports = corpus_reports + [analyze_web(ProblemSpec.from_dict(raw)) for raw in extra]
+        for raw, rep in zip(problems + extra, reports):
+            verdicts = rep["verdicts"]
+            assert verdicts["hirota"] is verdicts["hierarchy"] is verdicts["lax"] is verdicts["zakharevich"], raw
+            t = [Fraction(x) for x in rep["problem"]["t_params"]]
+            factor = (-t[0] * t[-1], t[0] + t[-1], -1)
+            by_name = {r["name"]: r["verdict"] for r in rep["residuals"]}
+            assert verdicts["hirota"] is all(v == "zero" for v in by_name.values()), raw
+            for name, got in by_name.items():
+                read = re.fullmatch(r"(?:hierarchy|lax)\[(\d+),(\d+)(?:;x0;t\^(\d))?\]", name)
+                if read is not None:
+                    i, j, d = read.groups()
+                    want = "zero" if d is not None and not factor[int(d)] else by_name[f"hirota[0,{i},{j}]"]
+                    assert got == want, (raw, name)
+                else:
+                    assert name.startswith("hirota["), name
 
 
 class TestCanonicalConnection:
@@ -1002,13 +1086,13 @@ class TestBiHamiltonian:
         # (x_a, y_i, y_j) = 2 [L_i(t), L_j(t)]^{x_a} = 2 sum_d t^d lax[i,j;x_a;t^d],
         # so the report's Lax verdict decides [Pi(t), Pi(t)] = 0 for every t
         for web, _ok, by_t in schouten_cases:
-            lax = lax_commutator_residuals(web, EXACT)
+            lax = lax_commutator_residuals(web)
             for tv, comps in by_t.items():
                 assert len(comps) == (web.k + 1) * web.k * (web.k - 1) // 2
                 for (x, yi, yj), comp in comps.items():
                     i, j = int(yi[1:]), int(yj[1:])
                     expansion = add_iter(
-                        mul(rational(2 * tv ** d), lax[(i, j, x, d)][0])
+                        mul(rational(2 * tv ** d), lax[(i, j, x, d)])
                         for d in range(3) if (i, j, x, d) in lax
                     )
                     diff = sub(comp, expansion)
