@@ -4,8 +4,8 @@ totally geodesic paraconformal connections and Veronese webs.
 The expression kernel (exact rationals, opaque derivative symbols,
 randomized zero testing) lives in ``expr``/``parser``/``zerotest``; jet
 space geometry in ``jet``; the curvature chain and Wunschmann/Cartan
-invariants in ``invariants``; the Veronese web side (Hirota system, Lax
-tuple, canonical and Bryant connections, Einstein-Weyl data) in
+invariants in ``invariants``; the Veronese web side (Hirota system, null
+curve, canonical and Bryant connections, Einstein-Weyl data) in
 ``webs``, with the tables of its spectral constants in ``spectral``;
 batch analysis and the JSON report schema in ``report``/``cli``.
 """
@@ -66,7 +66,6 @@ from .webs import (
     conformal_metric,
     flatness_verdict,
     hirota_residuals,
-    lax_commutator_residuals,
     make_web,
     null_curve,
     torsion,

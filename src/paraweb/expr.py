@@ -14,9 +14,10 @@ expression vanishes is the job of randomized identity testing (see
 A node holds its sort key, a structural hash that is stable across
 processes and its serial number.  A sum's or product's key is the flat
 tuple (kind, *child keys), and a product is interned under its children
-tuple, any other node under (kind, payload, children), so a product
-keeps no tuple besides its children and its key (and its split, below,
-when it has a rational factor).
+tuple, a rational under (numerator, denominator) in a table of its own
+and any other node under (kind, payload, children), so a product keeps
+no tuple besides its children and its key (and its split, below, when
+it has a rational factor).
 
 All values are immutable and all operations are pure, so expressions can
 be shared and evaluated from multiple threads; the intern table is only
@@ -254,10 +255,18 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
     # (kind, payload, children).  The first item of the one is a node and of
     # the other an int, so the two never compare equal.  Children hash and
     # compare by identity, so each key is as exact as one built from ids.
+    # A rational is interned once, in _RAT_INTERN, by ``rational``.
     ident = children if kind == MUL else (kind, payload, children)
     node = _INTERN.get(ident)
     if node is not None:
         return node
+    if kind == RAT:
+        return rational(payload)
+    return _INTERN.setdefault(ident, _new(kind, payload, children))
+
+
+def _new(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
+    """A node that is not interned yet; callers intern it."""
     node = object.__new__(Expr)
     node.kind = kind
     node.payload = payload
@@ -281,7 +290,7 @@ def _make(kind: int, payload, children: tuple[Expr, ...]) -> Expr:
         node.has_fun = has_fun
     node.uid = next(_UID)
     node.split = None
-    return _INTERN.setdefault(ident, node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +309,7 @@ def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
         return node
     if not -_CONSTANT_LIMIT < ident[0] < _CONSTANT_LIMIT or ident[1] >= _CONSTANT_LIMIT:
         raise _too_large()
-    node = _make(RAT, Fraction(p), ())
-    return _RAT_INTERN.setdefault(ident, node)
+    return _RAT_INTERN.setdefault(ident, _new(RAT, Fraction(p), ()))
 
 
 def integer(n: int) -> Expr:

@@ -14,9 +14,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, TextIO
 
-from .expr import BudgetError, Expr, Printer, mul, rational, sub, to_string
+from .expr import ZERO, BudgetError, Expr, Printer, mul, pow_int, rational, sub, to_string
 from .invariants import (
     ExtractionError,
     Residual,
@@ -35,10 +36,8 @@ from .webs import (
     bryant_forms,
     canonical_connection,
     conformal_metric,
-    eq1_residuals,
     flatness_verdict,
     hirota_residuals,
-    lax_commutator_residuals,
     make_web,
     weyl_form_from_connection,
 )
@@ -288,7 +287,8 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 def analyze_web(spec: ProblemSpec) -> dict:
     """Run the web pipeline: one verdict, from the Hirota triples through 0,
     printed as the Hirota, hierarchy, Lax and Zakharevich verdicts and on
-    every residual, then (for solutions) connection data and flatness."""
+    every residual (the hierarchy and Lax residuals printed as multiples
+    of those triples), then (for solutions) connection data and flatness."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -297,21 +297,31 @@ def analyze_web(spec: ProblemSpec) -> dict:
     except Exception as exc:
         raise InputError(f"bad w: {exc}") from exc
 
-    # One verdict decides the web, that of the Hirota triples through 0:
-    # the other triples, hierarchy[i,j] and lax[i,j;x0;t^d] are identities
-    # in them (webs._hirota_residuals, eq1_residuals and
-    # lax_commutator_residuals), and on every t outside the spectral set,
-    # for a < b < c, with T = t_{k+1} and P(t) = prod_{j <= k} (t - t_j),
+    # One verdict decides the web, that of the Hirota triples through 0.
+    # With T = t_{k+1}, every other triple, the first-order hierarchy and
+    # the Lax brackets are identities in them (webs._hirota_residuals;
+    # tests/test_webs.py::TestOneVerdict):
+    #     hierarchy[i,j] = H_0ij / ((T - t_i)(T - t_j)),
+    #     [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij / ((dw/dx0)^2 (T - t_i)(T - t_j)) d/dx0,
+    # so both are printed as those multiples of the node printed as
+    # hirota[0,i,j]; and on every t outside the spectral set, for a < b < c,
+    # with P(t) = prod_{j <= k} (t - t_j),
     #     (omega ^ d omega)_{abc}(t) = P(t)^2 (t - T) H_abc / ((t - t_a)(t - t_b)(t - t_c)).
     hr = hirota_residuals(web, zero)
     residuals = [_verdict_entry(f"hirota[{i},{j},{l}]", e, v) for (i, j, l), (e, v) in sorted(hr.items())]
-    for (i, j), e in sorted(eq1_residuals(web).items()):
-        residuals.append(_verdict_entry(f"hierarchy[{i},{j}]", e, hr[(0, i, j)][1]))
-    t0, top = web.t_params[0], web.t_params[-1]
-    lax_factor = (-t0 * top, t0 + top, -1)  # -(t - t_0)(t - T) by degree
-    for (i, j, c, deg), e in sorted(lax_commutator_residuals(web).items()):
-        residuals.append(_verdict_entry(f"lax[{i},{j};{c};t^{deg}]", e,
-                                        hr[(0, i, j)][1] if lax_factor[deg] else Verdict.ZERO))
+    t, top = web.t_params, web.t_params[-1]
+    lax_factor = (-t[0] * top, t[0] + top, -1)  # -(t - t_0)(t - T) by degree
+    hierarchy, lax = [], []
+    for i, j in combinations(range(1, web.k + 1), 2):
+        h, v = hr[(0, i, j)]
+        e = mul(rational(1 / ((top - t[i]) * (top - t[j]))), h)
+        hierarchy.append(_verdict_entry(f"hierarchy[{i},{j}]", e, v))
+        for deg, c in enumerate(lax_factor):
+            # a bracket coefficient that is the constant 0 is not listed
+            if c and e is not ZERO:
+                lax.append(_verdict_entry(f"lax[{i},{j};x0;t^{deg}]",
+                                          mul(rational(c), e, pow_int(web.dw(0), -2)), v))
+    residuals += hierarchy + lax
 
     web_ok = all(v is Verdict.ZERO for _, v in hr.values())
     verdicts: dict[str, Any] = {
@@ -323,8 +333,8 @@ def analyze_web(spec: ProblemSpec) -> dict:
         "lax": web_ok,
         "zakharevich": web_ok,
         # Pi(t) = sum_i L_i(t) ^ d/dy_i is affine in t by construction
-        # (L_i(t) = base + t * direction, see webs._lax_pencil), so this
-        # holds for every web candidate.
+        # (L_i(t) = base + t * direction, see lax_pencil in
+        # tests/oracles.py), so this holds for every web candidate.
         "pencil_affine": True,
     }
     derived: dict[str, Any] = {

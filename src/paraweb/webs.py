@@ -1,4 +1,4 @@
-"""Veronese webs: Hirota system, Lax tuple, canonical connections,
+"""Veronese webs: Hirota system, null curve, canonical connections,
 Einstein-Weyl data and Bryant forms.
 
 A web on a (k+1)-manifold is presented by a function w(x0..xk) and k+2
@@ -11,8 +11,8 @@ annihilating one-form of the t-family is polynomial of degree k,
 and w presents a genuine web exactly when the quadratic Hirota system
 holds.  Its triples through 0 decide it: every other triple, the
 first-order hierarchy, the Lax commutators and omega ^ d omega are
-combinations of them (``_hirota_residuals``, ``eq1_residuals``,
-``lax_commutator_residuals``), so those are built as expressions only.
+combinations of them (``_hirota_residuals``; ``report.analyze_web``
+prints the hierarchy and the commutators as multiples of them).
 The null curve V(t) dual to omega(t) is normalised here by
 omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
 
@@ -68,8 +68,6 @@ __all__ = [
     "null_curve",
     "hirota_residuals",
     "is_hirota_solution",
-    "eq1_residuals",
-    "lax_commutator_residuals",
     "canonical_connection",
     "torsion",
     "flatness_verdict",
@@ -134,12 +132,6 @@ class VeroneseWeb:
     def a_i(self, i: int) -> Fraction:
         t = self.t_params
         return (t[self.k + 1] - t[0]) / (t[self.k + 1] - t[i])
-
-    def a_hierarchy(self, i: int) -> Fraction:
-        """Coefficient of the first-order hierarchy form equivalent to the
-        Hirota system: (t_i - t_0) / (t_{k+1} - t_i)."""
-        t = self.t_params
-        return (t[i] - t[0]) / (t[self.k + 1] - t[i])
 
     def dw(self, i: int) -> Expr:
         return differentiate(self.w, f"x{i}")
@@ -232,7 +224,7 @@ def null_curve(web: VeroneseWeb) -> NullCurve:
 
 
 # ---------------------------------------------------------------------------
-# Hirota system and Lax tuple
+# Hirota system
 
 def hirota_residuals(
     web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
@@ -266,79 +258,6 @@ def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
 
 def is_hirota_solution(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
     return all(v is Verdict.ZERO for _, v in hirota_residuals(web, zero).values())
-
-
-def eq1_residuals(web: VeroneseWeb) -> dict[tuple[int, int], Expr]:
-    """First-order form of the integrable hierarchy, one residual per pair.
-
-    Uses the hierarchy coefficients a_hierarchy(i) = (t_i - t_0) /
-    (t_{k+1} - t_i): with those, the residual of the pair (i, j) is
-    H_0ij / ((t_{k+1} - t_i)(t_{k+1} - t_j)), H the Hirota residuals, so
-    it is printed with the verdict of the triple (0, i, j) and not tested.
-    """
-    out = {}
-    d0 = web.dw(0)
-    for i in range(1, web.k + 1):
-        for j in range(i + 1, web.k + 1):
-            ai, aj = rational(web.a_hierarchy(i)), rational(web.a_hierarchy(j))
-            # a term with a zero second derivative is skipped, not built
-            terms = [(sub(ai, aj), d0, web.dw2(i, j)), (aj, web.dw(i), web.dw2(j, 0))]
-            minus = [(ai, web.dw(j), web.dw2(i, 0))]
-            out[(i, j)] = add_iter(
-                (mul(*t) for t in terms if t[2] is not ZERO),
-                (mul(*t) for t in minus if t[2] is not ZERO),
-            )
-    return out
-
-
-def _lax_pencil(web: VeroneseWeb) -> list[tuple[VectorField, VectorField]]:
-    """(base, direction) with L_i(t) = base + t * direction, for i = 1..k:
-
-        L_i(t) = -(t - t_0) (dw/dx_i / dw/dx_0) d/dx_0 + a_i (t - t_i) d/dx_i.
-
-    The (t - t_0) factor on the first component makes omega(t)(L_i(t))
-    cancel identically; without it the fields are affine in t but fail
-    both tangency and the commutation criterion.
-    """
-    out = []
-    for i in range(1, web.k + 1):
-        ratio = div(web.dw(i), web.dw(0))
-        base = VectorField(
-            web.coords,
-            {
-                "x0": mul(rational(web.t_params[0]), ratio),
-                f"x{i}": rational(-web.a_i(i) * web.t_params[i]),
-            },
-        )
-        direction = VectorField(web.coords, {"x0": neg(ratio), f"x{i}": rational(web.a_i(i))})
-        out.append((base, direction))
-    return out
-
-
-def lax_commutator_residuals(web: VeroneseWeb) -> dict[tuple[int, int, str, int], Expr]:
-    """Coefficients of [L_i, L_j] as polynomials in t, keyed
-    (i, j, coordinate, t-degree).
-
-    With T = t_{k+1}, [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij
-    / ((dw/dx_0)^2 (T - t_i)(T - t_j)) d/dx_0, H the Hirota residuals, so
-    each coefficient is printed with the verdict of the triple (0, i, j),
-    or as zero where the t-degree's coefficient of -(t - t_0)(t - T) is 0.
-    """
-    out = {}
-    parts = _lax_pencil(web)
-    for i in range(1, web.k + 1):
-        for j in range(i + 1, web.k + 1):
-            b_i, d_i = parts[i - 1]
-            b_j, d_j = parts[j - 1]
-            by_degree = {
-                0: lie_bracket(b_i, b_j),
-                1: lie_bracket(b_i, d_j).plus(lie_bracket(d_i, b_j)),
-                2: lie_bracket(d_i, d_j),
-            }
-            for deg, fieldv in by_degree.items():
-                for c, e in fieldv.comps.items():
-                    out[(i, j, c, deg)] = e
-    return out
 
 
 # ---------------------------------------------------------------------------

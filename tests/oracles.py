@@ -1,7 +1,7 @@
 """Web objects that only tests use: omega(t) and V(t) at a given t, the
-Lax tuple, the rational matrices of the null curve's fields and coframe,
-the Ricci tensor and its null contraction, a base-point sampler, the
-bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
+first-order hierarchy, the Lax tuple and its commutators, the rational
+matrices of the null curve's fields and coframe, the Ricci tensor and
+its null contraction, a base-point sampler, the bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
 with the exterior derivative and the wedge that omega(t) ^ d omega(t)
 needs, and a ``Fraction`` reference of every table of
 ``paraweb.spectral``.
@@ -44,12 +44,11 @@ from paraweb.expr import (
     rational,
     sub,
 )
-from paraweb.jet import FrameError, OneForm, VectorField
+from paraweb.jet import FrameError, OneForm, VectorField, lie_bracket
 from paraweb.webs import (
     NullCurve,
     VeroneseWeb,
     WebConnection,
-    _lax_pencil,
     null_curve,
     omega_coefficient_forms,
 )
@@ -108,10 +107,83 @@ def null_curve_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> VectorFie
     return spectral_at(null_curve(web).fields, tval, order)
 
 
+def eq1_residuals(web: VeroneseWeb) -> dict[tuple[int, int], Expr]:
+    """First-order form of the integrable hierarchy, one residual per pair.
+
+    Uses the hierarchy coefficients a_i = (t_i - t_0) / (t_{k+1} - t_i):
+    with those, the residual of the pair (i, j) is H_0ij / ((t_{k+1} - t_i)
+    (t_{k+1} - t_j)), H the Hirota residuals, which is how reports print it.
+    """
+    ts = web.t_params
+    out = {}
+    d0 = web.dw(0)
+    for i in range(1, web.k + 1):
+        for j in range(i + 1, web.k + 1):
+            ai, aj = (rational((ts[m] - ts[0]) / (ts[-1] - ts[m])) for m in (i, j))
+            # a term with a zero second derivative is skipped, not built
+            terms = [(sub(ai, aj), d0, web.dw2(i, j)), (aj, web.dw(i), web.dw2(j, 0))]
+            minus = [(ai, web.dw(j), web.dw2(i, 0))]
+            out[(i, j)] = add_iter(
+                (mul(*t) for t in terms if t[2] is not ZERO),
+                (mul(*t) for t in minus if t[2] is not ZERO),
+            )
+    return out
+
+
+def lax_pencil(web: VeroneseWeb) -> list[tuple[VectorField, VectorField]]:
+    """(base, direction) with L_i(t) = base + t * direction, for i = 1..k:
+
+        L_i(t) = -(t - t_0) (dw/dx_i / dw/dx_0) d/dx_0 + a_i (t - t_i) d/dx_i.
+
+    The (t - t_0) factor on the first component makes omega(t)(L_i(t))
+    cancel identically; without it the fields are affine in t but fail
+    both tangency and the commutation criterion.
+    """
+    out = []
+    for i in range(1, web.k + 1):
+        ratio = div(web.dw(i), web.dw(0))
+        base = VectorField(
+            web.coords,
+            {
+                "x0": mul(rational(web.t_params[0]), ratio),
+                f"x{i}": rational(-web.a_i(i) * web.t_params[i]),
+            },
+        )
+        direction = VectorField(web.coords, {"x0": neg(ratio), f"x{i}": rational(web.a_i(i))})
+        out.append((base, direction))
+    return out
+
+
 def lax_tuple(web: VeroneseWeb, tval: Fraction) -> list[VectorField]:
     """L_1(t)..L_k(t), tangent to the web foliation at spectral value t."""
     t = rational(Fraction(tval))
-    return [base.plus(direction.scaled(t)) for base, direction in _lax_pencil(web)]
+    return [base.plus(direction.scaled(t)) for base, direction in lax_pencil(web)]
+
+
+def lax_commutator_residuals(web: VeroneseWeb) -> dict[tuple[int, int, str, int], Expr]:
+    """Coefficients of [L_i, L_j] as polynomials in t, keyed
+    (i, j, coordinate, t-degree), each built by Lie brackets; a
+    coefficient that is the constant 0 is left out.
+
+    With T = t_{k+1}, [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij
+    / ((dw/dx_0)^2 (T - t_i)(T - t_j)) d/dx_0, H the Hirota residuals,
+    which is how reports print its coefficients.
+    """
+    out = {}
+    parts = lax_pencil(web)
+    for i in range(1, web.k + 1):
+        for j in range(i + 1, web.k + 1):
+            b_i, d_i = parts[i - 1]
+            b_j, d_j = parts[j - 1]
+            by_degree = {
+                0: lie_bracket(b_i, b_j),
+                1: lie_bracket(b_i, d_j).plus(lie_bracket(d_i, b_j)),
+                2: lie_bracket(d_i, d_j),
+            }
+            for deg, fieldv in by_degree.items():
+                for c, e in fieldv.comps.items():
+                    out[(i, j, c, deg)] = e
+    return out
 
 
 def coefficient_matrix(curve: NullCurve) -> list[list[Fraction]]:

@@ -373,6 +373,17 @@ def test_collecting_a_scaled_sum_interns_only_what_the_result_reaches():
     assert got is ref_add_iter(terms)
 
 
+def test_a_rational_is_interned_once():
+    # rationals no other test builds: each is new to both tables
+    fresh = [Fraction(982_451_653, 57_885_161), 1_000_000_007 * 998_244_353]
+    for q in fresh:
+        before = len(expr._RAT_INTERN)
+        node, new = interned_by(lambda: rational(q))
+        assert new == [] and len(expr._RAT_INTERN) == before + 1
+        assert rational(q) is node and expr._make(RAT, node.payload, ()) is node
+        assert (RAT, node.payload, ()) not in expr._INTERN
+
+
 def test_a_difference_builds_no_negated_subtrahend():
     x, y, w = sym("differ_x"), sym("differ_y"), sym("differ_w")
     s, xw = add(x, mul(y, w)), mul(x, w)

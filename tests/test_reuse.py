@@ -22,9 +22,7 @@ from paraweb.webs import (
     WebConnection,
     bryant_forms,
     canonical_connection,
-    eq1_residuals,
     hirota_residuals,
-    lax_commutator_residuals,
     make_web,
     null_curve,
     omega_coefficient_forms,
@@ -33,7 +31,7 @@ from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 import oracles
 from conftest import NONFLAT_W, lax_commutes, zakharevich_oracle
-from oracles import coefficient_matrix, coframe_matrix, ricci_tensor
+from oracles import coefficient_matrix, coframe_matrix, eq1_residuals, lax_commutator_residuals, ricci_tensor
 
 DATA = Path(__file__).parent / "data"
 ZT = ZeroTester()

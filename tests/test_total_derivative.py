@@ -46,6 +46,7 @@ from paraweb.expr import (
 from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
 from paraweb.jet import OdeProblem, ScalingRule, TotalDerivative, VectorField, lie_bracket, total_derivative_field
 from paraweb.parser import parse_expr
+from paraweb.webs import web_context
 from paraweb.zerotest import Verdict, ZeroTester
 
 DATA = Path(__file__).parent / "data"
@@ -267,26 +268,53 @@ PARTIALS_FIRST_STRINGS = {
 }
 
 
-def test_golden_strings_changed_only_in_tree_shape():
-    """The regenerated golden report differs from the partials-first one
-    in two expression strings of the order-2 abstract entry, and each
-    pair is equal by the exact zero test.  Putting the old strings back,
-    and the k = 2 web's ``jacobi_max`` line that reports no longer print,
-    gives the old file byte for byte, so every other entry (the three
-    web entries included) is unchanged."""
-    text = (DATA / "golden_report.json").read_text(encoding="utf-8")
-    entry = json.loads(text)["reports"][2]
-    assert entry["problem"]["order"] == 2 and entry["problem"]["rhs"] == "abstract"
-    ctx = OdeProblem.abstract(2).context
-    changed = {r["name"]: r["expression"] for r in entry["residuals"] if r["name"] in PARTIALS_FIRST_STRINGS}
-    assert changed.keys() == PARTIALS_FIRST_STRINGS.keys()
-    before = text
+# The hierarchy and Lax expressions of the k = 2 non-web entry as they
+# were printed while they were built from their definitions, by residual
+# name; reports now print them as multiples of hirota[0,1,2].  The
+# separable web's are 0 (hierarchy) or not listed (Lax) either way.
+DEFINITION_WEB_STRINGS = {
+    "hierarchy[1,2]": "-3*x0*(1 + x1*x2)/2 - x2*(1 + x0*x1)/2 + 2*x1*(1 + x0*x2)",
+    "lax[1,2;x0;t^1]": (
+        "-9*x0/(2*(1 + x1*x2)) - 3*x2*(1 + x0*x1)/(2*(1 + x1*x2)^2) + 6*x1*(1 + x0*x2)/(1 + x1*x2)^2"
+    ),
+    "lax[1,2;x0;t^2]": (
+        "-2*x1*(1 + x0*x2)/(1 + x1*x2)^2 + x2*(1 + x0*x1)/(2*(1 + x1*x2)^2) + 3*x0/(2*(1 + x1*x2))"
+    ),
+}
+
+
+def _put_back(text: str, entry: dict, ctx, old_strings: dict[str, str]) -> str:
+    """``text`` with each expression of ``entry`` named in ``old_strings``
+    replaced by its old string, after checking that the two differ, are
+    equal by the exact zero test and that the new one occurs once."""
+    changed = {r["name"]: r["expression"] for r in entry["residuals"] if r["name"] in old_strings}
+    assert changed.keys() == old_strings.keys()
     for name, new in changed.items():
-        old = PARTIALS_FIRST_STRINGS[name]
+        old = old_strings[name]
         assert new != old
         assert EXACT.verdict(sub(parse_expr(new, ctx), parse_expr(old, ctx))) is Verdict.ZERO, name
-        assert before.count(json.dumps(new)) == 1
-        before = before.replace(json.dumps(new), json.dumps(old))
+        assert text.count(json.dumps(new)) == 1
+        text = text.replace(json.dumps(new), json.dumps(old))
+    return text
+
+
+def test_golden_strings_changed_only_in_tree_shape():
+    """The regenerated golden report differs from the partials-first one
+    in two expression strings of the order-2 abstract entry and in the
+    hierarchy and Lax strings of the k = 2 non-web entry, and each pair is
+    equal by the exact zero test.  Putting the old strings back, and the
+    k = 2 web's ``jacobi_max`` line that reports no longer print, gives
+    the old file byte for byte, so every other entry (the separable web
+    included) is unchanged."""
+    text = (DATA / "golden_report.json").read_text(encoding="utf-8")
+    reports = json.loads(text)["reports"]
+    entry = reports[2]
+    assert entry["problem"]["order"] == 2 and entry["problem"]["rhs"] == "abstract"
+    before = _put_back(text, entry, OdeProblem.abstract(2).context, PARTIALS_FIRST_STRINGS)
+    web_entry = reports[4]
+    assert web_entry["problem"]["k"] == 2 and web_entry["verdicts"]["hirota"] is False
+    assert "defs" not in web_entry
+    before = _put_back(before, web_entry, web_context(2), DEFINITION_WEB_STRINGS)
     ricci = '        "ricci_null_max": 0.0\n'
     assert before.count(ricci) == 1
     before = before.replace(ricci, '        "jacobi_max": 0.0,\n' + ricci)

@@ -37,6 +37,7 @@ from paraweb.expr import (
     to_string,
 )
 from paraweb.jet import VectorField, lie_bracket
+from paraweb.parser import parse_expr
 from paraweb.report import ProblemSpec, analyze_web, dumps_report
 import paraweb.spectral as spectral
 import paraweb.webs as webs
@@ -49,11 +50,9 @@ from paraweb.webs import (
     bryant_torsion_residuals,
     canonical_connection,
     conformal_metric,
-    eq1_residuals,
     flatness_verdict,
     hirota_residuals,
     is_hirota_solution,
-    lax_commutator_residuals,
     make_web,
     null_curve,
     omega_coefficient_forms,
@@ -78,7 +77,9 @@ from oracles import (
     RICCI_NULL_NODES,
     coefficient_matrix,
     coframe_matrix,
+    eq1_residuals,
     exterior_derivative,
+    lax_commutator_residuals,
     lax_tuple,
     null_curve_at,
     omega_at,
@@ -347,6 +348,77 @@ def one_verdict_t_params(k: int, kind: str) -> list[Fraction] | None:
     return [Fraction(-(k + 1))] + [Fraction(n) for n in range(1, k + 2)]
 
 
+def one_verdict_problems(corpus) -> list[tuple[dict, str]]:
+    """(problem, kind of constants) for every corpus web and the generic
+    web "w" at k = 1..8, at each kind of ``one_verdict_t_params``."""
+    webs_ = [(k, w) for k, w, _tag in corpus] + [(k, "w") for k in range(1, 9)]
+    out = []
+    for kind in ("default", "drawn", "t0=-T"):
+        for k, w in webs_:
+            raw = {"kind": "web", "k": k, "w": w}
+            t = one_verdict_t_params(k, kind)
+            if t is not None:
+                raw["t_params"] = [str(x) for x in t]
+            out.append((raw, kind))
+    return out
+
+
+def printed_residuals(report: dict, ctx) -> dict[str, object]:
+    """Each residual expression of a report entry, parsed back with its defs."""
+    defs = []
+    for text in report.get("defs", []):
+        defs.append(parse_expr(text, ctx, defs=defs))
+    return {r["name"]: parse_expr(r["expression"], ctx, defs=defs) for r in report["residuals"]}
+
+
+def oracle_names(web) -> tuple[dict, dict]:
+    """The hierarchy and Lax residuals built from their definitions
+    (tests/oracles.py), keyed by their report names."""
+    hierarchy = {f"hierarchy[{i},{j}]": e for (i, j), e in eq1_residuals(web).items()}
+    lax = {f"lax[{i},{j};{c};t^{d}]": e for (i, j, c, d), e in lax_commutator_residuals(web).items()}
+    return hierarchy, lax
+
+
+class TestPrintedEntries:
+    """Reports print hierarchy[i,j] and lax[i,j;x0;t^d] as multiples of
+    hirota[0,i,j]; here they are parsed back and checked against the
+    residuals built from their definitions."""
+
+    def test_printed_entries_are_the_oracle_residuals(self, corpus):
+        for raw, _kind in one_verdict_problems(corpus):
+            report = analyze_web(ProblemSpec.from_dict(raw))
+            web = make_web(raw["k"], raw["w"], raw.get("t_params"))
+            printed = printed_residuals(report, web.context)
+            hierarchy, lax = oracle_names(web)
+            listed = {name for name in printed if name.startswith(("hierarchy[", "lax["))}
+            for name in listed | hierarchy.keys() | lax.keys():
+                want = hierarchy.get(name, lax.get(name, ZERO))
+                diff = sub(printed.get(name, ZERO), want)
+                assert diff is ZERO or EXACT.verdict(diff) is Verdict.ZERO, (raw, name)
+
+    def test_report_names_are_the_oracle_keys(self, corpus):
+        # At t_0 = -T the t^1 factor t_0 + T is 0: the bracket's t^1
+        # coefficient, built by Lie brackets, is a sum that vanishes but is
+        # not the constant 0, and the report does not list it.
+        separable = {w for k, w, tag in corpus if tag == "separable"}
+        dropped = set()
+        for raw, kind in one_verdict_problems(corpus):
+            report = analyze_web(ProblemSpec.from_dict(raw))
+            web = make_web(raw["k"], raw["w"], raw.get("t_params"))
+            hierarchy, lax = oracle_names(web)
+            hirota = {f"hirota[{i},{j},{l}]" for i, j, l in web.triples()}
+            names = [r["name"] for r in report["residuals"]]
+            kept = {name for name in lax if not (kind == "t0=-T" and name.endswith(";t^1]"))}
+            assert set(names) == hirota | hierarchy.keys() | kept and len(names) == len(set(names)), raw
+            if raw["w"] in separable:
+                assert not lax and not any(name.startswith("lax[") for name in names), raw
+            if kind == "t0=-T":
+                dropped |= {(raw["k"], raw["w"], name) for name in lax.keys() - kept}
+        generic = {(k, name) for k, w, name in dropped if w == "w"}
+        assert generic == {(k, f"lax[{i},{j};x0;t^1]") for k in range(2, 9)
+                           for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+
+
 class TestOneVerdict:
     """The identities that let a report read the hierarchy, Lax and the
     triples without 0 from the Hirota triples H_0ij through 0, with
@@ -392,8 +464,9 @@ class TestOneVerdict:
                     (i, j, l)
 
     def test_reports_print_one_verdict(self, corpus, corpus_reports):
-        # Each hierarchy and Lax entry carries its hirota[0,i,j] verdict, or
-        # zero where its t-degree's factor vanishes; the four keys agree.
+        # Each hierarchy and Lax entry carries its hirota[0,i,j] verdict, and
+        # no Lax entry is listed where its t-degree's factor vanishes; the
+        # four keys agree.
         problems = [{"kind": "web", "k": k, "w": w} for k, w, _tag in corpus]
         extra = [{"kind": "web", "k": k, "w": "w"} for k in range(1, 9)]
         extra.append({"kind": "web", "k": 2, "w": "x0 + x1^2/2 + x2", "t_params": ["-2", "0", "1", "2"]})
@@ -410,8 +483,8 @@ class TestOneVerdict:
                 read = re.fullmatch(r"(?:hierarchy|lax)\[(\d+),(\d+)(?:;x0;t\^(\d))?\]", name)
                 if read is not None:
                     i, j, d = read.groups()
-                    want = "zero" if d is not None and not factor[int(d)] else by_name[f"hirota[0,{i},{j}]"]
-                    assert got == want, (raw, name)
+                    assert d is None or factor[int(d)], (raw, name)
+                    assert got == by_name[f"hirota[0,{i},{j}]"], (raw, name)
                 else:
                     assert name.startswith("hirota["), name
 
@@ -568,12 +641,12 @@ CONNECTION_CASES = (
 # SHA-256 of the rendered report entry (seed 0): the golden batch has no
 # web with k >= 3, so these pin the printed diagonal connections.
 REPORT_PINS = (
-    (3, NONFLAT_W[3], None, "def333ba227543a36e6213ae9ebda1c5efedfe117bfae586c21c0d02a00c895e"),
-    (4, NONFLAT_W[4], None, "802a7f931e96c30dda4379474c81ac6bf63e694b1771ea8171118832e54a5788"),
-    (5, NONFLAT_W5, None, "8278c2cf4c4510ea85a3d81ab3904385e01231371aeea6fd1712e4f78fc3164f"),
+    (3, NONFLAT_W[3], None, "1c7ffd535dea958edce6869b11bdaa1cddc464ef6a7dae4d8cdccb1971a90679"),
+    (4, NONFLAT_W[4], None, "ce3c8b0b6b5acdbd5e99d345e0e1a5172af2027e4f8f1b1a0f96ddc3d71627eb"),
+    (5, NONFLAT_W5, None, "02e9f10897b1fc94ff199faebee971023c4396226a6ef65778e885f80c45f8e1"),
     (5, separable_w(5), None, "eab03cd588ce1d76dec0d1d8c9f061340103c38b5b44e3a451cd88ae033418ca"),
     (8, separable_w(8), None, "72a048e5e848283b1408bf6bc92536dd4d154c57a392e6fb15a8f28b5705abc8"),
-    (3, NONFLAT_SHIFTED_W3, SHIFTED_T3, "a03c0fd9262e90785c5965040a9d5464ef1d2b2e59c20c404c33145f26e7991d"),
+    (3, NONFLAT_SHIFTED_W3, SHIFTED_T3, "6c2955ff0b6edc8f626b91d262b9b3cf2abd6cbae06bab07e805a42bc12a96b5"),
     (5, separable_w(5), RATIONAL_T5, "d31d94eecb9b8dcc02b38f18b8cc1d8c2597489698abc7cb142f189f9c47579d"),
 )
 
@@ -595,7 +668,7 @@ NULL_DUAL_PINS = (
     (2, "x0+x1+x2", T2, "ae70cdb20d7baf84f031acd70e060c7602c59ba104997fbf6236fdcceb459cf2"),
     # a Hirota solution at T2: 2 a(0,1,2) + a(1,2,0) + (219/242) a(2,0,1) = 0
     (2, "exp(x1+x2) + exp(x0+2*x1+219/242*x2)", T2,
-     "92db8eb99cd4eac34a6e0bbe3b85e9841aa37a9affa84353beda4c49012e80da"),
+     "eee0f5067f6d22086d0ca2e544c508268610a7379b5e115c1ca1f7665021b235"),
     (3, "x0+x1+x2+x3", ("-7/2", "-5/3", "5/4", "29/5", "73/6"),
      "487e60e5c2ca2a1b6f34a6bd281a4fa41194ec24ad68c2b39edb484e110c4bfa"),
 )
@@ -611,7 +684,9 @@ def test_null_dual_report_bytes(k, w, t_params, digest):
 def test_null_dual_pin_differs_from_the_sampled_one_only_in_ricci_null_max():
     # The exp web's entry printed the float sample 2.5096591471651664e-13
     # while Ric(V, V) was sampled; with that one line put back, the text is
-    # the one pinned before, byte for byte.
+    # the one the sampling report printed, byte for byte, except for the
+    # hierarchy and Lax entries, printed here as multiples of hirota[0,1,2]
+    # (the pin was a2d99e47... while they were built from their definitions).
     report = analyze_web(ProblemSpec.from_dict({
         "kind": "web", "k": 2, "w": "exp(x1+x2) + exp(x0+2*x1+219/242*x2)", "t_params": list(T2)}))
     text = dumps_report(report)
@@ -619,7 +694,7 @@ def test_null_dual_pin_differs_from_the_sampled_one_only_in_ricci_null_max():
     assert text.count(line) == 1
     sampled = text.replace(line, '    "ricci_null_max": 2.5096591471651664e-13\n')
     assert hashlib.sha256(sampled.encode()).hexdigest() == \
-        "a2d99e4748557663e3a55538da66129d7ab2287b2b0cc79fe6097ffa5ed29b6f"
+        "51ad9ac7f8c69551728a290c2251b51683a0ba55736faad51a2cb755fcb1db62"
 
 
 def table_h(web, s):

@@ -55,10 +55,11 @@ from paraweb.expr import (
 )
 from paraweb.parser import Context, parse_expr
 from paraweb.report import ProblemSpec, analyze_batch, analyze_ode, dumps_report
-from paraweb.webs import eq1_residuals, lax_commutator_residuals, make_web
+from paraweb.webs import make_web
 from paraweb.zerotest import Verdict, ZeroTester, _exp_images
 
 from conftest import expand
+from oracles import eq1_residuals, lax_commutator_residuals
 
 DATA = Path(__file__).parent / "data"
 P = (1 << 61) - 1
