@@ -36,7 +36,6 @@ from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, is_zero
 from .jet import (
     OdeProblem,
     OneForm,
-    ScalingRule,
     VectorField,
     differential,
     lie_bracket,

@@ -30,7 +30,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and an integer literal past
+        # Python's int-to-str digit limit are all ValueErrors
         print(f"error: {args.file} is not valid JSON: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,18 @@
 """Curvature chain and point invariants of an ODE on its jet space.
 
-The chain starts from the vertical direction V = d/dxk, normalised so
-that the scaling function g never appears explicitly, and iterates the
-total derivative:
+The chain starts from the vertical direction V = g d/dxk and iterates
+the total derivative, V^(i+1) = [X, V^(i)].  The scaling function g
+obeys X(g) = g * m with m = (dF/dxk) / (k+1), so V^(i) = g * U_i with
 
-    V^(i) = sum_j binom(i, j) * G_j * ad_X^(i-j)(d/dxk),
+    U_0 = d/dxk,    U_{i+1} = [X, U_i] + m * U_i,
 
-with G_j the scaling cofactors of ``ScalingRule``.  The component matrix
-of V^(0..k) over (dx0..dxk) is triangular with diagonal (-1)^i, so
-V^(k+1) expands exactly as an alternating combination of lower chain
-elements; the coefficients are the curvatures K_0..K_{k-1}.  The
-expansion must leave no V^(k) component and no d/dt component: a nonzero
-extraction residual signals an internal differentiation bug and aborts.
+and the chain is kept as the U_i: g never appears explicitly (results
+are "up to the factor g").  The component matrix of V^(0..k) over
+(dx0..dxk) is triangular with diagonal (-1)^i, so V^(k+1) expands
+exactly as an alternating combination of lower chain elements; the
+coefficients are the curvatures K_0..K_{k-1}.  The expansion must leave
+no V^(k) component and no d/dt component: a nonzero extraction residual
+signals an internal differentiation bug and aborts.
 
 On top of the chain sit the Wunschmann residuals (vanishing iff the
 solution space carries a canonical paraconformal structure), the
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .expr import Expr, ZERO, add, add_iter, mul, neg, pow_int, rational, sub
+from .expr import Expr, ZERO, add, add_iter, differentiate, div, mul, neg, pow_int, rational, sub
 from .jet import (
     OdeProblem,
     OneForm,
-    ScalingRule,
     VectorField,
     differential,
     lie_bracket,
@@ -96,9 +96,6 @@ class CurvatureChain:
     def k(self) -> int:
         return self.ode.k
 
-    def v(self, i: int) -> VectorField:
-        return self.fields[i]
-
     def expansion_residual(self) -> VectorField:
         """V^(k+1) + K_0 V - K_1 V' + ... as a vector field (should vanish)."""
         k = self.k
@@ -118,19 +115,11 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
     """
     k = ode.k
     x = total_derivative_field(ode)
-    vertical = VectorField(ode.coords, {f"x{k}": rational(1)})
-    ad = [vertical]
+    mult = div(differentiate(ode.rhs, f"x{k}"), rational(k + 1))  # m = X(g) / g
+    fields = [VectorField(ode.coords, {f"x{k}": rational(1)})]
     for _ in range(k + 1):
-        ad.append(lie_bracket(x, ad[-1]))
-    cof = ScalingRule(ode).cofactors(k + 1)
-
-    # Each component is collected once, over all of its terms: collection
-    # is confluent, so this is the node that adding field by field gives.
-    fields = []
-    for i in range(k + 2):
-        parts = [(mul(rational(comb(i, j)), cof[j]), ad[i - j]) for j in range(i + 1)]
-        comps = {c: add_iter(_component_terms(parts, c)) for c in ode.coords}
-        fields.append(VectorField(ode.coords, comps))
+        u = fields[-1]
+        fields.append(lie_bracket(x, u).plus(u.scaled(mult)))
 
     top = fields[k + 1]
     residual_dt = top.comp("t")

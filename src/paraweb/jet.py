@@ -35,7 +35,6 @@ from .expr import (
     _leibniz_terms,
     add_iter,
     differentiate,
-    div,
     mul,
     pow_int,
     rational,
@@ -50,7 +49,6 @@ __all__ = [
     "VectorField",
     "OneForm",
     "OdeProblem",
-    "ScalingRule",
     "TotalDerivative",
     "total_derivative_field",
     "lie_bracket",
@@ -280,35 +278,6 @@ class TotalDerivative(VectorField):
 def total_derivative_field(ode: OdeProblem) -> TotalDerivative:
     """The total derivative of ``ode``: the one instance the problem keeps."""
     return ode.total_derivative
-
-
-@dataclass(frozen=True)
-class ScalingRule:
-    """Normalized total derivatives of the section scaling function.
-
-    The function g scaling the vertical direction satisfies
-    X(g) = g * dF/dxk / (k+1).  g itself is never constructed: writing
-    X^j(g) = G_j * g, the cofactors obey G_0 = 1 and
-    G_{j+1} = X(G_j) + G_j * multiplier, and every downstream formula is
-    phrased in the G_j alone (results are "up to the factor g").
-    """
-
-    ode: OdeProblem
-
-    @property
-    def multiplier(self) -> Expr:
-        dkF = differentiate(self.ode.rhs, f"x{self.ode.k}")
-        return div(dkF, rational(self.ode.k + 1))
-
-    def cofactors(self, count: int) -> list[Expr]:
-        """[G_0, ..., G_count]."""
-        x = total_derivative_field(self.ode)
-        m = self.multiplier
-        out = [rational(1)]
-        for _ in range(count):
-            g = out[-1]
-            out.append(x.apply(g) + mul(g, m))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .invariants import (
     gamma_k,
     wunschmann_residuals,
 )
-from .jet import FrameError, OdeProblem, total_derivative_field
+from .jet import FrameError, OdeProblem
 from .webs import (
     WebError,
     bryant_forms,
@@ -231,18 +231,14 @@ def analyze_ode(spec: ProblemSpec) -> dict:
 
     abstract = spec.rhs.strip() == "abstract"
     if abstract and ode.order == 2:
-        x = total_derivative_field(ode)
-        v, v1 = chain.fields[0], chain.fields[1]
-        engine = rational(4) * v1.apply(chain.curvatures[0]) + v.apply(x.apply(chain.curvatures[0]))
-        ident = sub(engine, mul(rational(3), coordinate_cartan_order2(ode)))
+        ident = sub(car[0].expr, mul(rational(3), coordinate_cartan_order2(ode)))
         verdict, samples = zero.verdict_stats(ident)
         residuals.append(Residual("identity[cartan-coordinate]", ident, verdict, samples,
                                   note="engine invariant minus 3x classical coordinate form"))
     if abstract and ode.order == 3:
-        x = total_derivative_field(ode)
         v, v1 = chain.fields[0], chain.fields[1]
         k0, k1 = chain.curvatures
-        wident = sub(k0 + mul(rational(Fraction(1, 2)), x.apply(k1)), coordinate_wunschmann_order3(ode))
+        wident = sub(wun[0].expr, coordinate_wunschmann_order3(ode))
         verdict, samples = zero.verdict_stats(wident)
         residuals.append(Residual("identity[wunschmann-coordinate]", wident, verdict, samples))
         cform = mul(rational(Fraction(-3, 2)), sub(v1.apply(k1), v.apply(k0)))

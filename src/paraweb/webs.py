@@ -267,13 +267,15 @@ def is_hirota_solution(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> b
 class WebConnection:
     """A paraconformal connection attached to a web.
 
-    ``kind`` is "diagonal" for the canonical connection
-    nabla d/dx_i = (d(dw/dx_i)/(dw/dx_i) + alpha) (x) d/dx_i (cases k = 1
-    and k > 2), "weyl" for the unique torsion-free Einstein-Weyl
-    connection at k = 2, which also records the scalar f (beta(t) =
-    f * omega(t)) and the t-free part alpha_tilde of alpha(t), or
-    "bryant" for the k = 3 connection of ``bryant_forms``.  The last two
-    carry their Christoffel symbols as a table.
+    ``kind`` is "diagonal" for the canonical connection at k = 1 and
+    k > 2, nabla_{d/dx_a} d/dx_b = (w_ab / w_b + alpha_a) d/dx_b with
+    w_b = dw/dx_b, whose alpha is read from the tables of
+    ``spectral._diagonal_tables``; "weyl" for the unique
+    torsion-free Einstein-Weyl connection at k = 2, which also records
+    the scalar f (beta(t) = f * omega(t)) and the t-free part
+    alpha_tilde of alpha(t), or "bryant" for the k = 3 connection of
+    ``bryant_forms``.  The last two carry their Christoffel symbols as a
+    table.
     """
 
     web: VeroneseWeb
@@ -319,15 +321,6 @@ def _canonical_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
         raise NotAWebError("the function does not satisfy the Hirota system")
     if web.k == 2:
         return _weyl_connection(web)
-    if web.k == 1:
-        alpha = OneForm(
-            web.coords,
-            {
-                "x0": neg(div(web.dw2(0, 1), web.dw(1))),
-                "x1": neg(div(web.dw2(0, 1), web.dw(0))),
-            },
-        )
-        return WebConnection(web, "diagonal", alpha=alpha)
     return _diagonal_connection(web, zero)
 
 

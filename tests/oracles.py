@@ -1,4 +1,10 @@
-"""Web objects that only tests use: omega(t) and V(t) at a given t, the
+"""Objects that only tests use.
+
+On the ODE side: the scaling cofactors G_j of the section scaling
+function and the curvature chain built from them, the reference for the
+one recursion of ``invariants.curvature_chain``.
+
+On the web side: omega(t) and V(t) at a given t, the
 first-order hierarchy, the Lax tuple and its commutators, the rational
 matrices of the null curve's fields and coframe, the Ricci tensor and
 its null contraction, a base-point sampler, the bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
@@ -44,7 +50,7 @@ from paraweb.expr import (
     rational,
     sub,
 )
-from paraweb.jet import FrameError, OneForm, VectorField, lie_bracket
+from paraweb.jet import FrameError, OdeProblem, OneForm, VectorField, lie_bracket, total_derivative_field
 from paraweb.webs import (
     NullCurve,
     VeroneseWeb,
@@ -53,6 +59,63 @@ from paraweb.webs import (
     omega_coefficient_forms,
 )
 from paraweb.zerotest import _pole_free
+
+@dataclass(frozen=True)
+class ScalingRule:
+    """Normalized total derivatives of the section scaling function.
+
+    The function g scaling the vertical direction satisfies
+    X(g) = g * dF/dxk / (k+1).  g itself is never constructed: writing
+    X^j(g) = G_j * g, the cofactors obey G_0 = 1 and
+    G_{j+1} = X(G_j) + G_j * multiplier.
+    """
+
+    ode: OdeProblem
+
+    @property
+    def multiplier(self) -> Expr:
+        dkF = differentiate(self.ode.rhs, f"x{self.ode.k}")
+        return div(dkF, rational(self.ode.k + 1))
+
+    def cofactors(self, count: int) -> list[Expr]:
+        """[G_0, ..., G_count]."""
+        x = total_derivative_field(self.ode)
+        m = self.multiplier
+        out = [rational(1)]
+        for _ in range(count):
+            g = out[-1]
+            out.append(x.apply(g) + mul(g, m))
+        return out
+
+
+def cofactor_chain(ode: OdeProblem) -> tuple[list[VectorField], list[Expr]]:
+    """The chain U_0..U_{k+1} and the curvatures K_0..K_{k-1}, by the
+    Leibniz rule for V^(i) = ad_X^i(g d/dxk) over g:
+
+        U_i = sum_j binom(i, j) G_j ad_X^(i-j)(d/dxk),
+
+    with the curvatures read off by subtracting (-1)^i coeff V^(i) from
+    V^(k+1), column x0 first."""
+    k = ode.k
+    x = total_derivative_field(ode)
+    ad = [VectorField(ode.coords, {f"x{k}": rational(1)})]
+    for _ in range(k + 1):
+        ad.append(lie_bracket(x, ad[-1]))
+    cof = ScalingRule(ode).cofactors(k + 1)
+    fields = []
+    for i in range(k + 2):
+        f = VectorField(ode.coords, {})
+        for j in range(i + 1):
+            f = f.plus(ad[i - j].scaled(mul(rational(comb(i, j)), cof[j])))
+        fields.append(f)
+    rest = fields[k + 1]
+    coeffs = [ZERO] * (k + 1)
+    for m in range(k + 1):
+        i = k - m
+        coeffs[i] = mul(rational((-1) ** i), rest.comp(f"x{m}"))
+        rest = rest.plus(fields[i].scaled(neg(coeffs[i])))
+    return fields, [mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k)]
+
 
 # Five distinct values of t outside the default spectral set (0, 1, ...)
 # and outside T2 = (-7/2, 1/3, 2, 9/5) of the report pins: Ric(V(t), V(t))

@@ -35,7 +35,7 @@ from paraweb.invariants import (
     gamma_k,
     wunschmann_residuals,
 )
-from paraweb.jet import OdeProblem, OneForm, ScalingRule, total_derivative_field
+from paraweb.jet import OdeProblem, OneForm, total_derivative_field
 from paraweb.report import (
     CLASS_TOTALLY_GEODESIC,
     CLASS_WUNSCHMANN_ONLY,
@@ -46,6 +46,7 @@ from paraweb.report import (
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
+from oracles import ScalingRule
 
 ZT = ZeroTester()
 

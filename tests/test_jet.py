@@ -12,7 +12,6 @@ from paraweb.jet import (
     FrameError,
     OdeProblem,
     OneForm,
-    ScalingRule,
     VectorField,
     differential,
     lie_bracket,
@@ -24,7 +23,7 @@ from paraweb.webs import make_web
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
-from oracles import exterior_derivative, omega_at, wedge3
+from oracles import ScalingRule, exterior_derivative, omega_at, wedge3
 
 ZT = ZeroTester()
 

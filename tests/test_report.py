@@ -407,6 +407,21 @@ class TestBatchAndCli:
         assert [r["status"] for r in data["reports"]] == ["error", "error", "ok"]
         assert all(r["error"].startswith("budget exceeded: ") for r in data["reports"][:2])
 
+    @pytest.mark.parametrize("content", [
+        b'{"problems": [{"kind": "ode", "order": 3, "rhs": "x2\xe9"}]}',
+        b'{"problems": [{"kind": "ode", "order": 3, "rhs": "0"}], "seed": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf-8", "5000-digit-integer"])
+    def test_undecodable_file_is_an_error_without_a_traceback(self, tmp_path, capsys, content):
+        # Before, the UnicodeDecodeError and json's ValueError for an
+        # integer past the int-to-str digit limit escaped as tracebacks.
+        src = tmp_path / "problems.json"
+        out = tmp_path / "report.json"
+        src.write_bytes(content)
+        assert cli_main(["analyze", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src} is not valid JSON: ")
+        assert not out.exists()
+
     def test_cli_roundtrip(self, tmp_path):
         src = tmp_path / "problems.json"
         out = tmp_path / "report.json"

@@ -17,7 +17,6 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -44,10 +43,13 @@ from paraweb.expr import (
     sym,
 )
 from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
-from paraweb.jet import OdeProblem, ScalingRule, TotalDerivative, VectorField, lie_bracket, total_derivative_field
+from paraweb.jet import OdeProblem, TotalDerivative, VectorField, total_derivative_field
 from paraweb.parser import parse_expr
 from paraweb.webs import web_context
 from paraweb.zerotest import Verdict, ZeroTester
+
+from oracles import ScalingRule, cofactor_chain
+from test_jet import CONCRETE_RHS
 
 DATA = Path(__file__).parent / "data"
 ZT = ZeroTester()
@@ -179,6 +181,23 @@ def test_apply_on_leaves_is_the_reference_node():
 CHAIN_PROBLEMS = [(order, "abstract") for order in range(2, 7)] + [
     (order, rhs) for order in (2, 3, 4, 5) for rhs in concrete_rhs(order)
 ]
+
+
+@pytest.mark.parametrize("order,rhs", [(order, "abstract") for order in range(2, 8)] + CONCRETE_RHS)
+def test_chain_is_the_cofactor_chain(order, rhs):
+    # The recursion against the binomial sums over the scaling cofactors:
+    # equal as functions, not as trees, so compared by the exact zero test
+    # with every function node frozen to a symbol of its own.
+    ode = OdeProblem.from_rhs(order, rhs)
+    chain = curvature_chain(ode, ZT)
+    fields, curvatures = cofactor_chain(ode)
+    pairs = [(got.comp(c), want.comp(c)) for got, want in zip(chain.fields, fields, strict=True)
+             for c in ode.coords]
+    pairs += zip(chain.curvatures, curvatures, strict=True)
+    memo: dict = {}
+    for n, (got, want) in enumerate(pairs):
+        diff = sub(freeze_functions(got, memo), freeze_functions(want, memo))
+        assert EXACT.verdict(diff) is Verdict.ZERO, n
 
 
 @pytest.mark.parametrize("order,rhs", CHAIN_PROBLEMS)
@@ -389,19 +408,18 @@ def staged_derive(x: TotalDerivative, e, memo: dict, diff_memo: dict):
 
 
 def staged_chain(ode: OdeProblem):
-    """The chain's fields and curvatures, every field sum built by ``plus``."""
+    """The chain's fields and curvatures: each component of
+    U_{i+1} = [X, U_i] + m U_i collected once over its three terms, and
+    each step of the back-substitution built by ``plus``."""
     k = ode.k
     x = total_derivative_field(ode)
-    ad = [VectorField(ode.coords, {f"x{k}": rational(1)})]
+    mult = ScalingRule(ode).multiplier
+    fields = [VectorField(ode.coords, {f"x{k}": rational(1)})]
     for _ in range(k + 1):
-        ad.append(lie_bracket(x, ad[-1]))
-    cof = ScalingRule(ode).cofactors(k + 1)
-    fields = []
-    for i in range(k + 2):
-        f = VectorField(ode.coords, {})
-        for j in range(i + 1):
-            f = f.plus(ad[i - j].scaled(mul(rational(comb(i, j)), cof[j])))
-        fields.append(f)
+        u = fields[-1]
+        fields.append(VectorField(ode.coords, {
+            c: add_iter([x.apply(u.comp(c)), neg(u.apply(x.comp(c))), mul(mult, u.comp(c))])
+            for c in ode.coords}))
     rest = fields[k + 1]
     coeffs = [ZERO] * (k + 1)
     for m in range(k + 1):
@@ -451,15 +469,18 @@ def test_derivatives_are_the_staged_nodes(order, which, recipe):
         assert differentiate(e, c) is staged_differentiate(e, c, diff_memo)
 
 
-# Counts of a fresh interpreter once each sum was collected once and
-# scaled sums and differences were collected as coefficients.  The
-# abstract order-6 analysis interns 12,062 nodes (12,782 with a product
-# built for each term of a scaled sum and a (-1) * b node per difference,
-# 15,618 also with a collected Leibniz sum per product and each chain
-# field added term by term); the order-5 curvature chain interned 206
-# sums (228 with the chain's fields added term by term, 646 with both).
-ORDER6_NODES = 12_062
-ORDER5_CHAIN_SUMS = 206
+# Counts of a fresh interpreter once each sum was collected once, scaled
+# sums and differences were collected as coefficients and the chain was
+# built by the recursion U_{i+1} = [X, U_i] + m U_i.  The abstract
+# order-6 analysis interns 11,246 nodes (11,952 with the chain built from
+# the scaling cofactors, 12,782 also with a product built for each term
+# of a scaled sum and a (-1) * b node per difference, 15,618 also with a
+# collected Leibniz sum per product and each chain field added term by
+# term); the order-5 curvature chain interns 200 sums (206 from the
+# cofactors with each component collected once, 228 with the chain's
+# fields added term by term, 646 with both).
+ORDER6_NODES = 11_246
+ORDER5_CHAIN_SUMS = 200
 
 
 def fresh_count(code: str) -> int:

@@ -507,6 +507,23 @@ class TestCanonicalConnection:
         assert conn.christoffel("x0", "x1", "x1") is ZERO
         assert conn.christoffel("x1", "x0", "x0") is ZERO
 
+    @pytest.mark.parametrize("w, t_params", [
+        ("x0 + x1 + x0*x1", None),
+        ("x0 + x1^2/2", None),
+        ("x0 + x1", None),
+        ("w", None),
+        ("exp(x0 + 2*x1) + x1", ["1/2", "-3", "7"]),
+        ("sin(x0*x1) + x0", None),
+        ("x0^2*x1 + x1^3", ["-2", "1/3", "5"]),
+    ])
+    def test_k1_alpha_is_the_closed_form(self, w, t_params):
+        # At k = 1 the diagonal tables give alpha = (-w01/w1, -w01/w0), the
+        # very nodes of the closed form, for any spectral constants.
+        web = make_web(1, w, t_params)
+        alpha = canonical_connection(web, ZT).alpha
+        assert alpha.comp("x0") is neg(div(web.dw2(0, 1), web.dw(1)))
+        assert alpha.comp("x1") is neg(div(web.dw2(0, 1), web.dw(0)))
+
     def test_k1_preserves_null_directions(self):
         # nabla_Y V(t) proportional to V(t) for each t
         web = make_web(1, "x0 + x1 + x0*x1")
