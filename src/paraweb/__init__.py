@@ -20,14 +20,12 @@ from .expr import (
     eval_numeric,
     free_symbols,
     fun,
-    integer,
     mul,
     neg,
     opaque,
     pow_int,
     rational,
     sub,
-    substitute,
     sym,
     to_string,
 )
@@ -37,10 +35,7 @@ from .jet import (
     OdeProblem,
     OneForm,
     VectorField,
-    differential,
     lie_bracket,
-    lie_derivative_oneform,
-    total_derivative_field,
 )
 from .invariants import (
     CurvatureChain,
@@ -48,8 +43,6 @@ from .invariants import (
     Residual,
     beta_coefficient,
     cartan_residuals,
-    connection_forms,
-    connection_residuals,
     curvature_chain,
     gamma_k,
     wunschmann_residuals,

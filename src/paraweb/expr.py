@@ -42,12 +42,10 @@ __all__ = [
     "EvaluationError",
     "UnassignedSymbolError",
     "EvalDomainError",
-    "SubstitutionError",
     "BudgetError",
     "MAX_CONSTANT_DIGITS",
     "ELEMENTARY_FUNCTIONS",
     "rational",
-    "integer",
     "sym",
     "opaque",
     "fun",
@@ -62,7 +60,6 @@ __all__ = [
     "differentiate",
     "eval_numeric",
     "free_symbols",
-    "substitute",
     "symbol_name",
     "to_string",
     "DEF_MIN_CHARS",
@@ -91,10 +88,6 @@ class UnassignedSymbolError(EvaluationError):
 
 class EvalDomainError(EvaluationError):
     """Evaluation hit a pole or left the domain of an elementary function."""
-
-
-class SubstitutionError(ExprError):
-    pass
 
 
 class BudgetError(ExprError):
@@ -310,10 +303,6 @@ def rational(p: Union[int, Fraction], q: int = 1) -> Expr:
     if not -_CONSTANT_LIMIT < ident[0] < _CONSTANT_LIMIT or ident[1] >= _CONSTANT_LIMIT:
         raise _too_large()
     return _RAT_INTERN.setdefault(ident, _new(RAT, Fraction(p), ()))
-
-
-def integer(n: int) -> Expr:
-    return rational(n)
 
 
 ZERO = rational(0)
@@ -863,49 +852,6 @@ def free_symbols(e: Expr) -> tuple[Expr, ...]:
         else:
             stack.extend(n.children)
     return tuple(sorted(seen, key=lambda s: s.key))
-
-
-def substitute(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
-    """Replace coordinate/opaque symbol nodes by expressions.
-
-    Refuses to substitute a coordinate on which some opaque symbol in
-    ``e`` depends: that would silently change the meaning of the opaque
-    function's arguments.
-    """
-    coord_names = {s.payload for s in mapping if s.kind == SYM}
-    for s in mapping:
-        if s.kind not in (SYM, OPAQUE):
-            raise SubstitutionError("substitution keys must be symbols")
-    memo: dict[int, Expr] = {}
-
-    def walk(n: Expr) -> Expr:
-        got = memo.get(n.uid)
-        if got is not None:
-            return got
-        if n in mapping:
-            out = mapping[n]
-        elif n.kind == OPAQUE:
-            _, deps, _ = n.payload
-            hit = coord_names.intersection(deps)
-            if hit:
-                raise SubstitutionError(
-                    f"cannot substitute coordinate(s) {sorted(hit)} under opaque symbol {symbol_name(n)!r}"
-                )
-            out = n
-        elif n.kind in (RAT, SYM):
-            out = n
-        elif n.kind == ADD:
-            out = add_iter(walk(c) for c in n.children)
-        elif n.kind == MUL:
-            out = mul_iter(walk(c) for c in n.children)
-        elif n.kind == POW:
-            out = pow_int(walk(n.children[0]), n.payload)
-        else:
-            out = fun(n.payload, walk(n.children[0]))
-        memo[n.uid] = out
-        return out
-
-    return walk(e)
 
 
 # ---------------------------------------------------------------------------

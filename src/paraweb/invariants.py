@@ -17,9 +17,10 @@ signals an internal differentiation bug and aborts.
 On top of the chain sit the Wunschmann residuals (vanishing iff the
 solution space carries a canonical paraconformal structure), the
 Cartan-type residuals obstructing a totally geodesic paraconformal
-connection, the coefficient b that pins down the one-form beta for
-orders >= 4, and the residuals of the third-order equation that beta
-must satisfy together with the trace relation 2 alpha' + k beta'' = 0.
+connection, and the coefficient b that pins down the one-form beta for
+orders >= 4.  Reports do not yet decide the third-order equation that
+beta must satisfy, nor the trace relation 2 alpha' + k beta'' = 0; the
+tests build both residuals (``tests/oracles.py``).
 
 Note on signs: the order-2 obstruction computed here is
 4 V'(K_0) + V(K_0'), the integrability condition of the two scalar
@@ -35,15 +36,7 @@ from fractions import Fraction
 from math import comb
 
 from .expr import Expr, ZERO, add, add_iter, differentiate, div, mul, neg, pow_int, rational, sub
-from .jet import (
-    OdeProblem,
-    OneForm,
-    VectorField,
-    differential,
-    lie_bracket,
-    lie_derivative_oneform,
-    total_derivative_field,
-)
+from .jet import OdeProblem, OneForm, VectorField, lie_bracket
 from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 __all__ = [
@@ -55,8 +48,6 @@ __all__ = [
     "wunschmann_residuals",
     "cartan_residuals",
     "beta_coefficient",
-    "connection_forms",
-    "connection_residuals",
     "coordinate_cartan_order2",
     "coordinate_cartan_order3",
     "coordinate_wunschmann_order3",
@@ -92,19 +83,6 @@ class CurvatureChain:
     residual_vk: Expr  # coefficient of V^(k) in the expansion; must vanish
     residual_dt: Expr  # d/dt component of V^(k+1); must vanish
 
-    @property
-    def k(self) -> int:
-        return self.ode.k
-
-    def expansion_residual(self) -> VectorField:
-        """V^(k+1) + K_0 V - K_1 V' + ... as a vector field (should vanish)."""
-        k = self.k
-        acc = self.fields[k + 1]
-        for j in range(k):
-            sign = rational((-1) ** j)  # +K_0 V, -K_1 V', ...
-            acc = acc.plus(self.fields[j].scaled(mul(sign, self.curvatures[j])))
-        return acc
-
 
 def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> CurvatureChain:
     """Compute the normalized chain and extract the curvatures.
@@ -114,7 +92,7 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
     identically for a correct differentiation engine.
     """
     k = ode.k
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     mult = div(differentiate(ode.rhs, f"x{k}"), rational(k + 1))  # m = X(g) / g
     fields = [VectorField(ode.coords, {f"x{k}": rational(1)})]
     for _ in range(k + 1):
@@ -179,7 +157,7 @@ def wunschmann_residuals(
         return []
     chain = chain or curvature_chain(ode, zero)
     k = ode.k
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     ks = chain.curvatures
     if ode.order == 3:
         w0 = add(ks[0], mul(rational(Fraction(1, 2)), x.apply(ks[1])))
@@ -212,7 +190,7 @@ def cartan_residuals(
     """
     chain = chain or curvature_chain(ode, zero)
     k = ode.k
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     v = chain.fields
     ks = chain.curvatures
     if ode.order == 2:
@@ -306,91 +284,6 @@ def beta_coefficient(
     return b, OneForm(ode.coords, {"x0": mul(rational((-1) ** k), b)})
 
 
-def connection_forms(
-    ode: OdeProblem,
-    alpha: OneForm,
-    beta: OneForm,
-    chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> dict[tuple[int, int], OneForm]:
-    """Coefficient one-forms of nabla V^(i) in the chain basis.
-
-    nabla V^(i) = sum_j (binom(i,j) alpha^(i-j) + binom(i,j-1)
-    beta^(i-j+1)) V^(j) for i = 1..k; the V^(k+1) term arising at i = k
-    is folded back through the curvature expansion.
-    """
-    chain = chain or curvature_chain(ode, zero)
-    k = ode.k
-    x = total_derivative_field(ode)
-    alphas = [alpha]
-    betas = [beta]
-    for _ in range(k + 2):
-        alphas.append(lie_derivative_oneform(x, alphas[-1]))
-        betas.append(lie_derivative_oneform(x, betas[-1]))
-
-    zero_form = OneForm(ode.coords, {})
-    out: dict[tuple[int, int], OneForm] = {}
-    for i in range(1, k + 1):
-        coeffs: dict[int, OneForm] = {}
-        for j in range(i + 2):
-            form = zero_form
-            ca = comb(i, j)
-            if ca and i - j >= 0:
-                form = form.plus(alphas[i - j].scaled(rational(ca)))
-            cb = comb(i, j - 1) if j >= 1 else 0
-            if cb and i - j + 1 >= 0:
-                form = form.plus(betas[i - j + 1].scaled(rational(cb)))
-            coeffs[j] = form
-        if i == k and (k + 1) in coeffs:
-            # V^(k+1) = -K_0 V + K_1 V' - ...: fold into the lower terms.
-            top = coeffs.pop(k + 1)
-            for j in range(k):
-                sign = rational((-1) ** (j + 1))
-                coeffs[j] = coeffs[j].plus(top.scaled(mul(sign, chain.curvatures[j])))
-        for j, form in coeffs.items():
-            if form.comps:
-                out[(i, j)] = form
-    return out
-
-
-def connection_residuals(
-    ode: OdeProblem,
-    alpha: OneForm,
-    beta: OneForm,
-    chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> list[Residual]:
-    """Residuals of the third-order beta equation and the trace relation.
-
-    The beta equation reads gamma_k beta''' + (-1)^k K' beta
-    + 2 (-1)^k K beta' = (-1)^k dK with K = K_{k-1}; the trace relation
-    is 2 alpha' + k beta'' = 0.  Both one-forms are evaluated against
-    V^(0)..V^(k) and each scalar gets a verdict.
-    """
-    chain = chain or curvature_chain(ode, zero)
-    k = ode.k
-    x = total_derivative_field(ode)
-    ktop = chain.curvatures[k - 1]
-    b1 = lie_derivative_oneform(x, beta)
-    b2 = lie_derivative_oneform(x, b1)
-    b3 = lie_derivative_oneform(x, b2)
-    a1 = lie_derivative_oneform(x, alpha)
-    sign = rational((-1) ** k)
-    lhs = b3.scaled(rational(gamma_k(k)))
-    lhs = lhs.plus(beta.scaled(mul(sign, x.apply(ktop))))
-    lhs = lhs.plus(b1.scaled(mul(sign, rational(2), ktop)))
-    rhs = differential(ktop, ode.coords).scaled(sign)
-    eq_beta = lhs.plus(rhs.scaled(rational(-1)))
-    eq_trace = a1.scaled(rational(2)).plus(b2.scaled(rational(k)))
-
-    out = []
-    for i in range(k + 1):
-        out.append(_residual(f"beta-equation[V^({i})]", eq_beta(chain.fields[i]), zero))
-    for i in range(k + 1):
-        out.append(_residual(f"trace-relation[V^({i})]", eq_trace(chain.fields[i]), zero))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Classical coordinate invariants for orders 2 and 3, used as independent
 # cross-checks of the chain computation.
@@ -443,7 +336,7 @@ def coordinate_wunschmann_order3(ode: OdeProblem) -> Expr:
     """Classical coordinate Wunschmann invariant of a third-order equation."""
     if ode.order != 3:
         raise ValueError("order-3 invariant")
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     d0 = _f_partial(ode, x0=1)
     d1 = _f_partial(ode, x1=1)
     d2 = _f_partial(ode, x2=1)
@@ -463,7 +356,7 @@ def coordinate_cartan_order3(ode: OdeProblem) -> Expr:
     """Classical coordinate Cartan invariant of a third-order equation."""
     if ode.order != 3:
         raise ValueError("order-3 invariant")
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     d22 = _f_partial(ode, x2=2)
     d12 = _f_partial(ode, x1=1, x2=1)
     d02 = _f_partial(ode, x0=1, x2=1)

@@ -50,10 +50,7 @@ __all__ = [
     "OneForm",
     "OdeProblem",
     "TotalDerivative",
-    "total_derivative_field",
     "lie_bracket",
-    "lie_derivative_oneform",
-    "differential",
 ]
 
 
@@ -168,10 +165,6 @@ class OdeProblem:
     def coords(self) -> tuple[str, ...]:
         return self.context.coords
 
-    @property
-    def x_coords(self) -> tuple[str, ...]:
-        return self.context.coords[1:]
-
     @staticmethod
     def jet_context(order: int, extra_functions: dict[str, tuple[str, ...]] | None = None) -> Context:
         if order < 2:
@@ -275,13 +268,8 @@ class TotalDerivative(VectorField):
         return terms
 
 
-def total_derivative_field(ode: OdeProblem) -> TotalDerivative:
-    """The total derivative of ``ode``: the one instance the problem keeps."""
-    return ode.total_derivative
-
-
 # ---------------------------------------------------------------------------
-# Brackets and derivatives of forms
+# Brackets
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     """[a, b], coefficient-wise a(b^i) - b(a^i)."""
@@ -289,22 +277,3 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     keys = set(a.comps) | set(b.comps)
     comps = {c: sub(a.apply(b.comp(c)), b.apply(a.comp(c))) for c in keys}
     return VectorField(a.frame, comps)
-
-
-def lie_derivative_oneform(x: VectorField, w: OneForm) -> OneForm:
-    """(L_x w)_c = x(w_c) + sum_d w_d * d(x^d)/dc."""
-    if x.frame != w.frame:
-        raise FrameError("field and form frames differ")
-    comps = {}
-    for c in x.frame:
-        terms = [x.apply(w.comp(c))]
-        for d, xd in x.comps.items():
-            wd = w.comp(d)
-            if wd is not ZERO:
-                terms.append(mul(wd, differentiate(xd, c)))
-        comps[c] = add_iter(terms)
-    return OneForm(x.frame, comps)
-
-
-def differential(e: Expr, frame: tuple[str, ...]) -> OneForm:
-    return OneForm(frame, {c: differentiate(e, c) for c in frame})

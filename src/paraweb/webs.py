@@ -73,8 +73,6 @@ __all__ = [
     "flatness_verdict",
     "conformal_metric",
     "weyl_form_from_connection",
-    "weyl_compatibility_residuals",
-    "bryant_torsion_residuals",
     "bryant_forms",
 ]
 
@@ -273,8 +271,7 @@ class WebConnection:
     ``spectral._diagonal_tables``; "weyl" for the unique
     torsion-free Einstein-Weyl connection at k = 2, which also records
     the scalar f (beta(t) = f * omega(t)) and the t-free part
-    alpha_tilde of alpha(t), or "bryant" for the k = 3 connection of
-    ``bryant_forms``.  The last two carry their Christoffel symbols as a
+    alpha_tilde of alpha(t), and carries its Christoffel symbols as a
     table.
     """
 
@@ -537,30 +534,6 @@ def _covariant_metric_derivative(web, conn, g, a: str, b: str, c: str) -> Expr:
     return add_iter([differentiate(_metric_comp(g, b, c), a)], minus)
 
 
-def weyl_compatibility_residuals(
-    web: VeroneseWeb,
-    conn: WebConnection,
-    g: dict[tuple[str, str], Expr] | None = None,
-    phi: OneForm | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
-    """Residuals (nabla g - phi (x) g)_{a;bc} with verdicts."""
-    if g is None:
-        g = conformal_metric(web)
-    if phi is None:
-        phi = weyl_form_from_connection(web, conn, g)
-    out = {}
-    for a in web.coords:
-        for bi, b in enumerate(web.coords):
-            for c in web.coords[bi:]:
-                e = sub(
-                    _covariant_metric_derivative(web, conn, g, a, b, c),
-                    mul(phi.comp(a), _metric_comp(g, b, c)),
-                )
-                out[(a, b, c)] = (e, zero.verdict(e))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bryant forms (k = 3)
 
@@ -572,7 +545,8 @@ class BryantForms:
     the null frame; eta is the frame dual to (V_0..V_3); the one-forms
     beta0, beta1, beta2 and alpha satisfy nabla V(t) = (alpha - 3 t
     beta2) V(t) + (beta0 + t beta1 + t^2 beta2) V'(t) with vanishing
-    torsion.
+    torsion.  Reports print the four forms; the tests rebuild the
+    connection's Christoffel table from them to check the torsion.
     """
 
     web: VeroneseWeb
@@ -582,10 +556,6 @@ class BryantForms:
     beta1: OneForm
     beta2: OneForm
     alpha: OneForm
-    christoffel_table: dict[tuple[str, str, str], Expr]
-
-    def betas(self) -> list[OneForm]:
-        return [self.beta0, self.beta1, self.beta2]
 
 
 def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantForms:
@@ -637,17 +607,5 @@ def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantF
         .plus(eta[2].scaled(neg(cc(0, 2, 0))))
         .plus(eta[3].scaled(neg(cc(0, 3, 0))))
     )
-    table = _paraconformal_christoffels(web, nc, alpha, [beta0, beta1, beta2])
-    return BryantForms(web, c, eta, beta0, beta1, beta2, alpha, table)
+    return BryantForms(web, c, eta, beta0, beta1, beta2, alpha)
 
-
-def bryant_torsion_residuals(
-    bf: BryantForms, zero: ZeroTester = DEFAULT_TESTER
-) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
-    """Torsion components of the Bryant connection in coordinates."""
-    conn = WebConnection(bf.web, "bryant", christoffel_table=bf.christoffel_table)
-    out = {}
-    for (a, b), fieldv in torsion(conn).items():
-        for cname, e in fieldv.comps.items():
-            out[(a, b, cname)] = (e, zero.verdict(e))
-    return out

@@ -2,12 +2,17 @@
 
 On the ODE side: the scaling cofactors G_j of the section scaling
 function and the curvature chain built from them, the reference for the
-one recursion of ``invariants.curvature_chain``.
+one recursion of ``invariants.curvature_chain``; the chain's expansion
+residual; the Lie derivative and differential of one-forms, and the
+residuals of the third-order beta equation and of the trace relation,
+which reports do not decide yet.
 
 On the web side: omega(t) and V(t) at a given t, the
 first-order hierarchy, the Lax tuple and its commutators, the rational
 matrices of the null curve's fields and coframe, the Ricci tensor and
-its null contraction, a base-point sampler, the bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
+its null contraction, the Weyl compatibility residuals of the k = 2
+connection, the k = 3 Bryant connection as a Christoffel table with its
+torsion, a base-point sampler, the bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
 with the exterior derivative and the wedge that omega(t) ^ d omega(t)
 needs, and a ``Fraction`` reference of every table of
 ``paraweb.spectral``.
@@ -22,7 +27,11 @@ that reading.
 
 Reports print Ric(V(t), V(t)) as 0.0 on every Hirota solution without
 building a Ricci tensor; ``ricci_null_value`` builds it here, so that
-tests can decide the identity exactly.
+tests can decide the identity exactly.  Likewise the k = 2 Weyl
+connection is compatible with its conformal metric, and the k = 3 Bryant
+connection is torsion-free, on every web a report builds them for (a
+Hirota solution), so reports print no verdict for either; the residuals
+here let tests decide both.
 """
 
 from __future__ import annotations
@@ -50,15 +59,23 @@ from paraweb.expr import (
     rational,
     sub,
 )
-from paraweb.jet import FrameError, OdeProblem, OneForm, VectorField, lie_bracket, total_derivative_field
+import paraweb.webs as webs
+from paraweb.invariants import CurvatureChain, Residual, _residual, curvature_chain, gamma_k
+from paraweb.jet import FrameError, OdeProblem, OneForm, VectorField, lie_bracket
 from paraweb.webs import (
+    BryantForms,
     NullCurve,
     VeroneseWeb,
     WebConnection,
+    _covariant_metric_derivative,
+    _metric_comp,
+    conformal_metric,
     null_curve,
     omega_coefficient_forms,
+    torsion,
+    weyl_form_from_connection,
 )
-from paraweb.zerotest import _pole_free
+from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
 @dataclass(frozen=True)
 class ScalingRule:
@@ -79,7 +96,7 @@ class ScalingRule:
 
     def cofactors(self, count: int) -> list[Expr]:
         """[G_0, ..., G_count]."""
-        x = total_derivative_field(self.ode)
+        x = self.ode.total_derivative
         m = self.multiplier
         out = [rational(1)]
         for _ in range(count):
@@ -97,7 +114,7 @@ def cofactor_chain(ode: OdeProblem) -> tuple[list[VectorField], list[Expr]]:
     with the curvatures read off by subtracting (-1)^i coeff V^(i) from
     V^(k+1), column x0 first."""
     k = ode.k
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     ad = [VectorField(ode.coords, {f"x{k}": rational(1)})]
     for _ in range(k + 1):
         ad.append(lie_bracket(x, ad[-1]))
@@ -115,6 +132,74 @@ def cofactor_chain(ode: OdeProblem) -> tuple[list[VectorField], list[Expr]]:
         coeffs[i] = mul(rational((-1) ** i), rest.comp(f"x{m}"))
         rest = rest.plus(fields[i].scaled(neg(coeffs[i])))
     return fields, [mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k)]
+
+
+def expansion_residual(chain: CurvatureChain) -> VectorField:
+    """V^(k+1) + K_0 V - K_1 V' + ... as a vector field (should vanish)."""
+    k = chain.ode.k
+    acc = chain.fields[k + 1]
+    for j in range(k):
+        sign = rational((-1) ** j)  # +K_0 V, -K_1 V', ...
+        acc = acc.plus(chain.fields[j].scaled(mul(sign, chain.curvatures[j])))
+    return acc
+
+
+def lie_derivative_oneform(x: VectorField, w: OneForm) -> OneForm:
+    """(L_x w)_c = x(w_c) + sum_d w_d * d(x^d)/dc."""
+    if x.frame != w.frame:
+        raise FrameError("field and form frames differ")
+    comps = {}
+    for c in x.frame:
+        terms = [x.apply(w.comp(c))]
+        for d, xd in x.comps.items():
+            wd = w.comp(d)
+            if wd is not ZERO:
+                terms.append(mul(wd, differentiate(xd, c)))
+        comps[c] = add_iter(terms)
+    return OneForm(x.frame, comps)
+
+
+def differential(e: Expr, frame: tuple[str, ...]) -> OneForm:
+    return OneForm(frame, {c: differentiate(e, c) for c in frame})
+
+
+def connection_residuals(
+    ode: OdeProblem,
+    alpha: OneForm,
+    beta: OneForm,
+    chain: CurvatureChain | None = None,
+    zero: ZeroTester = DEFAULT_TESTER,
+) -> list[Residual]:
+    """Residuals of the third-order beta equation and the trace relation.
+
+    The beta equation reads gamma_k beta''' + (-1)^k K' beta
+    + 2 (-1)^k K beta' = (-1)^k dK with K = K_{k-1}; the trace relation
+    is 2 alpha' + k beta'' = 0.  Both one-forms are evaluated against
+    V^(0)..V^(k) and each scalar gets a verdict.  Reports do not decide
+    either yet; this is the reference for a runtime beta residual.
+    """
+    chain = chain or curvature_chain(ode, zero)
+    k = ode.k
+    x = ode.total_derivative
+    ktop = chain.curvatures[k - 1]
+    b1 = lie_derivative_oneform(x, beta)
+    b2 = lie_derivative_oneform(x, b1)
+    b3 = lie_derivative_oneform(x, b2)
+    a1 = lie_derivative_oneform(x, alpha)
+    sign = rational((-1) ** k)
+    lhs = b3.scaled(rational(gamma_k(k)))
+    lhs = lhs.plus(beta.scaled(mul(sign, x.apply(ktop))))
+    lhs = lhs.plus(b1.scaled(mul(sign, rational(2), ktop)))
+    rhs = differential(ktop, ode.coords).scaled(sign)
+    eq_beta = lhs.plus(rhs.scaled(rational(-1)))
+    eq_trace = a1.scaled(rational(2)).plus(b2.scaled(rational(k)))
+
+    out = []
+    for i in range(k + 1):
+        out.append(_residual(f"beta-equation[V^({i})]", eq_beta(chain.fields[i]), zero))
+    for i in range(k + 1):
+        out.append(_residual(f"trace-relation[V^({i})]", eq_trace(chain.fields[i]), zero))
+    return out
 
 
 # Five distinct values of t outside the default spectral set (0, 1, ...)
@@ -300,6 +385,53 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
                     if gam[(b, m, a)] is not ZERO and gam[(a, c, m)] is not ZERO:
                         minus.append(mul(gam[(b, m, a)], gam[(a, c, m)]))
             out[(b, c)] = add_iter(terms, minus)
+    return out
+
+
+def weyl_compatibility_residuals(
+    web: VeroneseWeb,
+    conn: WebConnection,
+    g: dict[tuple[str, str], Expr] | None = None,
+    phi: OneForm | None = None,
+    zero: ZeroTester = DEFAULT_TESTER,
+) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
+    """Residuals (nabla g - phi (x) g)_{a;bc} of the k = 2 Weyl
+    connection, with verdicts."""
+    if g is None:
+        g = conformal_metric(web)
+    if phi is None:
+        phi = weyl_form_from_connection(web, conn, g)
+    out = {}
+    for a in web.coords:
+        for bi, b in enumerate(web.coords):
+            for c in web.coords[bi:]:
+                e = sub(
+                    _covariant_metric_derivative(web, conn, g, a, b, c),
+                    mul(phi.comp(a), _metric_comp(g, b, c)),
+                )
+                out[(a, b, c)] = (e, zero.verdict(e))
+    return out
+
+
+def bryant_betas(bf: BryantForms) -> list[OneForm]:
+    return [bf.beta0, bf.beta1, bf.beta2]
+
+
+def bryant_connection(bf: BryantForms) -> WebConnection:
+    """The k = 3 Bryant connection as a Christoffel table, built from its
+    forms on the null frame as the k = 2 Weyl connection's table is."""
+    table = webs._paraconformal_christoffels(bf.web, null_curve(bf.web), bf.alpha, bryant_betas(bf))
+    return WebConnection(bf.web, "bryant", christoffel_table=table)
+
+
+def bryant_torsion_residuals(
+    bf: BryantForms, zero: ZeroTester = DEFAULT_TESTER
+) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
+    """Torsion components of the Bryant connection in coordinates."""
+    out = {}
+    for (a, b), fieldv in torsion(bryant_connection(bf)).items():
+        for cname, e in fieldv.comps.items():
+            out[(a, b, cname)] = (e, zero.verdict(e))
     return out
 
 

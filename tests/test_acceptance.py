@@ -50,20 +50,18 @@ from paraweb.invariants import (
     curvature_chain,
     wunschmann_residuals,
 )
-from paraweb.jet import OdeProblem, total_derivative_field
+from paraweb.jet import OdeProblem
 from paraweb.parser import parse_expr
 import paraweb.report as report_mod
 from paraweb.report import analyze_batch, dumps_report
 from paraweb.webs import (
     bryant_forms,
-    bryant_torsion_residuals,
     canonical_connection,
     conformal_metric,
     flatness_verdict,
     is_hirota_solution,
     make_web,
     null_curve,
-    weyl_compatibility_residuals,
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
@@ -75,7 +73,16 @@ from conftest import (
     sample_point,
     zakharevich_oracle,
 )
-from oracles import RICCI_NULL_NODES, null_curve_at, ricci_null_value, ricci_tensor, schouten_components
+from oracles import (
+    RICCI_NULL_NODES,
+    bryant_betas,
+    bryant_torsion_residuals,
+    null_curve_at,
+    ricci_null_value,
+    ricci_tensor,
+    schouten_components,
+    weyl_compatibility_residuals,
+)
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
     closed_forms_order2,
@@ -107,7 +114,7 @@ def test_criterion_1_closed_form_reproduction():
     for k in range(1, 7):
         ode = OdeProblem.abstract(k + 1)
         chain = curvature_chain(ode, ZT)
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         dk1 = _opq(ode, **{f"x{k - 1}": 1})
         dk = _opq(ode, **{f"x{k}": 1})
         closed = mul(rational((-1) ** k), add_iter([
@@ -127,7 +134,7 @@ def test_criterion_1_closed_form_reproduction():
 def test_criterion_2_wunschmann_identity_order3():
     ode = OdeProblem.abstract(3)
     chain = curvature_chain(ode, ZT)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     engine = add(chain.curvatures[0],
                  mul(rational(Fraction(1, 2)), x.apply(chain.curvatures[1])))
     diff = sub(engine, coordinate_wunschmann_order3(ode))
@@ -142,7 +149,7 @@ def test_criterion_3_cartan_identities():
     # docstring and the decisions notes)
     ode2 = OdeProblem.abstract(2)
     ch2 = curvature_chain(ode2, ZT)
-    x2 = total_derivative_field(ode2)
+    x2 = ode2.total_derivative
     v, v1 = ch2.fields[0], ch2.fields[1]
     k0 = ch2.curvatures[0]
     plus = add(mul(rational(4), v1.apply(k0)), v.apply(x2.apply(k0)))
@@ -321,7 +328,7 @@ def test_criterion_7_flatness_and_bryant(corpus):
             continue
         bf = bryant_forms(make_web(3, w), ZT)
         beta_zero = all(
-            ZT.verdict(v) is Verdict.ZERO for b in bf.betas() for v in b.comps.values()
+            ZT.verdict(v) is Verdict.ZERO for b in bryant_betas(bf) for v in b.comps.values()
         )
         assert beta_zero is flat, (w, flat)
 
@@ -329,7 +336,7 @@ def test_criterion_7_flatness_and_bryant(corpus):
     # some beta nonzero; torsion measured numerically below 1e-8
     web = make_web(3, NONFLAT_W[3])
     bf = bryant_forms(web, ZT)
-    assert any(ZT.verdict(v) is Verdict.NONZERO for b in bf.betas() for v in b.comps.values())
+    assert any(ZT.verdict(v) is Verdict.NONZERO for b in bryant_betas(bf) for v in b.comps.values())
     tres = bryant_torsion_residuals(bf, ZT)
     assert all(v is Verdict.ZERO for _, v in tres.values())
     rng = random.Random(13)

@@ -27,7 +27,6 @@ from paraweb.expr import (
     pow_int,
     rational,
     sub,
-    substitute,
     sym,
     to_string,
 )
@@ -345,14 +344,3 @@ def test_expand_preserves_value(seed):
     assert ve == vx
 
 
-def test_substitute_coordinates():
-    e = p("x1^2 + x2")
-    out = substitute(e, {sym("x1"): rational(3)})
-    assert out is p("9 + x2")
-
-
-def test_substitute_refuses_opaque_dependencies():
-    from paraweb.expr import SubstitutionError
-
-    with pytest.raises(SubstitutionError):
-        substitute(p("F_x1"), {sym("x1"): rational(0)})

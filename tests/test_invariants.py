@@ -26,8 +26,6 @@ from paraweb.expr import (
 from paraweb.invariants import (
     beta_coefficient,
     cartan_residuals,
-    connection_forms,
-    connection_residuals,
     coordinate_cartan_order2,
     coordinate_cartan_order3,
     coordinate_wunschmann_order3,
@@ -35,7 +33,7 @@ from paraweb.invariants import (
     gamma_k,
     wunschmann_residuals,
 )
-from paraweb.jet import OdeProblem, OneForm, total_derivative_field
+from paraweb.jet import OdeProblem, OneForm
 from paraweb.report import (
     CLASS_TOTALLY_GEODESIC,
     CLASS_WUNSCHMANN_ONLY,
@@ -46,7 +44,7 @@ from paraweb.report import (
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
-from oracles import ScalingRule
+from oracles import ScalingRule, connection_residuals, expansion_residual
 
 ZT = ZeroTester()
 
@@ -58,7 +56,7 @@ def F(ode, t=0, **orders):
 
 
 def xf(ode, e, n=1):
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     for _ in range(n):
         e = x.apply(e)
     return e
@@ -166,7 +164,7 @@ class TestCurvatureChain:
             chain = curvature_chain(ode, ZT)
             assert chain.residual_dt is ZERO
             assert ZT.verdict(chain.residual_vk) is Verdict.ZERO
-            resid = chain.expansion_residual()
+            resid = expansion_residual(chain)
             assert all(ZT.verdict(e) is Verdict.ZERO for e in resid.comps.values())
 
 
@@ -235,7 +233,7 @@ class TestCartan:
         chain = curvature_chain(ode, ZT)
         (res,) = cartan_residuals(ode, chain, ZT)
         assert res.is_zero
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         v, v1 = chain.fields[0], chain.fields[1]
         k0 = chain.curvatures[0]
         wrong_sign = sub(mul(rational(4), v1.apply(k0)), v.apply(x.apply(k0)))
@@ -268,7 +266,7 @@ class TestCartan:
         chain = curvature_chain(ode, ZT)
         v, v1 = chain.fields[0], chain.fields[1]
         k2 = chain.curvatures[2]
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         residual = add(mul(rational(4), v1.apply(k2)),
                        mul(rational(3), v.apply(x.apply(k2))))
         substituted = sub(mul(rational(4), v1.apply(k2)),
@@ -375,8 +373,8 @@ class TestConnection:
         ctx = OdeProblem.jet_context(4, extra_functions={"b": ("t", "x0", "x1", "x2", "x3")})
         ode = OdeProblem(4, ctx, ctx.opaque_symbol("F"))
         chain = curvature_chain(ode, ZT)
-        x = total_derivative_field(ode)
-        theta = dual_coframe_oracle(chain.fields[:4], ode.x_coords, ZT)
+        x = ode.total_derivative
+        theta = dual_coframe_oracle(chain.fields[:4], ode.coords[1:], ZT)
         b = ctx.opaque_symbol("b")
         beta = theta[3].scaled(b)
         alpha = OneForm(ode.coords, {})
@@ -411,12 +409,6 @@ class TestConnection:
                 ode, OneForm(ode.coords, {}), beta, chain, ZT)}
             name = f"beta-equation[V^({ode.k - 3})]"
             assert res[name].is_zero
-
-    def test_connection_forms_fold_top_term(self):
-        ode = OdeProblem.from_rhs(4, "0")
-        zero_form = OneForm(ode.coords, {})
-        forms = connection_forms(ode, zero_form, zero_form, zero=ZT)
-        assert forms == {}
 
 
 def invariant_report(ode):

@@ -13,17 +13,14 @@ from paraweb.jet import (
     OdeProblem,
     OneForm,
     VectorField,
-    differential,
     lie_bracket,
-    lie_derivative_oneform,
-    total_derivative_field,
 )
 from paraweb.parser import parse_expr
 from paraweb.webs import make_web
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import dual_coframe_oracle, expand
-from oracles import ScalingRule, exterior_derivative, omega_at, wedge3
+from oracles import ScalingRule, differential, exterior_derivative, lie_derivative_oneform, omega_at, wedge3
 
 ZT = ZeroTester()
 
@@ -31,12 +28,12 @@ ZT = ZeroTester()
 class TestTotalDerivative:
     def test_second_order_trivial_rhs(self):
         ode = OdeProblem.from_rhs(2, "0")
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         assert x.comps == {"t": rational(1), "x0": sym("x1")}
 
     def test_apply_to_base_coordinate(self):
         ode = OdeProblem.abstract(4)
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         assert x.apply(sym("x0")) is sym("x1")
 
     def test_rejects_order_one(self):
@@ -65,7 +62,7 @@ class TestLieBracket:
         for order in (2, 3, 5):
             ode = OdeProblem.abstract(order)
             k = ode.k
-            x = total_derivative_field(ode)
+            x = ode.total_derivative
             vert = VectorField(ode.coords, {f"x{k}": rational(1)})
             got = lie_bracket(x, vert)
             dkF = ode.context.opaque_symbol("F", {f"x{k}": 1})
@@ -169,7 +166,7 @@ class TestForms:
         ode = OdeProblem.abstract(3)
         p = lambda s: parse_expr(s, ode.context)
         f = p("x0*x2 + t*x1")
-        x = total_derivative_field(ode)
+        x = ode.total_derivative
         lhs = lie_derivative_oneform(x, differential(f, ode.coords))
         rhs = differential(x.apply(f), ode.coords)
         diff = lhs.plus(rhs.scaled(rational(-1)))
@@ -184,7 +181,7 @@ class TestDualCoframe:
 
         ode = OdeProblem.from_rhs(4, "0")
         chain = curvature_chain(ode, ZT)
-        thetas = dual_coframe_oracle(chain.fields[:4], ode.x_coords, ZT)
+        thetas = dual_coframe_oracle(chain.fields[:4], ode.coords[1:], ZT)
         # V^(i) = (-1)^i d/dx(k-i), so theta_i = (-1)^i dx(k-i)
         for i, th in enumerate(thetas):
             assert th.comps == {f"x{3 - i}": rational((-1) ** i)}
@@ -196,7 +193,7 @@ class TestDualCoframe:
             ode = OdeProblem.abstract(order)
             k = ode.k
             chain = curvature_chain(ode, ZT)
-            thetas = dual_coframe_oracle(chain.fields[:k + 1], ode.x_coords, ZT)
+            thetas = dual_coframe_oracle(chain.fields[:k + 1], ode.coords[1:], ZT)
             for i in range(k + 1):
                 for j in range(k + 1):
                     val = thetas[i](chain.fields[j])

@@ -71,8 +71,7 @@ def _connections(k: int, w: str) -> list[WebConnection]:
     web = make_web(k, w)
     conns = [canonical_connection(web, ZT)]
     if k == 3:
-        bf = bryant_forms(web, ZT)
-        conns.append(WebConnection(web, "bryant", christoffel_table=bf.christoffel_table))
+        conns.append(oracles.bryant_connection(bryant_forms(web, ZT)))
     return conns
 
 
@@ -213,7 +212,7 @@ class TestWebObjects:
     def test_null_dual_is_read_not_inverted(self, monkeypatch):
         # A k = 3 report reads the dual of the null frame from omega's
         # coefficient forms, built once for the coframe that the Bryant
-        # forms and the Bryant Christoffel table share; the diagonal
+        # forms read; the diagonal
         # connection's tables take it from the leave-one-out products.
         # Another web builds them once more.  Each coframe is the exact
         # inverse of the null-curve coefficient matrix r: sum_j r[i][j]
@@ -236,6 +235,26 @@ class TestWebObjects:
             assert d == oracles.null_dual(web.t_params)
             assert [[sum(r[i][j] * d[j][l] for j in range(4)) for l in range(4)] for i in range(4)] == \
                 [[int(i == l) for l in range(4)] for i in range(4)]
+
+    def test_k3_reports_build_no_christoffel_table(self, monkeypatch):
+        # A k = 3 report prints the Bryant forms, not the Bryant
+        # connection's Christoffel table, so it builds none
+        # (oracles.bryant_connection does, for the tests); the k = 2 Weyl
+        # connection reads its table.
+        built = []
+
+        def counting(web, *args, _real=webs_mod._paraconformal_christoffels):
+            built.append(web.k)
+            return _real(web, *args)
+
+        monkeypatch.setattr(webs_mod, "_paraconformal_christoffels", counting)
+        for w in (NONFLAT_W[3], "2*x0 + x1 + x2^2/2 + x3"):
+            rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": w}))
+            assert sorted(rep["derived"]["bryant"]) == ["alpha", "beta0", "beta1", "beta2"]
+        assert built == []
+        rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 2, "w": NONFLAT_W[2]}))
+        assert rep["derived"]["connection"]["type"] == "weyl"
+        assert built == [2]
 
     def test_cache_is_per_instance(self):
         w = "x0 + x1^2/2 + x2"

@@ -43,7 +43,7 @@ from paraweb.expr import (
     sym,
 )
 from paraweb.invariants import cartan_residuals, curvature_chain, wunschmann_residuals
-from paraweb.jet import OdeProblem, TotalDerivative, VectorField, total_derivative_field
+from paraweb.jet import OdeProblem, TotalDerivative, VectorField
 from paraweb.parser import parse_expr
 from paraweb.webs import web_context
 from paraweb.zerotest import Verdict, ZeroTester
@@ -157,7 +157,7 @@ def test_apply_matches_the_partials_first_path(order, which, recipe):
         e = build(recipe, ode)
     except ZeroDivisionError:
         assume(False)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     assert isinstance(x, TotalDerivative)
     got, want = x.apply(e), reference_apply(x, e)
     memo: dict = {}
@@ -169,7 +169,7 @@ def test_apply_matches_the_partials_first_path(order, which, recipe):
 
 def test_apply_on_leaves_is_the_reference_node():
     ode = OdeProblem.abstract(4)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     for e in (sym("t"), sym("x0"), sym("x3"), ode.rhs, ode.context.opaque_symbol("F", {"x1": 2}),
               rational(7), fun("sin", sym("x2"))):
         assert x.apply(e) is reference_apply(x, e)
@@ -217,8 +217,8 @@ def test_curvatures_match_the_reference_chain(order, rhs, monkeypatch):
 
 def test_one_total_derivative_per_problem():
     ode = OdeProblem.abstract(4)
-    x = total_derivative_field(ode)
-    assert total_derivative_field(ode) is x
+    x = ode.total_derivative
+    assert ode.total_derivative is x
     cofactors = ScalingRule(ode).cofactors(ode.k + 1)
     # the cofactors went through the problem's X ...
     assert all(g in x._memo for g in cofactors[:-1])
@@ -226,7 +226,7 @@ def test_one_total_derivative_per_problem():
     chain = curvature_chain(ode, ZT)
     wunschmann_residuals(ode, chain, ZT)
     cartan_residuals(ode, chain, ZT)
-    assert total_derivative_field(ode) is x
+    assert ode.total_derivative is x
     assert chain.curvatures[ode.k - 1] in x._memo
 
 
@@ -238,7 +238,7 @@ def test_total_derivative_is_freed_with_its_problem():
     ode = OdeProblem.abstract(4)
     chain = curvature_chain(ode, ZT)
     residuals = wunschmann_residuals(ode, chain, ZT) + cartan_residuals(ode, chain, ZT)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     assert x._memo
     # Expression nodes are interned for the life of the process, so a
     # weakly referenced probe stands in for the memo's contents.
@@ -412,7 +412,7 @@ def staged_chain(ode: OdeProblem):
     U_{i+1} = [X, U_i] + m U_i collected once over its three terms, and
     each step of the back-substitution built by ``plus``."""
     k = ode.k
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     mult = ScalingRule(ode).multiplier
     fields = [VectorField(ode.coords, {f"x{k}": rational(1)})]
     for _ in range(k + 1):
@@ -443,7 +443,7 @@ def test_chain_is_the_staged_chain(order, rhs):
 def test_derivatives_of_chain_components_are_the_staged_nodes():
     ode = OdeProblem.abstract(4)
     chain = curvature_chain(ode, ZT)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     roots = [e for f in chain.fields for e in f.comps.values()] + list(chain.curvatures)
     memo: dict = {}
     diff_memo: dict = {}
@@ -462,7 +462,7 @@ def test_derivatives_are_the_staged_nodes(order, which, recipe):
         e = build(recipe, ode)
     except ZeroDivisionError:
         assume(False)
-    x = total_derivative_field(ode)
+    x = ode.total_derivative
     diff_memo: dict = {}
     assert x.apply(e) is staged_derive(x, e, {}, diff_memo)
     for c in ode.coords:
