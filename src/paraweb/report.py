@@ -5,7 +5,8 @@ batches carry {"problems": [...]}.  Reports echo the problem (with
 defaulted options filled in), list named residuals with verdicts and
 sample counts, and render every derived object in the same grammar the
 parser accepts, so reports double as regression fixtures.  Identical
-(problem, seed) pairs produce byte-identical reports.
+(problem, seed) pairs produce byte-identical reports, so a batch
+analyses each distinct problem once and its repeats share that entry.
 """
 
 from __future__ import annotations
@@ -402,6 +403,11 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     that failed after validation, such as the bracket function breaking
     its degree bound).  Each failure is an error entry
     and the rest of the batch still runs.
+
+    A problem whose validated spec repeats one analysed earlier in the
+    batch reuses that ok entry, the same dict object, and is not analysed
+    again; error entries are made per occurrence and echo their own raw
+    problem.  The memo is local and freed on return.
     """
     if isinstance(document, dict) and "problems" in document:
         raw_problems = document["problems"]
@@ -411,10 +417,16 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
         raw_problems = [document]
     reports = []
     code = 0
+    # Keyed on the repr: equality takes tolerance -0.0 for 0.0, which
+    # echo() prints apart.
+    ok_entries: dict[str, dict] = {}
     for raw in raw_problems:
         try:
             spec = ProblemSpec.from_dict(raw, defaults)
-            reports.append(analyze_problem(spec))
+            key = repr(spec)
+            if key not in ok_entries:
+                ok_entries[key] = analyze_problem(spec)
+            reports.append(ok_entries[key])
         except (InputError, BudgetError) as exc:
             reports.append({"problem": raw, "status": "error", "error": str(exc)})
             code = max(code, 1)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import paraweb.report as report_mod
 from paraweb.cli import main as cli_main
 from paraweb.jet import FrameError
 from paraweb.report import (
@@ -505,3 +508,94 @@ class TestDeterminism:
         assert code == 0
         golden = (DATA / "golden_report.json").read_text(encoding="utf-8")
         assert dumps_report(report) == golden
+
+
+ODE3 = {"kind": "ode", "order": 3, "rhs": "x2^3"}
+WEB2 = {"kind": "web", "k": 2, "w": "x0 + x1^2/2 + x2", "t_params": ["0", "1", "2", "3"]}
+
+
+def _with_options(problem, **options):
+    return dict(problem, options=options)
+
+
+class TestBatchMemo:
+    """A batch analyses each distinct problem once; its repeats list the
+    entry of the first, which must be the entry the problem gets alone."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        specs = []
+        analyze = report_mod.analyze_problem
+
+        def counting(spec):
+            specs.append(spec)
+            return analyze(spec)
+
+        monkeypatch.setattr(report_mod, "analyze_problem", counting)
+        return specs
+
+    @pytest.mark.parametrize("problems,defaults,runs", [
+        ([ODE3, ODE3, ODE3], None, 1),
+        ([ODE3, _with_options(ODE3, seed=1)], None, 2),
+        ([ODE3, _with_options(ODE3, trials=9)], None, 2),
+        ([ODE3, dict(ODE3, rhs=" x2^3")], None, 2),
+        ([WEB2, dict(WEB2, t_params=["0", "1/1", "2", "3"]), WEB2], None, 1),
+        # the CLI's --seed 5 and an explicit seed of 5 are one problem
+        ([ODE3, _with_options(ODE3, seed=5)], {"seed": 5}, 1),
+        # equal as specs, but the echo prints -0.0 and 0.0 apart
+        ([_with_options(ODE3, tolerance=-0.0), _with_options(ODE3, tolerance=0)], None, 2),
+    ], ids=["thrice", "seed", "trials", "rhs-whitespace", "t-params-1-and-1/1",
+            "default-seed", "tolerance-sign"])
+    def test_one_analysis_per_distinct_spec(self, analyses, problems, defaults, runs):
+        report, code = analyze_batch({"problems": problems}, defaults)
+        entries = report["reports"]
+        assert code == 0 and len(analyses) == runs
+        assert len({id(entry) for entry in entries}) == runs
+        for raw, entry in zip(problems, entries):
+            alone, _ = analyze_batch({"problems": [raw]}, defaults)
+            assert dumps_report(entry) == dumps_report(alone["reports"][0])
+
+    def test_errors_are_not_shared(self, analyses):
+        bad_rhs = {"kind": "ode", "order": 2, "rhs": "x2^"}
+        bad_web = {"kind": "web", "k": 1, "w": "x0 + x1", "t_params": ["0", "1", "1"]}
+        problems = [bad_rhs, bad_web, ODE3, dict(bad_rhs), bad_web, dict(bad_rhs, label="again")]
+        report, code = analyze_batch({"problems": problems})
+        entries = report["reports"]
+        assert code == 1
+        assert [entry["status"] for entry in entries] == ["error", "error", "ok", "error", "error", "error"]
+        assert all(entries[i]["problem"] is problems[i] for i in (0, 1, 3, 4, 5))
+        assert entries[0]["error"].startswith("bad rhs")
+        assert entries[1]["error"] == "t_params must be pairwise distinct"
+        assert len({id(entry) for entry in entries}) == len(entries)
+        # the bad rhs is a valid spec whose analysis fails, each time
+        assert len(analyses) == 4
+
+    def test_memo_is_freed_with_the_batch(self):
+        # Run 1 fills the process-wide expression caches; after it, traced
+        # memory stays put, and nothing allocated in report.py outlives a
+        # batch (a memo kept past the batch would hold its entries).
+        golden = json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8"))
+        doc = {"problems": golden["problems"] * 2}
+        margin = 16 * 1024
+
+        def held_by_report():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, report_mod.__file__)])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            gc.collect()
+            report_before = held_by_report()
+            traced, held = [], []
+            for _ in range(3):
+                report, code = analyze_batch(doc)
+                assert code == 0 and len(report["reports"]) == 2 * len(golden["problems"])
+                del report
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+                held.append(held_by_report())
+        finally:
+            tracemalloc.stop()
+        assert all(abs(t - traced[0]) <= margin for t in traced[1:]), traced
+        assert all(h - report_before <= 1024 for h in held), held

@@ -179,12 +179,15 @@ class TestVerdictMemo:
 
         monkeypatch.setattr(ProblemSpec, "tester", tracked)
         before = dict(DEFAULT_TESTER._verdicts)
-        doc = json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8"))
-        report, _ = analyze_batch(doc)
-        assert DEFAULT_TESTER._verdicts == before
-        del report
-        gc.collect()
-        assert refs and all(ref() is None for ref in refs)
+        golden = json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8"))
+        # listed twice, the repeats reuse the entries of the first listing
+        for doc in (golden, {"problems": golden["problems"] * 2}):
+            refs.clear()
+            report, _ = analyze_batch(doc)
+            assert DEFAULT_TESTER._verdicts == before
+            del report
+            gc.collect()
+            assert refs and all(ref() is None for ref in refs)
 
 
 class TestWebObjects:
