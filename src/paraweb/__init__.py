@@ -60,7 +60,6 @@ from .webs import (
     hirota_residuals,
     make_web,
     null_curve,
-    torsion,
 )
 from .report import ProblemSpec, analyze_batch, analyze_ode, analyze_web
 

@@ -42,7 +42,6 @@ from .expr import (
     sym,
 )
 from .parser import Context, parse_expr
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 __all__ = [
     "FrameError",
@@ -103,9 +102,6 @@ class VectorField:
 
     def scaled(self, s: Expr) -> "VectorField":
         return VectorField(self.frame, {c: mul(s, v) for c, v in self.comps.items()})
-
-    def is_zero_field(self, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-        return all(zero.verdict(v) is Verdict.ZERO for v in self.comps.values())
 
     def _check(self, other):
         if self.frame != other.frame:

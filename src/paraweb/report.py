@@ -40,7 +40,7 @@ from .webs import (
     flatness_verdict,
     hirota_residuals,
     make_web,
-    weyl_form_from_connection,
+    weyl_form,
 )
 from .zerotest import Verdict, ZeroTester
 
@@ -350,13 +350,12 @@ def analyze_web(spec: ProblemSpec) -> dict:
             }
         else:
             g = conformal_metric(web)
-            phi = weyl_form_from_connection(web, conn, g)
             derived["connection"] = {
                 "type": "weyl",
                 "f": conn.f,
                 "alpha_tilde": conn.alpha_tilde.comps,
                 "metric": {f"{c},{d}": v for (c, d), v in g.items()},
-                "weyl_form": phi.comps,
+                "weyl_form": weyl_form(conn).comps,
             }
         if web.k == 3:
             bf = bryant_forms(web, zero)

@@ -26,6 +26,14 @@ e_j = (dw/dx_j)^-1 d/dx_j and rational c_j(t), and [e_j, e_l] =
 b_jl (e_j - e_l) with b_jl = w_jl / (w_j w_l), so its alpha is a
 rational combination of the b_jl whose coefficients depend only on the
 spectral constants.
+
+No Christoffel table is built.  Every connection here is kept as the
+one-forms that define it on the null frame: alpha for the diagonal one,
+f and alpha_tilde for the k = 2 Weyl connection, whose Weyl form is
+read from them (``weyl_form``), and the four Bryant forms at k = 3.
+Flatness zero-tests the two torsion components a diagonal connection
+can have.  ``tests/oracles.py`` builds the tables, the full torsion and
+the covariant derivative of the metric as references.
 """
 
 from __future__ import annotations
@@ -69,10 +77,9 @@ __all__ = [
     "hirota_residuals",
     "is_hirota_solution",
     "canonical_connection",
-    "torsion",
     "flatness_verdict",
     "conformal_metric",
-    "weyl_form_from_connection",
+    "weyl_form",
     "bryant_forms",
 ]
 
@@ -268,11 +275,13 @@ class WebConnection:
     ``kind`` is "diagonal" for the canonical connection at k = 1 and
     k > 2, nabla_{d/dx_a} d/dx_b = (w_ab / w_b + alpha_a) d/dx_b with
     w_b = dw/dx_b, whose alpha is read from the tables of
-    ``spectral._diagonal_tables``; "weyl" for the unique
-    torsion-free Einstein-Weyl connection at k = 2, which also records
-    the scalar f (beta(t) = f * omega(t)) and the t-free part
-    alpha_tilde of alpha(t), and carries its Christoffel symbols as a
-    table.
+    ``spectral._diagonal_tables``; "weyl" for the unique torsion-free
+    Einstein-Weyl connection at k = 2, which records only the scalar f
+    and the t-free part alpha_tilde of alpha(t): with beta(t) = f omega(t),
+    nabla V(t) = (alpha_tilde - 2 t f omega_2) V(t) + beta(t) V'(t) on the
+    null curve.  Reports print those forms and ``weyl_form`` read from
+    them; ``christoffel`` serves the diagonal kind only, and
+    ``tests/oracles.py`` builds the Weyl connection's Christoffel table.
     """
 
     web: VeroneseWeb
@@ -280,12 +289,9 @@ class WebConnection:
     alpha: OneForm | None = None
     f: Expr | None = None
     alpha_tilde: OneForm | None = None
-    christoffel_table: dict[tuple[str, str, str], Expr] | None = None
 
     def christoffel(self, a: str, b: str, c: str) -> Expr:
-        """Coefficient of d/dx_c in nabla_{d/dx_a} d/dx_b."""
-        if self.christoffel_table is not None:
-            return self.christoffel_table.get((a, b, c), ZERO)
+        """Coefficient of d/dx_c in nabla_{d/dx_a} d/dx_b (diagonal kind)."""
         if c != b:
             return ZERO
         ia, ib = int(a[1:]), int(b[1:])
@@ -336,29 +342,24 @@ def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
     return WebConnection(web, "diagonal", alpha=OneForm(web.coords, comps))
 
 
-def torsion(conn: WebConnection) -> dict[tuple[str, str], VectorField]:
-    """T(d/dx_a, d/dx_b) for a < b, as vector fields."""
-    web = conn.web
-    out = {}
-    coords = web.coords
-    for ia, a in enumerate(coords):
-        for b in coords[ia + 1:]:
-            comps = {c: sub(conn.christoffel(a, b, c), conn.christoffel(b, a, c)) for c in coords}
-            out[(a, b)] = VectorField(coords, comps)
-    return out
-
-
 def flatness_verdict(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
     """True iff the canonical connection of the web is torsion-free (k > 2).
 
     Equivalent to d/dx_i (dw/dx_j / dw/dx_l) = 0 for all i outside
     {j, l}, i.e. to w being equivalent to an additively separable
-    function of the coordinates.
+    function of the coordinates.  The connection is diagonal, so for
+    a < b the torsion T(d/dx_a, d/dx_b) has only two components that can
+    be nonzero: -Gamma(b, a, a) along d/dx_a and Gamma(a, b, b) along
+    d/dx_b.
     """
     if web.k <= 2:
         raise WebError("flatness via torsion of the canonical connection needs k > 2")
     conn = canonical_connection(web, zero)
-    return all(f.is_zero_field(zero) for f in torsion(conn).values())
+    coords = web.coords
+    comps = (e
+             for ia, a in enumerate(coords) for b in coords[ia + 1:]
+             for e in (sub(ZERO, conn.christoffel(b, a, a)), conn.christoffel(a, b, b)))
+    return all(e is ZERO or zero.verdict(e) is Verdict.ZERO for e in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -398,75 +399,14 @@ def _weyl_alpha_tilde(web: VeroneseWeb) -> OneForm:
     return OneForm(web.coords, comps)
 
 
-def _paraconformal_christoffels(
-    web: VeroneseWeb,
-    nc: NullCurve,
-    alpha0: OneForm,
-    betas: list[OneForm],
-) -> dict[tuple[str, str, str], Expr]:
-    """Christoffel table of the connection defined on the null frame by
-
-        nabla V_i = alpha0 (x) V_i + i beta1 (x) V_i
-                    + (i-1-k) beta2 (x) V_{i-1} + (i+1) beta0 (x) V_{i+1},
-
-    the coefficient form of nabla V(t) = alpha(t) V(t) + beta(t) V'(t)
-    with beta(t) = beta0 + t beta1 + t^2 beta2 and alpha(t) = alpha0
-    - k t beta2 (the t-linear part of alpha is forced by matching the
-    top polynomial degree).
-    """
-    k = web.k
-    beta0, beta1, beta2 = betas
-    psi: dict[tuple[int, int], OneForm] = {}
-    for i in range(k + 1):
-        psi[(i, i)] = alpha0.plus(beta1.scaled(rational(i)))
-        if i >= 1:
-            psi[(i, i - 1)] = beta2.scaled(rational(i - 1 - k))
-        if i + 1 <= k:
-            psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
-
-    table: dict[tuple[str, str, str], Expr] = {}
-    coords = web.coords
-    for a in coords:
-        for b in coords:
-            comp_terms: dict[str, list[Expr]] = {c: [] for c in coords}
-            for i in range(k + 1):
-                # transport term: d/dx_a (xi) V_i, with d/dx_b = sum_i xi V_i
-                xi = nc.coframe[i].comp(b)
-                dxi = differentiate(xi, a)
-                if dxi is not ZERO:
-                    for c, vic in nc.fields[i].comps.items():
-                        comp_terms[c].append(mul(dxi, vic))
-                # connection term: xi * psi(d/dx_a) V_m
-                for m in range(k + 1):
-                    form = psi.get((i, m))
-                    if form is None:
-                        continue
-                    scal = form.comp(a)
-                    if scal is ZERO:
-                        continue
-                    coeff = mul(xi, scal)
-                    for c, vmc in nc.fields[m].comps.items():
-                        comp_terms[c].append(mul(coeff, vmc))
-            for c, terms in comp_terms.items():
-                val = add_iter(terms)
-                if val is not ZERO:
-                    table[(a, b, c)] = val
-    return table
-
-
 def _weyl_connection(web: VeroneseWeb) -> WebConnection:
     # alpha_tilde carries a -2 f omega_1 counterterm relative to the bare
     # cyclic-sum formula: the t-free part of alpha(t) depends on the
     # normalisation of V(t), and ours is pinned by omega(s)(V(t)) = (s-t)^2.
-    nc = null_curve(web)
     f = _weyl_scalar_f(web)
-    omegas = omega_coefficient_forms(web)
-    alpha_tilde = _weyl_alpha_tilde(web).plus(omegas[1].scaled(mul(rational(-2), f)))
-    betas = [om.scaled(f) for om in omegas]
-    table = _paraconformal_christoffels(web, nc, alpha_tilde, betas)
-    return WebConnection(
-        web, "weyl", alpha=None, f=f, alpha_tilde=alpha_tilde, christoffel_table=table
-    )
+    omega1 = omega_coefficient_forms(web)[1]
+    alpha_tilde = _weyl_alpha_tilde(web).plus(omega1.scaled(mul(rational(-2), f)))
+    return WebConnection(web, "weyl", f=f, alpha_tilde=alpha_tilde)
 
 
 def conformal_metric(web: VeroneseWeb) -> dict[tuple[str, str], Expr]:
@@ -499,39 +439,21 @@ def conformal_metric(web: VeroneseWeb) -> dict[tuple[str, str], Expr]:
     return out
 
 
-def _metric_comp(g: dict[tuple[str, str], Expr], c: str, d: str) -> Expr:
-    if (c, d) in g:
-        return g[(c, d)]
-    return g.get((d, c), ZERO)
+def weyl_form(conn: WebConnection) -> OneForm:
+    """The Weyl form phi, nabla g = phi (x) g, of the k = 2 Weyl connection.
 
+    With beta(t) = f omega(t) and alpha(t) = alpha_tilde - 2 t beta_2,
+    and the constant g(V(s), V(t)) = -2 (s - t)^2 of the
+    ``conformal_metric``,
 
-def weyl_form_from_connection(
-    web: VeroneseWeb,
-    conn: WebConnection,
-    g: dict[tuple[str, str], Expr] | None = None,
-) -> OneForm:
-    """The one-form phi with nabla g = phi (x) g, extracted componentwise."""
-    if g is None:
-        g = conformal_metric(web)
-    coords = web.coords
-    pivot = ("x0", "x0")
-    comps = {}
-    for a in coords:
-        ng = _covariant_metric_derivative(web, conn, g, a, *pivot)
-        comps[a] = div(ng, _metric_comp(g, *pivot))
-    return OneForm(coords, comps)
+        (nabla g)(V(s), V(t)) = 2 (s - t)^2 (alpha(s) + alpha(t))
+                                + 4 (s - t) (beta(s) - beta(t))
+                              = 4 (s - t)^2 (alpha_tilde + beta_1),
 
-
-def _covariant_metric_derivative(web, conn, g, a: str, b: str, c: str) -> Expr:
-    minus = []
-    for m in web.coords:
-        gb = conn.christoffel(a, b, m)
-        if gb is not ZERO:
-            minus.append(mul(gb, _metric_comp(g, m, c)))
-        gc = conn.christoffel(a, c, m)
-        if gc is not ZERO:
-            minus.append(mul(gc, _metric_comp(g, b, m)))
-    return add_iter([differentiate(_metric_comp(g, b, c), a)], minus)
+    so phi = -2 (alpha_tilde + f omega_1), for every w.
+    """
+    omega1 = omega_coefficient_forms(conn.web)[1]
+    return conn.alpha_tilde.plus(omega1.scaled(conn.f)).scaled(rational(-2))
 
 
 # ---------------------------------------------------------------------------

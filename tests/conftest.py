@@ -50,6 +50,17 @@ NONFLAT_W = {
 }
 # The nonflat k = 5 web of the benchmark's web-ladder, outside the corpus.
 NONFLAT_W5 = "exp(x1+x2+x3+x4+x5) + exp(x0+51*x1+21*x2+11*x3+6*x4+3*x5)"
+# The same ansatz at k = 6..8, outside the corpus: with t_i = i the rule
+# reads m_i - 1 = c (k + 1 - i) / i, for c = 60, 105 and 280.
+NONFLAT_HIGH_W = {
+    6: "exp(x1+x2+x3+x4+x5+x6) + exp(x0+361*x1+151*x2+81*x3+46*x4+25*x5+11*x6)",
+    7: "exp(x1+x2+x3+x4+x5+x6+x7) + exp(x0+736*x1+316*x2+176*x3+106*x4+64*x5+36*x6+16*x7)",
+    8: "exp(x1+x2+x3+x4+x5+x6+x7+x8)"
+       " + exp(x0+2241*x1+981*x2+561*x3+351*x4+225*x5+141*x6+81*x7+36*x8)",
+}
+# NONFLAT_W[3] under x_i -> ln x_i, which keeps the Hirota system (each
+# term of a triple gains the factor 1/(x_i x_j x_l)): a polynomial web.
+NONFLAT_POLY_W3 = "x1*x2*x3 + x0*x1^10*x2^4*x3^2"
 
 SEPARABLE_W = {
     2: ["x0+x1+x2", "x0 + x1^2/2 + x2"],

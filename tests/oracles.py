@@ -9,13 +9,15 @@ which reports do not decide yet.
 
 On the web side: omega(t) and V(t) at a given t, the
 first-order hierarchy, the Lax tuple and its commutators, the rational
-matrices of the null curve's fields and coframe, the Ricci tensor and
-its null contraction, the Weyl compatibility residuals of the k = 2
-connection, the k = 3 Bryant connection as a Christoffel table with its
-torsion, a base-point sampler, the bi-Hamiltonian pencil with its Schouten bracket, two- and three-forms
-with the exterior derivative and the wedge that omega(t) ^ d omega(t)
-needs, and a ``Fraction`` reference of every table of
-``paraweb.spectral``.
+matrices of the null curve's fields and coframe, connections given by
+their Christoffel tables (the k = 2 Weyl connection and the k = 3 Bryant
+connection, built from their forms on the null frame), torsion, the
+Ricci tensor and its null contraction, the covariant derivative of the
+k = 2 conformal metric with the Weyl form and compatibility residuals
+read from it, a base-point sampler, the bi-Hamiltonian pencil with its
+Schouten bracket, two- and three-forms with the exterior derivative and
+the wedge that omega(t) ^ d omega(t) needs, and a ``Fraction`` reference
+of every table of ``paraweb.spectral``.
 
 Pi(t) = sum_i L_i(t) ^ d/dy_i lives on the extended space with
 coordinates x_0..x_k, y_1..y_k.  Reports decide [Pi(t), Pi(t)] = 0 from
@@ -31,7 +33,10 @@ tests can decide the identity exactly.  Likewise the k = 2 Weyl
 connection is compatible with its conformal metric, and the k = 3 Bryant
 connection is torsion-free, on every web a report builds them for (a
 Hirota solution), so reports print no verdict for either; the residuals
-here let tests decide both.
+here let tests decide both.  Reports read the Weyl form from the
+connection's forms, phi = -2 (alpha_tilde + f omega_1), and flatness
+from the two torsion components a diagonal connection can have; the
+Christoffel tables and the full torsion here are their references.
 """
 
 from __future__ import annotations
@@ -67,13 +72,9 @@ from paraweb.webs import (
     NullCurve,
     VeroneseWeb,
     WebConnection,
-    _covariant_metric_derivative,
-    _metric_comp,
     conformal_metric,
     null_curve,
     omega_coefficient_forms,
-    torsion,
-    weyl_form_from_connection,
 )
 from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
 
@@ -358,7 +359,102 @@ def coframe_matrix(curve: NullCurve) -> list[list[Fraction]]:
     return out
 
 
-def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
+@dataclass(frozen=True)
+class TableConnection:
+    """A web connection given by its Christoffel table: ``table[(a, b, c)]``
+    is the coefficient of d/dx_c in nabla_{d/dx_a} d/dx_b, and a missing
+    entry is 0."""
+
+    web: VeroneseWeb
+    table: dict[tuple[str, str, str], Expr]
+
+    def christoffel(self, a: str, b: str, c: str) -> Expr:
+        return self.table.get((a, b, c), ZERO)
+
+
+def paraconformal_christoffels(
+    web: VeroneseWeb,
+    alpha0: OneForm,
+    betas: list[OneForm],
+) -> dict[tuple[str, str, str], Expr]:
+    """Christoffel table of the connection defined on the null frame by
+
+        nabla V_i = alpha0 (x) V_i + i beta1 (x) V_i
+                    + (i-1-k) beta2 (x) V_{i-1} + (i+1) beta0 (x) V_{i+1},
+
+    the coefficient form of nabla V(t) = alpha(t) V(t) + beta(t) V'(t)
+    with beta(t) = beta0 + t beta1 + t^2 beta2 and alpha(t) = alpha0
+    - k t beta2 (the t-linear part of alpha is forced by matching the
+    top polynomial degree).
+    """
+    k = web.k
+    nc = null_curve(web)
+    beta0, beta1, beta2 = betas
+    psi: dict[tuple[int, int], OneForm] = {}
+    for i in range(k + 1):
+        psi[(i, i)] = alpha0.plus(beta1.scaled(rational(i)))
+        if i >= 1:
+            psi[(i, i - 1)] = beta2.scaled(rational(i - 1 - k))
+        if i + 1 <= k:
+            psi[(i, i + 1)] = beta0.scaled(rational(i + 1))
+
+    table: dict[tuple[str, str, str], Expr] = {}
+    coords = web.coords
+    for a in coords:
+        for b in coords:
+            comp_terms: dict[str, list[Expr]] = {c: [] for c in coords}
+            for i in range(k + 1):
+                # transport term: d/dx_a (xi) V_i, with d/dx_b = sum_i xi V_i
+                xi = nc.coframe[i].comp(b)
+                dxi = differentiate(xi, a)
+                if dxi is not ZERO:
+                    for c, vic in nc.fields[i].comps.items():
+                        comp_terms[c].append(mul(dxi, vic))
+                # connection term: xi * psi(d/dx_a) V_m
+                for m in range(k + 1):
+                    form = psi.get((i, m))
+                    if form is None:
+                        continue
+                    scal = form.comp(a)
+                    if scal is ZERO:
+                        continue
+                    coeff = mul(xi, scal)
+                    for c, vmc in nc.fields[m].comps.items():
+                        comp_terms[c].append(mul(coeff, vmc))
+            for c, terms in comp_terms.items():
+                val = add_iter(terms)
+                if val is not ZERO:
+                    table[(a, b, c)] = val
+    return table
+
+
+def weyl_connection(web: VeroneseWeb) -> TableConnection:
+    """The k = 2 Weyl connection as a Christoffel table, from the f and
+    alpha_tilde that reports print, with beta(t) = f omega(t).  Built for
+    any w: ``webs._weyl_connection`` does not check the Hirota system."""
+    conn = webs._weyl_connection(web)
+    betas = [om.scaled(conn.f) for om in omega_coefficient_forms(web)]
+    return TableConnection(web, paraconformal_christoffels(web, conn.alpha_tilde, betas))
+
+
+def torsion(conn: WebConnection | TableConnection) -> dict[tuple[str, str], VectorField]:
+    """T(d/dx_a, d/dx_b) for a < b, as vector fields."""
+    out = {}
+    coords = conn.web.coords
+    for ia, a in enumerate(coords):
+        for b in coords[ia + 1:]:
+            comps = {c: sub(conn.christoffel(a, b, c), conn.christoffel(b, a, c)) for c in coords}
+            out[(a, b)] = VectorField(coords, comps)
+    return out
+
+
+def torsion_free(conn: WebConnection | TableConnection, zero: ZeroTester = DEFAULT_TESTER) -> bool:
+    """Every torsion component zero-tested: the reference for
+    ``webs.flatness_verdict``."""
+    return all(zero.verdict(e) is Verdict.ZERO for v in torsion(conn).values() for e in v.comps.values())
+
+
+def ricci_tensor(conn: WebConnection | TableConnection) -> dict[tuple[str, str], Expr]:
     """Ric(Y, Z) = trace(X -> R(X, Y) Z) of a web connection, componentwise."""
     coords = conn.web.coords
     gam = {
@@ -388,25 +484,58 @@ def ricci_tensor(conn: WebConnection) -> dict[tuple[str, str], Expr]:
     return out
 
 
+def _metric_comp(g: dict[tuple[str, str], Expr], c: str, d: str) -> Expr:
+    if (c, d) in g:
+        return g[(c, d)]
+    return g.get((d, c), ZERO)
+
+
+def covariant_metric_derivative(conn: TableConnection, g, a: str, b: str, c: str) -> Expr:
+    """(nabla_{d/dx_a} g)(d/dx_b, d/dx_c) from the Christoffel table."""
+    minus = []
+    for m in conn.web.coords:
+        gb = conn.christoffel(a, b, m)
+        if gb is not ZERO:
+            minus.append(mul(gb, _metric_comp(g, m, c)))
+        gc = conn.christoffel(a, c, m)
+        if gc is not ZERO:
+            minus.append(mul(gc, _metric_comp(g, b, m)))
+    return add_iter([differentiate(_metric_comp(g, b, c), a)], minus)
+
+
+def weyl_form_from_connection(
+    conn: TableConnection,
+    g: dict[tuple[str, str], Expr] | None = None,
+) -> OneForm:
+    """The one-form phi with nabla g = phi (x) g, extracted componentwise
+    at the pivot (x0, x0); reports print it as -2 (alpha_tilde + f omega_1)."""
+    if g is None:
+        g = conformal_metric(conn.web)
+    coords = conn.web.coords
+    pivot = ("x0", "x0")
+    return OneForm(coords, {a: div(covariant_metric_derivative(conn, g, a, *pivot), _metric_comp(g, *pivot))
+                            for a in coords})
+
+
 def weyl_compatibility_residuals(
-    web: VeroneseWeb,
-    conn: WebConnection,
+    conn: TableConnection,
     g: dict[tuple[str, str], Expr] | None = None,
     phi: OneForm | None = None,
     zero: ZeroTester = DEFAULT_TESTER,
 ) -> dict[tuple[str, str, str], tuple[Expr, Verdict]]:
     """Residuals (nabla g - phi (x) g)_{a;bc} of the k = 2 Weyl
     connection, with verdicts."""
+    web = conn.web
     if g is None:
         g = conformal_metric(web)
     if phi is None:
-        phi = weyl_form_from_connection(web, conn, g)
+        phi = weyl_form_from_connection(conn, g)
     out = {}
     for a in web.coords:
         for bi, b in enumerate(web.coords):
             for c in web.coords[bi:]:
                 e = sub(
-                    _covariant_metric_derivative(web, conn, g, a, b, c),
+                    covariant_metric_derivative(conn, g, a, b, c),
                     mul(phi.comp(a), _metric_comp(g, b, c)),
                 )
                 out[(a, b, c)] = (e, zero.verdict(e))
@@ -417,11 +546,10 @@ def bryant_betas(bf: BryantForms) -> list[OneForm]:
     return [bf.beta0, bf.beta1, bf.beta2]
 
 
-def bryant_connection(bf: BryantForms) -> WebConnection:
+def bryant_connection(bf: BryantForms) -> TableConnection:
     """The k = 3 Bryant connection as a Christoffel table, built from its
     forms on the null frame as the k = 2 Weyl connection's table is."""
-    table = webs._paraconformal_christoffels(bf.web, null_curve(bf.web), bf.alpha, bryant_betas(bf))
-    return WebConnection(bf.web, "bryant", christoffel_table=table)
+    return TableConnection(bf.web, paraconformal_christoffels(bf.web, bf.alpha, bryant_betas(bf)))
 
 
 def bryant_torsion_residuals(
@@ -435,7 +563,7 @@ def bryant_torsion_residuals(
     return out
 
 
-def ricci_null_value(conn: WebConnection, ric: dict[tuple[str, str], Expr], tval: Fraction) -> Expr:
+def ricci_null_value(conn: WebConnection | TableConnection, ric: dict[tuple[str, str], Expr], tval: Fraction) -> Expr:
     """Ric(V(t), V(t)) at an exact rational t, as one expression, with
     ``ric`` the ``ricci_tensor`` of ``conn``."""
     v = null_curve_at(conn.web, tval)

@@ -82,6 +82,7 @@ from oracles import (
     ricci_tensor,
     schouten_components,
     weyl_compatibility_residuals,
+    weyl_connection,
 )
 from test_expr import CTX as EXPR_CTX, _random_expr
 from test_invariants import (
@@ -271,9 +272,10 @@ def test_criterion_6_einstein_weyl_structures(corpus):
         if k != 2 or tag != "separable":
             continue
         web = make_web(2, w)
-        conn = canonical_connection(web, ZT)
+        assert canonical_connection(web, ZT).kind == "weyl"
+        conn = weyl_connection(web)
         g = conformal_metric(web)
-        res = weyl_compatibility_residuals(web, conn, g, None, ZT)
+        res = weyl_compatibility_residuals(conn, g, None, ZT)
         assert all(v is Verdict.ZERO for _, v in res.values()), w
         nc = null_curve(web)
         for tv in tvals:
@@ -296,8 +298,9 @@ def test_criterion_6_einstein_weyl_structures(corpus):
     # the non-separable exponential solution passes the same checks, and
     # Ric(V(t), V(t)), of degree at most 4 in t, is exactly zero at five t
     web = make_web(2, NONFLAT_W[2])
-    conn = canonical_connection(web, ZT)
-    res = weyl_compatibility_residuals(web, conn, zero=ZT)
+    assert canonical_connection(web, ZT).kind == "weyl"
+    conn = weyl_connection(web)
+    res = weyl_compatibility_residuals(conn, zero=ZT)
     assert all(v is Verdict.ZERO for _, v in res.values())
     ric, exact = ricci_tensor(conn), ZeroTester(trials=8, tolerance=0)
     for tv in RICCI_NULL_NODES:

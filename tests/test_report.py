@@ -28,7 +28,7 @@ from paraweb.webs import InterpolationError, NotAWebError, WebError, canonical_c
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import NONFLAT_W, random_polynomial_w
-from oracles import RICCI_NULL_NODES, ricci_null_value, ricci_tensor
+from oracles import RICCI_NULL_NODES, ricci_null_value, ricci_tensor, weyl_connection
 
 DATA = Path(__file__).parent / "data"
 EXACT = ZeroTester(trials=8, tolerance=0)
@@ -218,8 +218,8 @@ class TestAnalyzeWeb:
         assert rep["derived"]["connection"]["type"] == "weyl"
         assert rep["derived"]["ricci_null_max"] == 0.0
         web = make_web(2, NONFLAT_W[2])
-        conn = canonical_connection(web, EXACT)
-        assert conn.kind == "weyl"
+        assert canonical_connection(web, EXACT).kind == "weyl"
+        conn = weyl_connection(web)
         tval = RICCI_NULL_NODES[0]
         assert tval not in web.t_params
         assert EXACT.verdict(ricci_null_value(conn, ricci_tensor(conn), tval)) is Verdict.ZERO

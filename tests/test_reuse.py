@@ -7,6 +7,7 @@ tester.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -49,7 +50,7 @@ RICCI_WEBS = [
 ]
 
 
-def _ricci_with_zero_terms(conn: WebConnection) -> dict:
+def _ricci_with_zero_terms(conn: WebConnection | oracles.TableConnection) -> dict:
     """Ric(Y, Z) with every Christoffel product built, zero or not."""
     coords = conn.web.coords
     gam = {(a, b, c): conn.christoffel(a, b, c) for a in coords for b in coords for c in coords}
@@ -67,8 +68,10 @@ def _ricci_with_zero_terms(conn: WebConnection) -> dict:
     return out
 
 
-def _connections(k: int, w: str) -> list[WebConnection]:
+def _connections(k: int, w: str) -> list[WebConnection | oracles.TableConnection]:
     web = make_web(k, w)
+    if k == 2:
+        return [oracles.weyl_connection(web)]
     conns = [canonical_connection(web, ZT)]
     if k == 3:
         conns.append(oracles.bryant_connection(bryant_forms(web, ZT)))
@@ -240,23 +243,29 @@ class TestWebObjects:
                 [[int(i == l) for l in range(4)] for i in range(4)]
 
     def test_k3_reports_build_no_christoffel_table(self, monkeypatch):
-        # A k = 3 report prints the Bryant forms, not the Bryant
-        # connection's Christoffel table, so it builds none
-        # (oracles.bryant_connection does, for the tests); the k = 2 Weyl
-        # connection reads its table.
+        # A k = 3 report prints the Bryant forms and a k = 2 report the Weyl
+        # connection's forms with the Weyl form read from them, so neither
+        # builds a Christoffel table: the table builder and the table field
+        # live in tests/oracles.py only, and no report reaches them.
+        assert not hasattr(webs_mod, "_paraconformal_christoffels")
+        assert "christoffel_table" not in {f.name for f in dataclasses.fields(WebConnection)}
         built = []
 
-        def counting(web, *args, _real=webs_mod._paraconformal_christoffels):
+        def counting(web, *args, _real=oracles.paraconformal_christoffels):
             built.append(web.k)
             return _real(web, *args)
 
-        monkeypatch.setattr(webs_mod, "_paraconformal_christoffels", counting)
+        monkeypatch.setattr(oracles, "paraconformal_christoffels", counting)
         for w in (NONFLAT_W[3], "2*x0 + x1 + x2^2/2 + x3"):
             rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": w}))
             assert sorted(rep["derived"]["bryant"]) == ["alpha", "beta0", "beta1", "beta2"]
+        for w in (NONFLAT_W[2], "x0 + x1^2/2 + x2"):
+            rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 2, "w": w}))
+            assert rep["derived"]["connection"]["type"] == "weyl"
+            assert set(rep["derived"]["connection"]) == {"type", "f", "alpha_tilde", "metric", "weyl_form"}
         assert built == []
-        rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 2, "w": NONFLAT_W[2]}))
-        assert rep["derived"]["connection"]["type"] == "weyl"
+        # the counter sees the oracle's own builds
+        oracles.weyl_connection(make_web(2, NONFLAT_W[2]))
         assert built == [2]
 
     def test_cache_is_per_instance(self):

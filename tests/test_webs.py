@@ -14,6 +14,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,13 +56,15 @@ from paraweb.webs import (
     make_web,
     null_curve,
     omega_coefficient_forms,
-    torsion,
-    weyl_form_from_connection,
+    web_context,
+    weyl_form,
 )
 from paraweb.zerotest import Verdict, ZeroTester
 
 import oracles
 from conftest import (
+    NONFLAT_HIGH_W,
+    NONFLAT_POLY_W3,
     NONFLAT_W,
     NONFLAT_W5,
     dual_coframe_oracle,
@@ -87,7 +90,11 @@ from oracles import (
     schouten_components,
     schouten_residuals,
     spectral_weights,
+    torsion,
+    torsion_free,
     wedge3,
+    weyl_connection,
+    weyl_form_from_connection,
 )
 
 ZT = ZeroTester()
@@ -487,6 +494,19 @@ class TestOneVerdict:
                     assert name.startswith("hirota["), name
 
 
+# Flat and nonflat webs at k = 3..8: the nonflat exponential corpus and
+# benchmark webs, their k = 6..8 members and a polynomial k = 3 image.
+FLATNESS_WEBS = (
+    [pytest.param(3, "x0+x1+x2+x3", True, id="3-linear"),
+     pytest.param(3, "2*x0 + x1 + x2^2/2 + x3", True, id="3-square"),
+     pytest.param(3, NONFLAT_W[3], False, id="3-exp"),
+     pytest.param(3, NONFLAT_POLY_W3, False, id="3-poly"),
+     pytest.param(4, NONFLAT_W[4], False, id="4-exp"),
+     pytest.param(5, NONFLAT_W5, False, id="5-exp")]
+    + [pytest.param(k, w, False, id=f"{k}-exp") for k, w in NONFLAT_HIGH_W.items()]
+)
+
+
 class TestCanonicalConnection:
     def test_requires_solution(self):
         web = make_web(3, "x0*x1*x2 + x0 + x1 + x2 + x3")
@@ -566,20 +586,30 @@ class TestCanonicalConnection:
                         minor = sub(mul(tvf.comp(c1), v.comp(c2)), mul(tvf.comp(c2), v.comp(c1)))
                         assert ZT.verdict(minor) is Verdict.ZERO
 
-    def test_flatness_matches_separability_criterion(self):
+    @pytest.mark.parametrize("k, w, expect", FLATNESS_WEBS)
+    def test_flatness_matches_separability_criterion(self, monkeypatch, k, w, expect):
         # d/dx_i (dw/dx_j / dw/dx_l) = 0 for i outside {j, l}
-        for w, expect in (("x0+x1+x2+x3", True), (NONFLAT_W[3], False)):
-            web = make_web(3, w)
-            assert flatness_verdict(web, ZT) is expect
-            sep = True
-            for i in range(4):
-                for j in range(4):
-                    for l in range(4):
-                        if len({i, j, l}) == 3:
-                            e = differentiate(div(web.dw(j), web.dw(l)), f"x{i}")
-                            if ZT.verdict(e) is not Verdict.ZERO:
-                                sep = False
-            assert sep is expect
+        web = make_web(k, w)
+        assert is_hirota_solution(web, ZT)
+        sep = all(ZT.verdict(differentiate(div(web.dw(j), web.dw(l)), f"x{i}")) is Verdict.ZERO
+                  for i, j, l in permutations(range(k + 1), 3))
+        assert sep is expect
+        # The verdict zero-tests the nonzero torsion components of the
+        # oracle, the same nodes in the same order, up to the first
+        # nonzero one, and agrees with the oracle's full torsion verdict.
+        tester = ZeroTester()
+        conn = canonical_connection(web, tester)
+        real, seen = ZeroTester.verdict, []
+        monkeypatch.setattr(ZeroTester, "verdict", lambda self, e: seen.append(e) or real(self, e))
+        assert flatness_verdict(web, tester) is expect
+        monkeypatch.undo()
+        want = []
+        for e in (e for v in torsion(conn).values() for e in v.comps.values()):
+            want.append(e)
+            if tester.verdict(e) is not Verdict.ZERO:
+                break
+        assert len(seen) == len(want) and all(a is b for a, b in zip(seen, want))
+        assert torsion_free(conn, ZeroTester()) is expect
 
     def test_flatness_requires_k_above_two(self):
         with pytest.raises(WebError):
@@ -681,9 +711,13 @@ def test_diagonal_connection_report_bytes(k, w, t_params, digest):
 T2 = ("-7/2", "1/3", "2", "9/5")
 NULL_DUAL_PINS = (
     (2, "x0+x1+x2", T2, "ae70cdb20d7baf84f031acd70e060c7602c59ba104997fbf6236fdcceb459cf2"),
-    # a Hirota solution at T2: 2 a(0,1,2) + a(1,2,0) + (219/242) a(2,0,1) = 0
+    # a Hirota solution at T2: 2 a(0,1,2) + a(1,2,0) + (219/242) a(2,0,1) = 0.
+    # Its weyl_form is printed as -2 (alpha_tilde + f omega_1), no longer
+    # read from the Christoffel table through nabla g: the pin was
+    # eee0f506... (8,336 bytes) before; parsed back with their defs, every
+    # other entry is the same node as then.
     (2, "exp(x1+x2) + exp(x0+2*x1+219/242*x2)", T2,
-     "eee0f5067f6d22086d0ca2e544c508268610a7379b5e115c1ca1f7665021b235"),
+     "f065590147ca5d1de42cc52268e4d017fd42bbf831214b609e6da1fd5f24208f"),
     (3, "x0+x1+x2+x3", ("-7/2", "-5/3", "5/4", "29/5", "73/6"),
      "487e60e5c2ca2a1b6f34a6bd281a4fa41194ec24ad68c2b39edb484e110c4bfa"),
 )
@@ -701,7 +735,9 @@ def test_null_dual_pin_differs_from_the_sampled_one_only_in_ricci_null_max():
     # while Ric(V, V) was sampled; with that one line put back, the text is
     # the one the sampling report printed, byte for byte, except for the
     # hierarchy and Lax entries, printed here as multiples of hirota[0,1,2]
-    # (the pin was a2d99e47... while they were built from their definitions).
+    # (the pin was a2d99e47... while they were built from their definitions),
+    # and for the weyl_form with its defs, printed as -2 (alpha_tilde +
+    # f omega_1) (the pin was 51ad9ac7... while it was read from nabla g).
     report = analyze_web(ProblemSpec.from_dict({
         "kind": "web", "k": 2, "w": "exp(x1+x2) + exp(x0+2*x1+219/242*x2)", "t_params": list(T2)}))
     text = dumps_report(report)
@@ -709,7 +745,7 @@ def test_null_dual_pin_differs_from_the_sampled_one_only_in_ricci_null_max():
     assert text.count(line) == 1
     sampled = text.replace(line, '    "ricci_null_max": 2.5096591471651664e-13\n')
     assert hashlib.sha256(sampled.encode()).hexdigest() == \
-        "51ad9ac7f8c69551728a290c2251b51683a0ba55736faad51a2cb755fcb1db62"
+        "f32c9394328606d1e6e3a1a899286681499d6ceacc142200824390eaa33f5b24"
 
 
 def table_h(web, s):
@@ -839,18 +875,18 @@ class TestWeylStructure:
 
     def test_weyl_connection_separable(self):
         web = make_web(2, "x0+x1+x2")
-        conn = canonical_connection(web, ZT)
-        assert ZT.verdict(conn.f) is Verdict.ZERO
-        assert all(f.is_zero_field(ZT) for f in torsion(conn).values())
-        res = oracles.weyl_compatibility_residuals(web, conn, zero=ZT)
+        assert ZT.verdict(canonical_connection(web, ZT).f) is Verdict.ZERO
+        table = weyl_connection(web)
+        assert torsion_free(table, ZT)
+        res = oracles.weyl_compatibility_residuals(table, zero=ZT)
         assert all(v is Verdict.ZERO for _, v in res.values())
 
     def test_weyl_connection_nonflat(self):
         web = make_web(2, NONFLAT_W[2])
-        conn = canonical_connection(web, ZT)
-        assert ZT.verdict(conn.f) is Verdict.NONZERO
-        assert all(f.is_zero_field(ZT) for f in torsion(conn).values())
-        res = oracles.weyl_compatibility_residuals(web, conn, zero=ZT)
+        assert ZT.verdict(canonical_connection(web, ZT).f) is Verdict.NONZERO
+        table = weyl_connection(web)
+        assert torsion_free(table, ZT)
+        res = oracles.weyl_compatibility_residuals(table, zero=ZT)
         assert all(v is Verdict.ZERO for _, v in res.values())
 
     def test_metric_annihilates_null_directions(self):
@@ -865,13 +901,53 @@ class TestWeylStructure:
             assert ZT.verdict(add_iter(terms)) is Verdict.ZERO
 
     def test_weyl_form_matches_printed_formula(self):
-        web = make_web(2, NONFLAT_W[2])
-        conn = canonical_connection(web, ZT)
-        phi = weyl_form_from_connection(web, conn)
-        pairs = {0: ((0, 1, 1), (0, 2, 2)), 1: ((0, 1, 0), (1, 2, 2)), 2: ((0, 2, 0), (1, 2, 1))}
-        for i, ((a1, b1, d1), (a2, b2, d2)) in pairs.items():
-            want = add(div(web.dw2(a1, b1), web.dw(d1)), div(web.dw2(a2, b2), web.dw(d2)))
-            assert ZT.verdict(sub(phi.comp(f"x{i}"), want)) is Verdict.ZERO
+        # On a Hirota solution phi_i = sum_{j != i} w_ij / w_j, free of the
+        # spectral constants; off solutions it is not (the runtime formula
+        # is checked there against the Christoffel table below).
+        for w, t_params in ((NONFLAT_W[2], None), ("exp(x1+x2) + exp(x0+10*x1+2*x2)", (0, 1, 3, 4)),
+                            ("x1*x2 + x0*x1^5*x2^2", None)):
+            web = make_web(2, w, t_params)
+            assert is_hirota_solution(web, EXACT)
+            phi = weyl_form(canonical_connection(web, EXACT))
+            for i in range(3):
+                want = add_iter(div(web.dw2(i, j), web.dw(j)) for j in range(3) if j != i)
+                assert EXACT.verdict(sub(phi.comp(f"x{i}"), want)) is Verdict.ZERO, (w, i)
+
+    @pytest.mark.parametrize("w", ["x0+x1+x2+2*x0*x1", "exp(x0*x1)+x2", "w"])
+    def test_weyl_form_is_the_table_form_off_solutions(self, w):
+        # phi = -2 (alpha_tilde + f omega_1) holds for every w, not only on
+        # webs: nabla g is read from the Christoffel table of the same
+        # forms.  ZT decides exactly on the rational and opaque webs;
+        # exp(x0*x1) takes the float path, where EXACT's tolerance 0 fails.
+        web = make_web(2, w)
+        assert not is_hirota_solution(web, ZT)
+        phi = weyl_form(webs._weyl_connection(web))
+        want = weyl_form_from_connection(weyl_connection(web))
+        assert all(ZT.verdict(sub(phi.comp(c), want.comp(c))) is Verdict.ZERO for c in web.coords), w
+
+    def test_printed_weyl_form_is_the_table_form(self, corpus):
+        # Every k = 2 corpus web: the weyl_form a report prints, parsed back
+        # with its defs, against the one read from the Christoffel table;
+        # on non-solutions, which print no connection, the runtime formula.
+        ctx = web_context(2)
+        printed = 0
+        for k, w, _tag in corpus:
+            if k != 2:
+                continue
+            web = make_web(2, w)
+            rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 2, "w": w}))
+            if rep["verdicts"]["hirota"]:
+                defs = []
+                for text in rep.get("defs", []):
+                    defs.append(parse_expr(text, ctx, defs=defs))
+                comps = rep["derived"]["connection"]["weyl_form"]
+                phi = {c: parse_expr(text, ctx, defs=defs) for c, text in comps.items()}
+                printed += 1
+            else:
+                phi = weyl_form(webs._weyl_connection(web)).comps
+            want = weyl_form_from_connection(weyl_connection(web))
+            assert all(EXACT.verdict(sub(phi.get(c, ZERO), want.comp(c))) is Verdict.ZERO for c in web.coords), w
+        assert printed == 3
 
 
 def _numeric_christoffels(conn, env):
@@ -951,7 +1027,7 @@ class TestRicci:
 
     def test_symbolic_matches_finite_difference(self):
         web = make_web(2, NONFLAT_W[2])
-        conn = canonical_connection(web, ZT)
+        conn = weyl_connection(web)
         ric = ricci_tensor(conn)
         rng = random.Random(17)
         env = sample_point(web, list(ric.values()), rng, scale=3)
@@ -982,8 +1058,8 @@ class TestRicci:
         cases.append(make_web(2, "exp(x1+x2) + exp(x0+9*x1+4*x2)", (0, 1, 2, 5)))
         cases += [make_web(2, w, T2) for w in ("x0 + x1^2/2 + x2", "sqrt(x0-2) + x1 + x2")]
         for web in cases:
-            conn = canonical_connection(web, EXACT)
-            assert conn.kind == "weyl" and is_hirota_solution(web, EXACT), web.w
+            assert canonical_connection(web, EXACT).kind == "weyl" and is_hirota_solution(web, EXACT), web.w
+            conn = weyl_connection(web)
             ric = ricci_tensor(conn)
             for tv in RICCI_NULL_NODES:
                 assert tv not in web.t_params
@@ -995,7 +1071,7 @@ class TestRicci:
         for w, t_params in (("x0*x1*x2 + x0 + x1 + x2", None), ("x0*x1*x2 + x0 + x1 + x2", T2), ("w", None)):
             web = make_web(2, w, t_params)
             assert not is_hirota_solution(web, EXACT)
-            conn = webs._weyl_connection(web)
+            conn = weyl_connection(web)
             ric = ricci_tensor(conn)
             for tv in RICCI_NULL_NODES:
                 assert EXACT.verdict(ricci_null_value(conn, ric, tv)) is Verdict.NONZERO, (w, t_params, tv)
