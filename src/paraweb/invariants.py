@@ -83,13 +83,23 @@ class CurvatureChain:
     residual_vk: Expr  # coefficient of V^(k) in the expansion; must vanish
     residual_dt: Expr  # d/dt component of V^(k+1); must vanish
 
+    def check_extraction(self, zero: ZeroTester) -> None:
+        """Raise ``ExtractionError`` unless the V^(k) coefficient and the
+        d/dt component pass the zero test.  The rest of the chain does not
+        depend on the tester, so a chain built once may be checked again
+        under another seed."""
+        for name, res in (("V^(k)", self.residual_vk), ("d/dt", self.residual_dt)):
+            if zero.verdict(res) is not Verdict.ZERO:
+                raise ExtractionError(f"nonzero {name} component in the curvature expansion")
+
 
 def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> CurvatureChain:
     """Compute the normalized chain and extract the curvatures.
 
     Raises ``ExtractionError`` when the V^(k) coefficient or the d/dt
-    component of the expansion fails the zero test: both vanish
-    identically for a correct differentiation engine.
+    component of the expansion fails the zero test
+    (``CurvatureChain.check_extraction``): both vanish identically for a
+    correct differentiation engine.
     """
     k = ode.k
     x = ode.total_derivative
@@ -118,13 +128,10 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
         if add_iter([rest] + _component_terms(subtracted[m:], f"x{m}")) is not ZERO:
             raise ExtractionError("triangular expansion left a nonzero remainder")
 
-    residual_vk = coeffs[k]
-    for name, res in (("V^(k)", residual_vk), ("d/dt", residual_dt)):
-        if zero.verdict(res) is not Verdict.ZERO:
-            raise ExtractionError(f"nonzero {name} component in the curvature expansion")
-
     curvatures = tuple(mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k))
-    return CurvatureChain(ode, tuple(fields), curvatures, residual_vk, residual_dt)
+    chain = CurvatureChain(ode, tuple(fields), curvatures, coeffs[k], residual_dt)
+    chain.check_extraction(zero)
+    return chain
 
 
 def _component_terms(parts: list[tuple[Expr, VectorField]], c: str) -> list[Expr]:

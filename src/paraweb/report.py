@@ -7,19 +7,27 @@ sample counts, and render every derived object in the same grammar the
 parser accepts, so reports double as regression fixtures.  Identical
 (problem, seed) pairs produce byte-identical reports, so a batch
 analyses each distinct problem once and its repeats share that entry.
+The seed only picks the zero test's sample points, so problems that
+differ only in their zero-test options share what does not depend on
+them: an ODE's problem, curvature chain and residual expressions, and
+the rendered texts of equal expressions.  What a batch shares is local
+to ``analyze_batch`` and dropped after the last problem that needs it;
+``write_report`` encodes a repeated entry once.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
 from .expr import ZERO, BudgetError, Expr, Printer, mul, pow_int, rational, sub, to_string
 from .invariants import (
+    CurvatureChain,
     ExtractionError,
     Residual,
     beta_coefficient,
@@ -33,6 +41,7 @@ from .invariants import (
 )
 from .jet import FrameError, OdeProblem
 from .webs import (
+    VeroneseWeb,
     WebError,
     bryant_forms,
     canonical_connection,
@@ -192,19 +201,31 @@ def _mapped(node: Any, leaf) -> Any:
     return node
 
 
-def _render(entry: dict) -> dict:
+def _render(entry: dict, rendered: dict | None = None) -> dict:
     """Render the expressions of an ok report entry with one def table.
 
     A subexpression the entry's texts ask for twice or more and whose text
     has at least ``expr.DEF_MIN_CHARS`` characters is printed once, in
     ``defs``; the key is left out when there is none.
+
+    The texts and defs depend only on the tuple of expression roots, in
+    the order of the JSON text.  ``rendered`` maps such tuples to their
+    texts and defs, so an entry whose roots are those of an entry
+    rendered before reuses them: interning makes equal expressions the
+    same node.
     """
     roots: list[Expr] = []
     _mapped(entry, roots.append)
-    printer = Printer(roots)
-    out = _mapped(entry, lambda e: to_string(e, printer))
-    if printer.defs:
-        out["defs"] = printer.defs
+    key = tuple(roots)
+    rendered = {} if rendered is None else rendered
+    if key not in rendered:
+        printer = Printer(key)
+        rendered[key] = ([to_string(e, printer) for e in key], printer.defs)
+    texts, defs = rendered[key]
+    text = iter(texts)
+    out = _mapped(entry, lambda e: next(text))
+    if defs:
+        out["defs"] = defs
     return out
 
 
@@ -218,9 +239,34 @@ def _verdict_entry(name: str, expr: Expr, verdict: Verdict, samples: int = 0, no
     }
 
 
-def analyze_ode(spec: ProblemSpec) -> dict:
-    """Run the invariant pipeline on an ODE problem."""
-    zero = spec.tester()
+class _OdeObjects(NamedTuple):
+    """What an ODE analysis builds without its tester's seed mattering:
+    the problem (with its memo of X), the chain and the residual
+    expressions, with the verdicts of the spec that built them."""
+
+    ode: OdeProblem
+    chain: CurvatureChain
+    wunschmann: list[Residual]
+    cartan: list[Residual]
+    identities: list[Residual]
+
+
+@dataclass
+class _Shared:
+    """What the analyses of specs that differ only in ``seed``, ``trials``
+    and ``tolerance`` share: an ODE's objects once built, and the texts
+    rendered for each tuple of expression roots (see ``_render``)."""
+
+    ode: _OdeObjects | None = None
+    rendered: dict = field(default_factory=dict)
+
+
+def _seed_free(spec: ProblemSpec) -> ProblemSpec:
+    """The key of ``_Shared``: ``spec`` with its zero-test options fixed."""
+    return replace(spec, trials=1, tolerance=0.0, seed=0)
+
+
+def _ode_objects(spec: ProblemSpec, zero: ZeroTester) -> _OdeObjects:
     try:
         ode = OdeProblem.from_rhs(spec.order, spec.rhs)
     except Exception as exc:
@@ -228,24 +274,49 @@ def analyze_ode(spec: ProblemSpec) -> dict:
     chain = curvature_chain(ode, zero)
     wun = wunschmann_residuals(ode, chain, zero)
     car = cartan_residuals(ode, chain, zero)
-    residuals = list(wun) + list(car)
+    identities = []
 
     abstract = spec.rhs.strip() == "abstract"
     if abstract and ode.order == 2:
         ident = sub(car[0].expr, mul(rational(3), coordinate_cartan_order2(ode)))
         verdict, samples = zero.verdict_stats(ident)
-        residuals.append(Residual("identity[cartan-coordinate]", ident, verdict, samples,
-                                  note="engine invariant minus 3x classical coordinate form"))
+        identities.append(Residual("identity[cartan-coordinate]", ident, verdict, samples,
+                                   note="engine invariant minus 3x classical coordinate form"))
     if abstract and ode.order == 3:
         v, v1 = chain.fields[0], chain.fields[1]
         k0, k1 = chain.curvatures
         wident = sub(wun[0].expr, coordinate_wunschmann_order3(ode))
         verdict, samples = zero.verdict_stats(wident)
-        residuals.append(Residual("identity[wunschmann-coordinate]", wident, verdict, samples))
+        identities.append(Residual("identity[wunschmann-coordinate]", wident, verdict, samples))
         cform = mul(rational(Fraction(-3, 2)), sub(v1.apply(k1), v.apply(k0)))
         cident = sub(cform, coordinate_cartan_order3(ode))
         verdict, samples = zero.verdict_stats(cident)
-        residuals.append(Residual("identity[cartan-coordinate]", cident, verdict, samples))
+        identities.append(Residual("identity[cartan-coordinate]", cident, verdict, samples))
+    return _OdeObjects(ode, chain, wun, car, identities)
+
+
+def _retested(residuals: list[Residual], zero: ZeroTester) -> list[Residual]:
+    return [Residual(r.name, r.expr, *zero.verdict_stats(r.expr), r.note) for r in residuals]
+
+
+def analyze_ode(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
+    """Run the invariant pipeline on an ODE problem.
+
+    The first spec analysed with ``shared`` builds the problem, the chain
+    and the residual expressions; a later one re-runs only what its seed
+    decides: the chain's extraction checks and each residual's zero test,
+    then the classification and, when the verdicts call for it, beta.
+    """
+    zero = spec.tester()
+    shared = shared or _Shared()
+    if shared.ode is None:
+        shared.ode = _ode_objects(spec, zero)
+        ode, chain, wun, car, identities = shared.ode
+    else:
+        ode, chain, *groups = shared.ode
+        chain.check_extraction(zero)
+        wun, car, identities = (_retested(group, zero) for group in groups)
+    residuals = wun + car + identities
 
     wun_ok = all(r.is_zero for r in wun)
     car_ok = all(r.is_zero for r in car)
@@ -278,14 +349,15 @@ def analyze_ode(spec: ProblemSpec) -> dict:
         "residuals": [_verdict_entry(r.name, r.expr, r.verdict, r.samples, r.note)
                       for r in residuals],
         "derived": derived,
-    })
+    }, shared.rendered)
 
 
-def analyze_web(spec: ProblemSpec) -> dict:
+def analyze_web(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
     """Run the web pipeline: one verdict, from the Hirota triples through 0,
     printed as the Hirota, hierarchy, Lax and Zakharevich verdicts and on
     every residual (the hierarchy and Lax residuals printed as multiples
-    of those triples), then (for solutions) connection data and flatness."""
+    of those triples), then (for solutions) connection data and flatness.
+    The web is built per spec; ``shared`` lends only its rendered texts."""
     zero = spec.tester()
     try:
         web = make_web(spec.k, spec.w, spec.t_params, zero)
@@ -293,7 +365,17 @@ def analyze_web(spec: ProblemSpec) -> dict:
         raise InputError(str(exc)) from exc
     except Exception as exc:
         raise InputError(f"bad w: {exc}") from exc
+    try:
+        entry = _web_entry(spec, web, zero)
+    finally:
+        # The null curve, the connection and the Bryant forms kept there
+        # hold the web, so left in place they would free it only through
+        # the cycle collector.
+        web._derived.clear()
+    return _render(entry, None if shared is None else shared.rendered)
 
+
+def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
     # One verdict decides the web, that of the Hirota triples through 0.
     # With T = t_{k+1}, every other triple, the first-order hierarchy and
     # the Lax brackets are identities in them (webs._hirota_residuals;
@@ -377,19 +459,19 @@ def analyze_web(spec: ProblemSpec) -> dict:
         # sweep its null cone.  tests/test_webs.py::TestRicci proves both.
         derived["ricci_null_max"] = 0.0
 
-    return _render({
+    return {
         "problem": spec.echo(),
         "status": "ok",
         "residuals": residuals,
         "verdicts": verdicts,
         "derived": derived,
-    })
+    }
 
 
-def analyze_problem(spec: ProblemSpec) -> dict:
+def analyze_problem(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
     if spec.kind == "ode":
-        return analyze_ode(spec)
-    return analyze_web(spec)
+        return analyze_ode(spec, shared)
+    return analyze_web(spec, shared)
 
 
 def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, int]:
@@ -403,10 +485,23 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     its degree bound).  Each failure is an error entry
     and the rest of the batch still runs.
 
-    A problem whose validated spec repeats one analysed earlier in the
-    batch reuses that ok entry, the same dict object, and is not analysed
-    again; error entries are made per occurrence and echo their own raw
-    problem.  The memo is local and freed on return.
+    A batch shares work in two ways, and keeps nothing after it returns:
+
+    - A problem whose validated spec repeats one analysed earlier in the
+      batch lists that ok entry again, the same dict object, and is not
+      analysed again.
+    - Specs that differ only in ``seed``, ``trials`` and ``tolerance`` (one
+      seed-free key) share what their zero tests do not decide.  The first
+      ODE analysed under a key builds its problem, chain and residual
+      expressions; each later one re-runs only its zero tests, its
+      classification and beta (``analyze_ode``).  Webs are built per spec.
+      An entry whose expressions are those of an entry rendered before
+      under its key reuses their texts (``_render``).
+
+    A validation pass counts the distinct specs under each seed-free key
+    first, and what they share is dropped once the last of them has been
+    analysed.  Error entries are made per occurrence and echo their own
+    raw problem.
     """
     if isinstance(document, dict) and "problems" in document:
         raw_problems = document["problems"]
@@ -414,18 +509,39 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
             raise InputError("'problems' must be a list")
     else:
         raw_problems = [document]
-    reports = []
-    code = 0
-    # Keyed on the repr: equality takes tolerance -0.0 for 0.0, which
-    # echo() prints apart.
-    ok_entries: dict[str, dict] = {}
+    specs: list[ProblemSpec | dict] = []  # a spec, or the error entry of an invalid problem
     for raw in raw_problems:
         try:
-            spec = ProblemSpec.from_dict(raw, defaults)
+            specs.append(ProblemSpec.from_dict(raw, defaults))
+        except (InputError, BudgetError) as exc:
+            specs.append({"problem": raw, "status": "error", "error": str(exc)})
+    # Keyed on the repr: equality takes tolerance -0.0 for 0.0, which
+    # echo() prints apart.
+    distinct = {repr(spec): spec for spec in specs if isinstance(spec, ProblemSpec)}
+    runs = Counter(map(_seed_free, distinct.values()))
+    shared: dict[ProblemSpec, _Shared] = {}
+    # repr(spec) -> its ok entry, or None after its analysis failed
+    entries: dict[str, dict | None] = {}
+    reports = []
+    code = 0
+    for raw, spec in zip(raw_problems, specs):
+        if isinstance(spec, dict):
+            reports.append(spec)
+            code = max(code, 1)
+            continue
+        try:
             key = repr(spec)
-            if key not in ok_entries:
-                ok_entries[key] = analyze_problem(spec)
-            reports.append(ok_entries[key])
+            entry = entries.get(key)
+            if entry is None:
+                free = _seed_free(spec)
+                if key not in entries:
+                    entries[key] = None
+                    runs[free] -= 1
+                memo = shared.setdefault(free, _Shared())
+                if not runs[free]:
+                    del shared[free]
+                entry = entries[key] = analyze_problem(spec, memo)
+            reports.append(entry)
         except (InputError, BudgetError) as exc:
             reports.append({"problem": raw, "status": "error", "error": str(exc)})
             code = max(code, 1)
@@ -447,7 +563,34 @@ def dumps_report(document: dict) -> str:
 
 
 def write_report(document: dict, stream: TextIO) -> None:
-    """Write the text of ``dumps_report`` to ``stream`` as it is encoded."""
-    for chunk in _ENCODER.iterencode(document):
-        stream.write(chunk)
-    stream.write("\n")
+    """Write the text of ``dumps_report`` to ``stream`` as it is encoded.
+
+    An entry object that ``document["reports"]`` lists more than once is
+    encoded once, and that text is written at each of its places until
+    the last; entries listed once stream through ``iterencode``.  An
+    entry sits two levels deep, so its text is its own encoding with
+    every newline indented four more spaces (a JSON string holds no raw
+    newline).
+    """
+    entries = document.get("reports") if list(document) == ["reports"] else None
+    left = Counter(map(id, entries)) if isinstance(entries, list) else None
+    if left is None or len(left) == len(entries):  # no entry is listed twice
+        for chunk in _ENCODER.iterencode(document):
+            stream.write(chunk)
+        stream.write("\n")
+        return
+    texts: dict[int, str] = {}
+    separator = '{\n  "reports": [\n    '
+    for entry in entries:
+        stream.write(separator)
+        separator = ",\n    "
+        key = id(entry)
+        left[key] -= 1
+        if key not in texts:
+            if not left[key]:  # listed once
+                for chunk in _ENCODER.iterencode(entry):
+                    stream.write(chunk.replace("\n", "\n    "))
+                continue
+            texts[key] = _ENCODER.encode(entry).replace("\n", "\n    ")
+        stream.write(texts[key] if left[key] else texts.pop(key))
+    stream.write("\n  ]\n}\n")

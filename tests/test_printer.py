@@ -254,6 +254,45 @@ def test_write_report_matches_dumps_report():
         assert stream.getvalue() == dumps_report(document)
 
 
+ODE3 = {"kind": "ode", "order": 3, "rhs": "x2^3"}
+
+
+def _report_document(name: str) -> dict:
+    if name == "golden":
+        return _golden_report()
+    if name == "empty":
+        return {"reports": []}
+    if name == "errors":
+        return analyze_batch({"problems": [{"kind": "pde"}, {"kind": "ode", "order": 3, "rhs": "x2^"}]})[0]
+    # one entry listed three times among an entry listed once and an error
+    return analyze_batch({"problems": [ODE3, {"kind": "web", "k": 2, "w": "x0+x1+x2"}, ODE3,
+                                       {"kind": "pde"}, ODE3]})[0]
+
+
+class _CountingEncoder(json.JSONEncoder):
+    def __init__(self, encoded: list):
+        super().__init__(sort_keys=True, ensure_ascii=False, indent=2)
+        self.encoded = encoded
+
+    def encode(self, o):
+        self.encoded.append(o)
+        return super().encode(o)
+
+
+@pytest.mark.parametrize("name", ["empty", "errors", "thrice", "golden"])
+def test_write_report_encodes_a_repeated_entry_once(monkeypatch, name):
+    document = _report_document(name)
+    text = dumps_report(document)
+    encoded: list = []
+    monkeypatch.setattr(report_mod, "_ENCODER", _CountingEncoder(encoded))
+    stream = io.StringIO()
+    write_report(document, stream)
+    assert stream.getvalue() == text
+    # an entry listed more than once is encoded once; the rest stream
+    repeated = [document["reports"][0]] if name == "thrice" else []
+    assert [id(o) for o in encoded] == [id(o) for o in repeated]
+
+
 def test_cli_writes_golden_report(tmp_path, capsys):
     golden = (DATA / "golden_report.json").read_text(encoding="utf-8")
     out = tmp_path / "report.json"

@@ -7,6 +7,7 @@ import json
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 import paraweb.report as report_mod
 from paraweb.cli import main as cli_main
-from paraweb.jet import FrameError
+from paraweb.expr import to_string
+from paraweb.jet import FrameError, OdeProblem
 from paraweb.report import (
     MAX_TRIALS,
     InputError,
@@ -250,7 +252,7 @@ class TestBatchAndCli:
         import paraweb.report as report_mod
         from paraweb.invariants import ExtractionError
 
-        def boom(spec):
+        def boom(spec, shared=None):
             raise ExtractionError("synthetic")
 
         monkeypatch.setattr(report_mod, "analyze_ode", boom)
@@ -299,7 +301,7 @@ class TestBatchAndCli:
     def test_analysis_failures_exit_2(self, monkeypatch, error):
         import paraweb.report as report_mod
 
-        def boom(spec):
+        def boom(spec, shared=None):
             raise error("synthetic")
 
         monkeypatch.setattr(report_mod, "analyze_web", boom)
@@ -511,6 +513,7 @@ class TestDeterminism:
 
 
 ODE3 = {"kind": "ode", "order": 3, "rhs": "x2^3"}
+ABSTRACT4 = {"kind": "ode", "order": 4, "rhs": "abstract"}
 WEB2 = {"kind": "web", "k": 2, "w": "x0 + x1^2/2 + x2", "t_params": ["0", "1", "2", "3"]}
 
 
@@ -527,9 +530,9 @@ class TestBatchMemo:
         specs = []
         analyze = report_mod.analyze_problem
 
-        def counting(spec):
+        def counting(spec, shared=None):
             specs.append(spec)
-            return analyze(spec)
+            return analyze(spec, shared)
 
         monkeypatch.setattr(report_mod, "analyze_problem", counting)
         return specs
@@ -544,8 +547,11 @@ class TestBatchMemo:
         ([ODE3, _with_options(ODE3, seed=5)], {"seed": 5}, 1),
         # equal as specs, but the echo prints -0.0 and 0.0 apart
         ([_with_options(ODE3, tolerance=-0.0), _with_options(ODE3, tolerance=0)], None, 2),
+        # seed repeats share their construction, not their entries
+        ([_with_options(ODE3, seed=s) for s in (1, 2, 1, 3, 2)], None, 3),
+        ([_with_options(p, seed=s) for s in (1, 2) for p in (ABSTRACT4, WEB2)] * 2, None, 4),
     ], ids=["thrice", "seed", "trials", "rhs-whitespace", "t-params-1-and-1/1",
-            "default-seed", "tolerance-sign"])
+            "default-seed", "tolerance-sign", "seed-repeats", "seeds-interleaved"])
     def test_one_analysis_per_distinct_spec(self, analyses, problems, defaults, runs):
         report, code = analyze_batch({"problems": problems}, defaults)
         entries = report["reports"]
@@ -599,3 +605,115 @@ class TestBatchMemo:
             tracemalloc.stop()
         assert all(abs(t - traced[0]) <= margin for t in traced[1:]), traced
         assert all(h - report_before <= 1024 for h in held), held
+
+
+def _seeds_interleaved(problems, seeds=(1, 2, 3)):
+    return [_with_options(p, seed=s) for s in seeds for p in problems]
+
+
+class TestSeedFreeMemo:
+    """Specs that differ only in their zero-test options share the ODE
+    construction and the rendered texts; each still gets the entry it
+    gets alone."""
+
+    PROBLEMS = [
+        {"kind": "ode", "order": 2, "rhs": "abstract"},  # identity residual
+        {"kind": "ode", "order": 3, "rhs": "abstract"},  # two identity residuals
+        {"kind": "ode", "order": 4, "rhs": "5*x3^2/(3*x2)"},  # beta printed
+        {"kind": "ode", "order": 3, "rhs": "x2^"},  # fails after validation
+        WEB2,
+    ]
+
+    def test_each_entry_is_the_problem_alone(self):
+        problems = _seeds_interleaved(self.PROBLEMS)
+        report, code = analyze_batch({"problems": problems})
+        entries = report["reports"]
+        assert code == 1 and len(entries) == len(problems)
+        assert [e["status"] for e in entries] == ["ok", "ok", "ok", "error", "ok"] * 3
+        assert all("beta_b" in e["derived"] for e in entries[2::5])
+        identities = [[r["name"] for r in e["residuals"] if r["name"].startswith("identity")]
+                      for e in entries[:2]]
+        assert identities == [["identity[cartan-coordinate]"],
+                              ["identity[wunschmann-coordinate]", "identity[cartan-coordinate]"]]
+        for raw, entry in zip(problems, entries):
+            alone, _ = analyze_batch({"problems": [raw]})
+            assert dumps_report(entry) == dumps_report(alone["reports"][0])
+
+    def test_chain_built_once_per_seed_free_key(self, monkeypatch):
+        built = []
+        real = report_mod.curvature_chain
+
+        def counting(ode, zero):
+            built.append((ode.order, to_string(ode.rhs)))
+            return real(ode, zero)
+
+        monkeypatch.setattr(report_mod, "curvature_chain", counting)
+        problems = _seeds_interleaved(self.PROBLEMS) + [_with_options(ODE3, trials=3)]
+        _, code = analyze_batch({"problems": problems + [ODE3]})
+        assert code == 1
+        assert sorted(built) == sorted([(2, "F"), (3, "F"), (4, "5*x3^2/(3*x2)"), (3, "x2^3")])
+
+    @pytest.mark.parametrize("seeds", [(1, 2, 3), (2, 1, 3)], ids=["middle", "first"])
+    def test_extraction_failure_under_one_seed(self, monkeypatch, seeds):
+        real = ZeroTester.verdict
+
+        def verdict(self, e):
+            # only the chain's extraction checks call verdict() on an ODE
+            return Verdict.NONZERO if self.seed == 2 else real(self, e)
+
+        monkeypatch.setattr(ZeroTester, "verdict", verdict)
+        problems = [_with_options(ODE3, seed=s) for s in seeds]
+        report, code = analyze_batch({"problems": problems})
+        assert code == 2
+        for raw, entry in zip(problems, report["reports"]):
+            if raw["options"]["seed"] == 2:
+                assert entry == {"problem": raw, "status": "error", "error":
+                                 "extraction failure: nonzero V^(k) component in the curvature expansion"}
+            else:
+                alone, _ = analyze_batch({"problems": [raw]})
+                assert dumps_report(entry) == dumps_report(alone["reports"][0])
+
+    def test_no_ode_problem_outlives_the_batch(self, monkeypatch):
+        built = []
+        real = OdeProblem.from_rhs.__func__
+
+        def recording(cls, order, rhs):
+            ode = real(cls, order, rhs)
+            built.append(weakref.ref(ode))
+            return ode
+
+        monkeypatch.setattr(OdeProblem, "from_rhs", classmethod(recording))
+        problems = _seeds_interleaved(self.PROBLEMS + [ABSTRACT4])
+        gc.collect()
+        gc.disable()
+        try:
+            report, _ = analyze_batch({"problems": problems})
+            del report
+            # one problem per seed-free key; x2^ fails before one is built
+            assert len(built) == 4 and all(ref() is None for ref in built)
+        finally:
+            gc.enable()
+
+    def test_web_batch_leaves_no_cycles(self):
+        # NullCurve, WebConnection and BryantForms hold their web and are
+        # kept on it, so a web not cleared after its analysis would be
+        # freed only by the cycle collector.
+        problems = [WEB2, {"kind": "web", "k": 3, "w": NONFLAT_W[3]},
+                    {"kind": "web", "k": 2, "w": "x0*x1*x2 + x0 + x1 + x2"}]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report, code = analyze_batch({"problems": problems})
+            assert code == 0
+            assert [e["derived"]["classification"] for e in report["reports"]] == \
+                ["veronese web", "veronese web", "not a web"]
+            del report
+            gc.collect()
+            left = [type(obj).__qualname__ for obj in gc.garbage
+                    if type(obj).__module__.startswith("paraweb")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
