@@ -30,7 +30,7 @@ from .expr import (
     to_string,
 )
 from .parser import Context, ParseError, parse_expr
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester, is_zero
+from .zerotest import Verdict, ZeroTester, is_zero
 from .jet import (
     OdeProblem,
     OneForm,

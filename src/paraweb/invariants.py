@@ -10,9 +10,12 @@ and the chain is kept as the U_i: g never appears explicitly (results
 are "up to the factor g").  The component matrix of V^(0..k) over
 (dx0..dxk) is triangular with diagonal (-1)^i, so V^(k+1) expands
 exactly as an alternating combination of lower chain elements; the
-coefficients are the curvatures K_0..K_{k-1}.  The expansion must leave
-no V^(k) component and no d/dt component: a nonzero extraction residual
-signals an internal differentiation bug and aborts.
+coefficients are the curvatures K_0..K_{k-1}.  The expansion leaves no
+V^(k) component and no d/dt component, each the literal zero by
+construction: the d/dt part by induction, since U_0 has none and X's
+d/dt coefficient is the constant 1, and the V^(k) coefficient because
+m cancels it, interning making both of its dF/dxk one node.  Anything
+else is an internal differentiation bug, and ``ExtractionError`` aborts.
 
 On top of the chain sit the Wunschmann residuals (vanishing iff the
 solution space carries a canonical paraconformal structure), the
@@ -21,6 +24,10 @@ connection, and the coefficient b that pins down the one-form beta for
 orders >= 4.  Reports do not yet decide the third-order equation that
 beta must satisfy, nor the trace relation 2 alpha' + k beta'' = 0; the
 tests build both residuals (``tests/oracles.py``).
+
+Everything here is built from the equation alone and takes no zero
+tester: residuals are named expressions, and reports decide them with
+the tester of each problem.
 
 Note on signs: the order-2 obstruction computed here is
 4 V'(K_0) + V(K_0'), the integrability condition of the two scalar
@@ -37,7 +44,6 @@ from math import comb
 
 from .expr import Expr, ZERO, add, add_iter, differentiate, div, mul, neg, pow_int, rational, sub
 from .jet import OdeProblem, OneForm, VectorField, lie_bracket
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
 
 __all__ = [
     "ExtractionError",
@@ -60,17 +66,11 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Residual:
-    """A named scalar residual with its zero-test verdict."""
+    """A named scalar expression that vanishes when its condition holds."""
 
     name: str
     expr: Expr
-    verdict: Verdict
-    samples: int
     note: str | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.verdict is Verdict.ZERO
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,17 @@ class CurvatureChain:
     ode: OdeProblem
     fields: tuple[VectorField, ...]  # V^(0) .. V^(k+1), factor g dropped
     curvatures: tuple[Expr, ...]  # K_0 .. K_{k-1}
-    residual_vk: Expr  # coefficient of V^(k) in the expansion; must vanish
-    residual_dt: Expr  # d/dt component of V^(k+1); must vanish
-
-    def check_extraction(self, zero: ZeroTester) -> None:
-        """Raise ``ExtractionError`` unless the V^(k) coefficient and the
-        d/dt component pass the zero test.  The rest of the chain does not
-        depend on the tester, so a chain built once may be checked again
-        under another seed."""
-        for name, res in (("V^(k)", self.residual_vk), ("d/dt", self.residual_dt)):
-            if zero.verdict(res) is not Verdict.ZERO:
-                raise ExtractionError(f"nonzero {name} component in the curvature expansion")
+    residual_vk: Expr  # coefficient of V^(k) in the expansion: ZERO
+    residual_dt: Expr  # d/dt component of V^(k+1): ZERO
 
 
-def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> CurvatureChain:
+def curvature_chain(ode: OdeProblem) -> CurvatureChain:
     """Compute the normalized chain and extract the curvatures.
 
     Raises ``ExtractionError`` when the V^(k) coefficient or the d/dt
-    component of the expansion fails the zero test
-    (``CurvatureChain.check_extraction``): both vanish identically for a
-    correct differentiation engine.
+    component of the expansion, or a remainder of the back-substitution,
+    is not the literal zero: all of them are, for a correct
+    differentiation engine.
     """
     k = ode.k
     x = ode.total_derivative
@@ -127,11 +118,12 @@ def curvature_chain(ode: OdeProblem, zero: ZeroTester = DEFAULT_TESTER) -> Curva
     for m, rest in enumerate(remainders):
         if add_iter([rest] + _component_terms(subtracted[m:], f"x{m}")) is not ZERO:
             raise ExtractionError("triangular expansion left a nonzero remainder")
+    for name, res in (("V^(k)", coeffs[k]), ("d/dt", residual_dt)):
+        if res is not ZERO:
+            raise ExtractionError(f"nonzero {name} component in the curvature expansion")
 
     curvatures = tuple(mul(rational((-1) ** (j + 1)), coeffs[j]) for j in range(k))
-    chain = CurvatureChain(ode, tuple(fields), curvatures, coeffs[k], residual_dt)
-    chain.check_extraction(zero)
-    return chain
+    return CurvatureChain(ode, tuple(fields), curvatures, coeffs[k], residual_dt)
 
 
 def _component_terms(parts: list[tuple[Expr, VectorField]], c: str) -> list[Expr]:
@@ -144,16 +136,7 @@ def gamma_k(k: int) -> Fraction:
     return Fraction(-comb(k + 2, 3), 2)
 
 
-def _residual(name: str, e: Expr, zero: ZeroTester, note: str | None = None) -> Residual:
-    verdict, samples = zero.verdict_stats(e)
-    return Residual(name, e, verdict, samples, note)
-
-
-def wunschmann_residuals(
-    ode: OdeProblem,
-    chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> list[Residual]:
+def wunschmann_residuals(ode: OdeProblem, chain: CurvatureChain | None = None) -> list[Residual]:
     """Wunschmann residuals of the equation.
 
     Orders 3 and 4 get the complete set; order 2 has none; orders >= 5
@@ -162,13 +145,13 @@ def wunschmann_residuals(
     """
     if ode.order == 2:
         return []
-    chain = chain or curvature_chain(ode, zero)
+    chain = chain or curvature_chain(ode)
     k = ode.k
     x = ode.total_derivative
     ks = chain.curvatures
     if ode.order == 3:
         w0 = add(ks[0], mul(rational(Fraction(1, 2)), x.apply(ks[1])))
-        return [_residual("wunschmann[0]", w0, zero)]
+        return [Residual("wunschmann[0]", w0)]
     if ode.order == 4:
         w0 = add_iter(
             [
@@ -178,16 +161,12 @@ def wunschmann_residuals(
             ]
         )
         w1 = add(ks[1], x.apply(ks[2]))
-        return [_residual("wunschmann[0]", w0, zero), _residual("wunschmann[1]", w1, zero)]
+        return [Residual("wunschmann[0]", w0), Residual("wunschmann[1]", w1)]
     w = add(ks[k - 2], mul(rational(Fraction(k - 1, 2)), x.apply(ks[k - 1])))
-    return [_residual("wunschmann[low]", w, zero, note="necessary condition only")]
+    return [Residual("wunschmann[low]", w, note="necessary condition only")]
 
 
-def cartan_residuals(
-    ode: OdeProblem,
-    chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> list[Residual]:
+def cartan_residuals(ode: OdeProblem, chain: CurvatureChain | None = None) -> list[Residual]:
     """Obstructions to a totally geodesic paraconformal connection.
 
     Orders 2-4 each have a single residual; at order >= 5 the list holds
@@ -195,7 +174,7 @@ def cartan_residuals(
     i = 0..k-4, the universal second-order condition, and two
     higher-order conditions (conjecturally redundant, reported anyway).
     """
-    chain = chain or curvature_chain(ode, zero)
+    chain = chain or curvature_chain(ode)
     k = ode.k
     x = ode.total_derivative
     v = chain.fields
@@ -205,38 +184,38 @@ def cartan_residuals(
             mul(rational(4), v[1].apply(ks[0])),
             v[0].apply(x.apply(ks[0])),
         )
-        return [_residual("cartan[projective]", e, zero)]
+        return [Residual("cartan[projective]", e)]
     if ode.order == 3:
         e = add(
             mul(rational(2), v[1].apply(ks[1])),
             v[0].apply(x.apply(ks[1])),
         )
-        return [_residual("cartan[einstein-weyl]", e, zero)]
+        return [Residual("cartan[einstein-weyl]", e)]
     if ode.order == 4:
         e = add(
             mul(rational(4), v[1].apply(ks[2])),
             mul(rational(3), v[0].apply(x.apply(ks[2]))),
         )
-        return [_residual("cartan[order4]", e, zero)]
+        return [Residual("cartan[order4]", e)]
 
     out = []
     ktop = ks[k - 1]
     ktop1 = x.apply(ktop)
     ktop2 = x.apply(ktop1)
     for i in range(k - 3):
-        out.append(_residual(f"cartan[directional:{i}]", v[i].apply(ktop), zero))
+        out.append(Residual(f"cartan[directional:{i}]", v[i].apply(ktop)))
     e19 = add(
         mul(rational(4), v[k - 2].apply(ktop)),
         mul(rational(3), v[k - 3].apply(ktop1)),
     )
-    out.append(_residual("cartan[second-order]", e19, zero))
+    out.append(Residual("cartan[second-order]", e19))
     g = rational(gamma_k(k))
     sign = rational((-1) ** k)
     e20 = sub(
         mul(sub(mul(rational(2), pow_int(g, -1)), rational(1)), ktop, v[k - 3].apply(ktop)),
         mul(sign, sub(v[k - 2].apply(ktop1), mul(rational(2), v[k - 1].apply(ktop)))),
     )
-    out.append(_residual("cartan[higher:1]", e20, zero, note="conjecturally redundant"))
+    out.append(Residual("cartan[higher:1]", e20, note="conjecturally redundant"))
     e21 = sub(
         add(
             mul(
@@ -261,15 +240,11 @@ def cartan_residuals(
             ),
         ),
     )
-    out.append(_residual("cartan[higher:2]", e21, zero, note="conjecturally redundant"))
+    out.append(Residual("cartan[higher:2]", e21, note="conjecturally redundant"))
     return out
 
 
-def beta_coefficient(
-    ode: OdeProblem,
-    chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> tuple[Expr, OneForm]:
+def beta_coefficient(ode: OdeProblem, chain: CurvatureChain | None = None) -> tuple[Expr, OneForm]:
     """The unique candidate (b, beta) for orders >= 4.
 
     b = (-1)^k * 2 * V^(k-3)(K_{k-1}) / binom(k+2, 3), and beta = b *
@@ -282,7 +257,7 @@ def beta_coefficient(
     """
     if ode.order < 4:
         raise ValueError("beta is algebraically determined only for order >= 4")
-    chain = chain or curvature_chain(ode, zero)
+    chain = chain or curvature_chain(ode)
     k = ode.k
     b = mul(
         rational(Fraction(2 * (-1) ** k, comb(k + 2, 3))),

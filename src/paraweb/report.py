@@ -7,12 +7,16 @@ sample counts, and render every derived object in the same grammar the
 parser accepts, so reports double as regression fixtures.  Identical
 (problem, seed) pairs produce byte-identical reports, so a batch
 analyses each distinct problem once and its repeats share that entry.
-The seed only picks the zero test's sample points, so problems that
-differ only in their zero-test options share what does not depend on
-them: an ODE's problem, curvature chain and residual expressions, and
-the rendered texts of equal expressions.  What a batch shares is local
-to ``analyze_batch`` and dropped after the last problem that needs it;
-``write_report`` encodes a repeated entry once.
+
+An analysis builds, then decides.  The seed only picks the zero test's
+sample points, so what is built takes no tester: an ODE's problem,
+curvature chain and residual expressions, or a web with its Hirota
+residuals, connection and Bryant forms.  Problems that differ only in
+their zero-test options share it, and the rendered texts of equal
+expressions.  The decision runs every zero test with the problem's own
+tester.  What a batch shares is local to ``analyze_batch`` and dropped
+after the last problem that needs it; ``write_report`` encodes a
+repeated entry once.
 """
 
 from __future__ import annotations
@@ -41,13 +45,16 @@ from .invariants import (
 )
 from .jet import FrameError, OdeProblem
 from .webs import (
+    DegenerateWebError,
     VeroneseWeb,
     WebError,
     bryant_forms,
     canonical_connection,
+    check_nondegenerate,
     conformal_metric,
     flatness_verdict,
     hirota_residuals,
+    hirota_verdicts,
     make_web,
     weyl_form,
 )
@@ -240,9 +247,8 @@ def _verdict_entry(name: str, expr: Expr, verdict: Verdict, samples: int = 0, no
 
 
 class _OdeObjects(NamedTuple):
-    """What an ODE analysis builds without its tester's seed mattering:
-    the problem (with its memo of X), the chain and the residual
-    expressions, with the verdicts of the spec that built them."""
+    """What an ODE analysis builds: the problem (with its memo of X), the
+    chain and the residual expressions."""
 
     ode: OdeProblem
     chain: CurvatureChain
@@ -254,11 +260,19 @@ class _OdeObjects(NamedTuple):
 @dataclass
 class _Shared:
     """What the analyses of specs that differ only in ``seed``, ``trials``
-    and ``tolerance`` share: an ODE's objects once built, and the texts
-    rendered for each tuple of expression roots (see ``_render``)."""
+    and ``tolerance`` share: the objects built from the problem (an
+    ``_OdeObjects`` or a web), and the texts rendered for each tuple of
+    expression roots (see ``_render``)."""
 
-    ode: _OdeObjects | None = None
+    built: _OdeObjects | VeroneseWeb | None = None
     rendered: dict = field(default_factory=dict)
+
+    def release(self) -> None:
+        """Clear a web's derived objects: the null curve, connection and
+        Bryant forms kept there hold the web, so left in place they would
+        free it only through the cycle collector."""
+        if isinstance(self.built, VeroneseWeb):
+            self.built._derived.clear()
 
 
 def _seed_free(spec: ProblemSpec) -> ProblemSpec:
@@ -266,60 +280,48 @@ def _seed_free(spec: ProblemSpec) -> ProblemSpec:
     return replace(spec, trials=1, tolerance=0.0, seed=0)
 
 
-def _ode_objects(spec: ProblemSpec, zero: ZeroTester) -> _OdeObjects:
+def _ode_objects(spec: ProblemSpec) -> _OdeObjects:
     try:
         ode = OdeProblem.from_rhs(spec.order, spec.rhs)
     except Exception as exc:
         raise InputError(f"bad rhs: {exc}") from exc
-    chain = curvature_chain(ode, zero)
-    wun = wunschmann_residuals(ode, chain, zero)
-    car = cartan_residuals(ode, chain, zero)
+    chain = curvature_chain(ode)
+    wun = wunschmann_residuals(ode, chain)
+    car = cartan_residuals(ode, chain)
     identities = []
 
     abstract = spec.rhs.strip() == "abstract"
     if abstract and ode.order == 2:
         ident = sub(car[0].expr, mul(rational(3), coordinate_cartan_order2(ode)))
-        verdict, samples = zero.verdict_stats(ident)
-        identities.append(Residual("identity[cartan-coordinate]", ident, verdict, samples,
+        identities.append(Residual("identity[cartan-coordinate]", ident,
                                    note="engine invariant minus 3x classical coordinate form"))
     if abstract and ode.order == 3:
         v, v1 = chain.fields[0], chain.fields[1]
         k0, k1 = chain.curvatures
         wident = sub(wun[0].expr, coordinate_wunschmann_order3(ode))
-        verdict, samples = zero.verdict_stats(wident)
-        identities.append(Residual("identity[wunschmann-coordinate]", wident, verdict, samples))
+        identities.append(Residual("identity[wunschmann-coordinate]", wident))
         cform = mul(rational(Fraction(-3, 2)), sub(v1.apply(k1), v.apply(k0)))
-        cident = sub(cform, coordinate_cartan_order3(ode))
-        verdict, samples = zero.verdict_stats(cident)
-        identities.append(Residual("identity[cartan-coordinate]", cident, verdict, samples))
+        identities.append(Residual("identity[cartan-coordinate]", sub(cform, coordinate_cartan_order3(ode))))
     return _OdeObjects(ode, chain, wun, car, identities)
-
-
-def _retested(residuals: list[Residual], zero: ZeroTester) -> list[Residual]:
-    return [Residual(r.name, r.expr, *zero.verdict_stats(r.expr), r.note) for r in residuals]
 
 
 def analyze_ode(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
     """Run the invariant pipeline on an ODE problem.
 
-    The first spec analysed with ``shared`` builds the problem, the chain
-    and the residual expressions; a later one re-runs only what its seed
-    decides: the chain's extraction checks and each residual's zero test,
-    then the classification and, when the verdicts call for it, beta.
+    Build: the problem, the chain and the residual expressions, made by
+    the first spec analysed with ``shared``.  Decide: each residual's zero
+    test under the spec's own tester, then the classification and, when
+    the verdicts call for it, beta.
     """
-    zero = spec.tester()
     shared = shared or _Shared()
-    if shared.ode is None:
-        shared.ode = _ode_objects(spec, zero)
-        ode, chain, wun, car, identities = shared.ode
-    else:
-        ode, chain, *groups = shared.ode
-        chain.check_extraction(zero)
-        wun, car, identities = (_retested(group, zero) for group in groups)
+    if shared.built is None:
+        shared.built = _ode_objects(spec)
+    ode, chain, wun, car, identities = shared.built
+    zero = spec.tester()
     residuals = wun + car + identities
+    stats = {r: zero.verdict_stats(r.expr) for r in residuals}
 
-    wun_ok = all(r.is_zero for r in wun)
-    car_ok = all(r.is_zero for r in car)
+    wun_ok, car_ok = (all(stats[r][0] is Verdict.ZERO for r in group) for group in (wun, car))
     if ode.order >= 5:
         classification = CLASS_NECESSARY_ONLY if (wun_ok and car_ok) else CLASS_NO_STRUCTURE
     elif wun_ok and car_ok:
@@ -338,7 +340,7 @@ def analyze_ode(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
         },
     }
     if ode.order >= 4 and wun_ok and car_ok:
-        b, beta = beta_coefficient(ode, chain, zero)
+        b, beta = beta_coefficient(ode, chain)
         derived["beta_b"] = b
         derived["beta_form"] = beta.comps
 
@@ -346,39 +348,50 @@ def analyze_ode(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
         "problem": spec.echo(),
         "status": "ok",
         "classification": classification,
-        "residuals": [_verdict_entry(r.name, r.expr, r.verdict, r.samples, r.note)
-                      for r in residuals],
+        "residuals": [_verdict_entry(r.name, r.expr, *stats[r], r.note) for r in residuals],
         "derived": derived,
     }, shared.rendered)
 
 
-def analyze_web(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
-    """Run the web pipeline: one verdict, from the Hirota triples through 0,
-    printed as the Hirota, hierarchy, Lax and Zakharevich verdicts and on
-    every residual (the hierarchy and Lax residuals printed as multiples
-    of those triples), then (for solutions) connection data and flatness.
-    The web is built per spec; ``shared`` lends only its rendered texts."""
-    zero = spec.tester()
+def _web(spec: ProblemSpec) -> VeroneseWeb:
     try:
-        web = make_web(spec.k, spec.w, spec.t_params, zero)
+        return make_web(spec.k, spec.w, spec.t_params)
     except WebError as exc:
         raise InputError(str(exc)) from exc
     except Exception as exc:
         raise InputError(f"bad w: {exc}") from exc
+
+
+def analyze_web(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
+    """Run the web pipeline.
+
+    Build: the web, made by the first spec analysed with ``shared``; what
+    is derived from it is kept on it.  Decide, with the spec's own tester:
+    the degeneracy check (an input error), then one verdict, from the
+    Hirota triples through 0, printed as the Hirota, hierarchy, Lax and
+    Zakharevich verdicts and on every residual (the hierarchy and Lax
+    residuals printed as multiples of those triples), then, for solutions
+    only, flatness, the connection data and the Bryant forms.
+    """
+    memo = shared or _Shared()
+    if memo.built is None:
+        memo.built = _web(spec)
     try:
-        entry = _web_entry(spec, web, zero)
+        entry = _web_entry(spec, memo.built, spec.tester())
     finally:
-        # The null curve, the connection and the Bryant forms kept there
-        # hold the web, so left in place they would free it only through
-        # the cycle collector.
-        web._derived.clear()
-    return _render(entry, None if shared is None else shared.rendered)
+        if shared is None:
+            memo.release()
+    return _render(entry, memo.rendered)
 
 
 def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
+    try:
+        check_nondegenerate(web, zero)
+    except DegenerateWebError as exc:
+        raise InputError(str(exc)) from exc
     # One verdict decides the web, that of the Hirota triples through 0.
     # With T = t_{k+1}, every other triple, the first-order hierarchy and
-    # the Lax brackets are identities in them (webs._hirota_residuals;
+    # the Lax brackets are identities in them (webs.hirota_verdicts;
     # tests/test_webs.py::TestOneVerdict):
     #     hierarchy[i,j] = H_0ij / ((T - t_i)(T - t_j)),
     #     [L_i(t), L_j(t)] = -(t - t_0)(t - T) H_0ij / ((dw/dx0)^2 (T - t_i)(T - t_j)) d/dx0,
@@ -386,13 +399,13 @@ def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
     # hirota[0,i,j]; and on every t outside the spectral set, for a < b < c,
     # with P(t) = prod_{j <= k} (t - t_j),
     #     (omega ^ d omega)_{abc}(t) = P(t)^2 (t - T) H_abc / ((t - t_a)(t - t_b)(t - t_c)).
-    hr = hirota_residuals(web, zero)
-    residuals = [_verdict_entry(f"hirota[{i},{j},{l}]", e, v) for (i, j, l), (e, v) in sorted(hr.items())]
+    hr, decided = hirota_residuals(web), hirota_verdicts(web, zero)
+    residuals = [_verdict_entry(f"hirota[{i},{j},{l}]", e, decided[i, j, l]) for (i, j, l), e in hr.items()]
     t, top = web.t_params, web.t_params[-1]
     lax_factor = (-t[0] * top, t[0] + top, -1)  # -(t - t_0)(t - T) by degree
     hierarchy, lax = [], []
     for i, j in combinations(range(1, web.k + 1), 2):
-        h, v = hr[(0, i, j)]
+        h, v = hr[0, i, j], decided[0, i, j]
         e = mul(rational(1 / ((top - t[i]) * (top - t[j]))), h)
         hierarchy.append(_verdict_entry(f"hierarchy[{i},{j}]", e, v))
         for deg, c in enumerate(lax_factor):
@@ -402,7 +415,7 @@ def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
                                           mul(rational(c), e, pow_int(web.dw(0), -2)), v))
     residuals += hierarchy + lax
 
-    web_ok = all(v is Verdict.ZERO for _, v in hr.values())
+    web_ok = all(v is Verdict.ZERO for v in decided.values())
     verdicts: dict[str, Any] = {
         "hirota": web_ok,
         "hierarchy": web_ok,
@@ -422,9 +435,9 @@ def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
     }
 
     if web_ok:
-        conn = canonical_connection(web, zero)
         if web.k > 2:
             verdicts["flat"] = flatness_verdict(web, zero)
+        conn = canonical_connection(web)
         if conn.kind == "diagonal":
             derived["connection"] = {
                 "type": "diagonal",
@@ -440,7 +453,7 @@ def _web_entry(spec: ProblemSpec, web: VeroneseWeb, zero: ZeroTester) -> dict:
                 "weyl_form": weyl_form(conn).comps,
             }
         if web.k == 3:
-            bf = bryant_forms(web, zero)
+            bf = bryant_forms(web)
             derived["bryant"] = {
                 name: form.comps
                 for name, form in (
@@ -474,34 +487,45 @@ def analyze_problem(spec: ProblemSpec, shared: _Shared | None = None) -> dict:
     return analyze_web(spec, shared)
 
 
+def _analysis(spec: ProblemSpec, shared: _Shared) -> dict | tuple[int, str]:
+    """The ok entry of ``spec``, or (exit code, error text) when its analysis fails."""
+    try:
+        return analyze_problem(spec, shared)
+    except (InputError, BudgetError) as exc:
+        return 1, str(exc)
+    except ExtractionError as exc:
+        return 2, f"extraction failure: {exc}"
+    except (WebError, FrameError) as exc:
+        return 2, f"analysis failure: {exc}"
+
+
 def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, int]:
     """Analyze {"problems": [...]} (or a bare problem object).
 
     Returns (report document, exit code): 0 clean, 1 if any problem had
     an input error or exceeded a budget (a constant of more than
     ``expr.MAX_CONSTANT_DIGITS`` digits, say), 2 if the analysis of a
-    valid problem failed (an extraction failure, or a web construction
-    that failed after validation, such as the bracket function breaking
-    its degree bound).  Each failure is an error entry
-    and the rest of the batch still runs.
+    valid problem failed (an extraction failure, or a frame or web error
+    raised after validation: each is an internal fault).  Each failure is
+    an error entry and the rest of the batch still runs.
 
     A batch shares work in two ways, and keeps nothing after it returns:
 
-    - A problem whose validated spec repeats one analysed earlier in the
-      batch lists that ok entry again, the same dict object, and is not
-      analysed again.
+    - Each distinct validated spec is analysed once.  A repeat lists the
+      ok entry of the first, the same dict object, or an error entry of
+      its own with the same error, echoing its own raw problem.
     - Specs that differ only in ``seed``, ``trials`` and ``tolerance`` (one
-      seed-free key) share what their zero tests do not decide.  The first
-      ODE analysed under a key builds its problem, chain and residual
-      expressions; each later one re-runs only its zero tests, its
-      classification and beta (``analyze_ode``).  Webs are built per spec.
-      An entry whose expressions are those of an entry rendered before
-      under its key reuses their texts (``_render``).
+      seed-free key) share one build: the first analysed under the key
+      builds the ODE's problem, chain and residual expressions, or the
+      web, and each spec decides with its own tester (``analyze_ode``,
+      ``analyze_web``).  A build that fails is not kept, so the next spec
+      under the key tries it again.  An entry whose expressions are those
+      of an entry rendered before under its key reuses their texts
+      (``_render``).
 
     A validation pass counts the distinct specs under each seed-free key
-    first, and what they share is dropped once the last of them has been
-    analysed.  Error entries are made per occurrence and echo their own
-    raw problem.
+    first, and what they share is dropped, a web's derived objects with
+    it, once the last of them has been analysed.
     """
     if isinstance(document, dict) and "problems" in document:
         raw_problems = document["problems"]
@@ -520,8 +544,7 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
     distinct = {repr(spec): spec for spec in specs if isinstance(spec, ProblemSpec)}
     runs = Counter(map(_seed_free, distinct.values()))
     shared: dict[ProblemSpec, _Shared] = {}
-    # repr(spec) -> its ok entry, or None after its analysis failed
-    entries: dict[str, dict | None] = {}
+    outcomes: dict[str, dict | tuple[int, str]] = {}  # repr(spec) -> its ``_analysis``
     reports = []
     code = 0
     for raw, spec in zip(raw_problems, specs):
@@ -529,28 +552,20 @@ def analyze_batch(document: dict, defaults: dict | None = None) -> tuple[dict, i
             reports.append(spec)
             code = max(code, 1)
             continue
-        try:
-            key = repr(spec)
-            entry = entries.get(key)
-            if entry is None:
-                free = _seed_free(spec)
-                if key not in entries:
-                    entries[key] = None
-                    runs[free] -= 1
-                memo = shared.setdefault(free, _Shared())
-                if not runs[free]:
-                    del shared[free]
-                entry = entries[key] = analyze_problem(spec, memo)
-            reports.append(entry)
-        except (InputError, BudgetError) as exc:
-            reports.append({"problem": raw, "status": "error", "error": str(exc)})
-            code = max(code, 1)
-        except ExtractionError as exc:
-            reports.append({"problem": raw, "status": "error", "error": f"extraction failure: {exc}"})
-            code = 2
-        except (WebError, FrameError) as exc:
-            reports.append({"problem": raw, "status": "error", "error": f"analysis failure: {exc}"})
-            code = 2
+        key = repr(spec)
+        if key not in outcomes:
+            free = _seed_free(spec)
+            outcomes[key] = _analysis(spec, shared.setdefault(free, _Shared()))
+            runs[free] -= 1
+            if not runs[free]:
+                shared.pop(free).release()
+        outcome = outcomes[key]
+        if isinstance(outcome, dict):
+            reports.append(outcome)
+        else:
+            failure, error = outcome
+            reports.append({"problem": raw, "status": "error", "error": error})
+            code = max(code, failure)
     return {"reports": reports}, code
 
 

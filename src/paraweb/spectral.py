@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, islice
-from math import comb, lcm, prod
+from math import comb, lcm
 from operator import mul
 
 
@@ -48,9 +48,9 @@ def _null_coefficients(t: tuple[Fraction, ...]) -> list[list[Fraction]]:
     return [[-(-1) ** i * comb(k, i) * tj ** (k - i) / g for tj, g in zip(t[:-1], gaps)] for i in range(k + 1)]
 
 
-def _spectral_nodes(t: tuple[Fraction, ...], n: int, start: int = 0) -> list[int]:
-    """The first n integers from ``start`` outside the spectral set t."""
-    return list(islice((m for m in count(start) if m not in t), n))
+def _spectral_nodes(t: tuple[Fraction, ...], n: int) -> list[int]:
+    """The first n non-negative integers outside the spectral set t."""
+    return list(islice((m for m in count() if m not in t), n))
 
 
 def _bracket_h(t: tuple[Fraction, ...], nodes) -> tuple[list[Fraction], list[list[int]]]:
@@ -78,26 +78,22 @@ def _matmul(rows, cols) -> list[list[int]]:
 
 
 @lru_cache(maxsize=32)
-def _diagonal_tables(t: tuple[Fraction, ...], start: int):
-    """(check, alpha), coefficients over the b_jl of ``_bracket_h``, for the k + 2 nodes
-    from ``start``.  check is the interpolant of h through the other nodes, at the last
-    node, minus h there: zero when h has degree at most k.  alpha[j] = alpha_j / (dw/dx_j)
-    = (N^-1 h)_j with N[n][j] = c_j(s_n) at the first k + 1 nodes, and N^-1 = D L: D[j][i]
+def _diagonal_tables(t: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """alpha, coefficients over the b_jl of ``_bracket_h``: alpha[j] = alpha_j / (dw/dx_j)
+    = (N^-1 h)_j with N[n][j] = c_j(s_n) at the first k + 1 nodes outside t, which
+    determine h, a polynomial of degree at most k on a web.  N^-1 = D L: D[j][i]
     = (-1)^i W[k - i][j] / binom(k, i), W of ``_omega_table``, is the null dual (the coframe
     of ``webs.NullCurve``), L[i][n] the s^i coefficient of node n's Lagrange basis polynomial.
     D, L and the H rows are integer matrices between rational row or column scales."""
     k = len(t) - 2
-    *inner, at = nodes = _spectral_nodes(t, k + 2, start)
-    lagrange, spans = _leave_one_out(inner)
+    nodes = _spectral_nodes(t, k + 1)
+    lagrange, spans = _leave_one_out(nodes)
     big = lcm(*map(int, spans))
     scales, hs = _bracket_h(t, nodes)
-    full = prod(at - s for s in inner)
-    check = _matmul([[big // v * full // (at - s) for s, v in zip(inner, spans)] + [-big]], hs)[0]
     # D[j][i] = (t_{k+1} - t_j) (-1)^i P_j[k - i] / (P_j[k] binom(k, i)) over t_0..t_k
     polys = _leave_one_out(t[:-1])[0]
     c = lcm(*(comb(k, i) for i in range(k + 1)))
     interp = [[(-1) ** i * c // comb(k, i) * p[i] * (big // v) for p, v in zip(lagrange, spans)] for i in range(k + 1)]
-    alpha = _matmul(_matmul([p[::-1] for p in polys], interp), hs[:-1])
+    alpha = _matmul(_matmul([p[::-1] for p in polys], interp), hs)
     rowscales = [(t[-1] - tj) / (p[-1] * c * big) for tj, p in zip(t, polys)]
-    return (tuple(h * Fraction(x, big) for h, x in zip(scales, check)),
-            tuple(tuple(f * h * x for h, x in zip(scales, row)) for f, row in zip(rowscales, alpha)))
+    return tuple(tuple(f * h * x for h, x in zip(scales, row)) for f, row in zip(rowscales, alpha))

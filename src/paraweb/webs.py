@@ -11,7 +11,7 @@ annihilating one-form of the t-family is polynomial of degree k,
 and w presents a genuine web exactly when the quadratic Hirota system
 holds.  Its triples through 0 decide it: every other triple, the
 first-order hierarchy, the Lax commutators and omega ^ d omega are
-combinations of them (``_hirota_residuals``; ``report.analyze_web``
+combinations of them (``hirota_verdicts``; ``report.analyze_web``
 prints the hierarchy and the commutators as multiples of them).
 The null curve V(t) dual to omega(t) is normalised here by
 omega(s)(V(t)) = (s - t)^k, which pins down every constant used below.
@@ -34,6 +34,12 @@ read from them (``weyl_form``), and the four Bryant forms at k = 3.
 Flatness zero-tests the two torsion components a diagonal connection
 can have.  ``tests/oracles.py`` builds the tables, the full torsion and
 the covariant derivative of the metric as references.
+
+What is built here depends on w and the spectral constants only, takes
+no zero tester, and is kept on the web once built.  Only the decisions
+take one: ``check_nondegenerate``, ``hirota_verdicts`` and
+``flatness_verdict``.  The connections and the Bryant forms are those of
+a Hirota solution, so a caller decides the Hirota system first.
 """
 
 from __future__ import annotations
@@ -59,23 +65,22 @@ from .expr import (
 )
 from .jet import OneForm, VectorField, lie_bracket
 from .parser import Context, parse_expr
-from .zerotest import DEFAULT_TESTER, Verdict, ZeroTester
+from .zerotest import Verdict, ZeroTester
 
 __all__ = [
     "WebError",
     "DegenerateWebError",
-    "NotAWebError",
-    "InterpolationError",
     "VeroneseWeb",
     "NullCurve",
     "WebConnection",
     "BryantForms",
     "web_context",
     "make_web",
+    "check_nondegenerate",
     "omega_coefficient_forms",
     "null_curve",
     "hirota_residuals",
-    "is_hirota_solution",
+    "hirota_verdicts",
     "canonical_connection",
     "flatness_verdict",
     "conformal_metric",
@@ -92,21 +97,13 @@ class DegenerateWebError(WebError):
     """Some partial dw/dx_i vanishes identically: foliations not transverse."""
 
 
-class NotAWebError(WebError):
-    """An operation requiring a Hirota solution got a non-solution."""
-
-
-class InterpolationError(WebError):
-    """The bracket function h(t) failed its polynomial degree bound."""
-
-
 @dataclass(frozen=True)
 class VeroneseWeb:
     k: int
     context: Context
     w: Expr
     t_params: tuple[Fraction, ...]
-    # Objects built once per web instance, or once per web and zero tester.
+    # Objects built once per web instance (``_once``).
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,18 +147,12 @@ def web_context(k: int) -> Context:
     return Context(coords=coords, functions={"w": coords})
 
 
-def make_web(
-    k: int,
-    w: str | Expr,
-    t_params: tuple[Fraction, ...] | list | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
-) -> VeroneseWeb:
-    """Build a web candidate, rejecting degenerate presentations.
+def make_web(k: int, w: str | Expr, t_params: tuple[Fraction, ...] | list | None = None) -> VeroneseWeb:
+    """A web candidate, w parsed when it is a string.
 
-    Spectral constants default to (0, 1, ..., k+1).  Degenerate means
-    some dw/dx_i vanishes identically (sampled): the would-be foliations
-    are not pairwise transverse, and the presentation is rejected rather
-    than regularised.
+    Spectral constants default to (0, 1, ..., k+1).  Whether the
+    presentation is degenerate is sampled, so ``check_nondegenerate``
+    decides it apart.
     """
     ctx = web_context(k)
     if isinstance(w, str):
@@ -170,21 +161,29 @@ def make_web(
         t_params = tuple(Fraction(n) for n in range(k + 2))
     else:
         t_params = tuple(Fraction(t) for t in t_params)
-    web = VeroneseWeb(k, ctx, w, t_params)
-    for i in range(k + 1):
+    return VeroneseWeb(k, ctx, w, t_params)
+
+
+def check_nondegenerate(web: VeroneseWeb, zero: ZeroTester) -> None:
+    """Raise ``DegenerateWebError`` unless every dw/dx_i tests nonzero.
+
+    Where some dw/dx_i vanishes identically the would-be foliations are
+    not pairwise transverse, and the presentation is rejected rather than
+    regularised.
+    """
+    for i in range(web.k + 1):
         if zero.verdict(web.dw(i)) is not Verdict.NONZERO:
             raise DegenerateWebError(f"dw/dx{i} vanishes at generic points")
-    return web
 
 
 # ---------------------------------------------------------------------------
 # omega(t) and the dual null curve
 
-def _once(web: VeroneseWeb, key, build, *args):
-    """``build(web, *args)``, made on the first call with ``key`` for this web only."""
+def _once(web: VeroneseWeb, key: str, build):
+    """``build(web)``, made on the first call with ``key`` for this web only."""
     got = web._derived.get(key)
     if got is None:
-        got = web._derived[key] = build(web, *args)
+        got = web._derived[key] = build(web)
     return got
 
 
@@ -231,16 +230,13 @@ def null_curve(web: VeroneseWeb) -> NullCurve:
 # ---------------------------------------------------------------------------
 # Hirota system
 
-def hirota_residuals(
-    web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER
-) -> dict[tuple[int, int, int], tuple[Expr, Verdict]]:
-    """Residual of the quadratic Hirota equation per index triple, with its
-    verdict; a triple without 0 is tested only when one of its three
-    triples through 0 is not zero.  One shared dict per tester."""
-    return _once(web, ("hirota", zero), _hirota_residuals, zero)
+def hirota_residuals(web: VeroneseWeb) -> dict[tuple[int, int, int], Expr]:
+    """Residual of the quadratic Hirota equation per index triple, in the
+    order of ``VeroneseWeb.triples``."""
+    return _once(web, "hirota", _hirota_residuals)
 
 
-def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
+def _hirota_residuals(web: VeroneseWeb) -> dict:
     out = {}
     for (i, j, l) in web.triples():
         terms = []
@@ -249,20 +245,27 @@ def _hirota_residuals(web: VeroneseWeb, zero: ZeroTester) -> dict:
             d2 = web.dw2(p, q)
             if d2 is not ZERO:
                 terms.append(mul(rational(web.a(p, q, r)), d2, web.dw(r)))
-        e = add_iter(terms)
-        # With T = t_{k+1}, w_0 (t_0 - T) H_ijl = (t_l - T) w_l H_0ij
-        # - (t_j - T) w_j H_0il + (t_i - T) w_i H_0jl, and make_web keeps
-        # w_0 != 0: a triple without 0 vanishes with its triples through 0.
-        through_0 = ((0, i, j), (0, i, l), (0, j, l))
-        if i and all(out[key][1] is Verdict.ZERO for key in through_0):
-            out[(i, j, l)] = (e, Verdict.ZERO)
-        else:
-            out[(i, j, l)] = (e, zero.verdict(e))
+        out[(i, j, l)] = add_iter(terms)
     return out
 
 
-def is_hirota_solution(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-    return all(v is Verdict.ZERO for _, v in hirota_residuals(web, zero).values())
+def hirota_verdicts(web: VeroneseWeb, zero: ZeroTester) -> dict[tuple[int, int, int], Verdict]:
+    """The verdict of each Hirota residual, on a web that passed
+    ``check_nondegenerate``.
+
+    With T = t_{k+1}, w_0 (t_0 - T) H_ijl = (t_l - T) w_l H_0ij
+    - (t_j - T) w_j H_0il + (t_i - T) w_i H_0jl, and w_0 != 0: a triple
+    without 0 vanishes with its three triples through 0, and is tested
+    only when one of them is not zero.
+    """
+    out = {}
+    for (i, j, l), e in hirota_residuals(web).items():
+        through_0 = ((0, i, j), (0, i, l), (0, j, l))
+        if i and all(out[key] is Verdict.ZERO for key in through_0):
+            out[(i, j, l)] = Verdict.ZERO
+        else:
+            out[(i, j, l)] = zero.verdict(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,45 +308,31 @@ def _bracket_sum(coeffs: Sequence[Fraction], basis: list[Expr]) -> Expr:
     return add_iter(mul(rational(c), b) for c, b in zip(coeffs, basis) if c and b is not ZERO)
 
 
-def canonical_connection(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> WebConnection:
+def canonical_connection(web: VeroneseWeb) -> WebConnection:
     """The canonical totally geodesic paraconformal connection of a web.
 
-    Requires the Hirota residuals to vanish.  For k = 1 and k > 2 the
-    connection is diagonal and alpha is the unique one-form making
-    T(V(t), V'(t)) proportional to V(t) for all t; it is recovered by
-    interpolating the bracket function h(t) at k+1 exact rational nodes,
-    with the degree bound checked at one extra node.  For k = 2 the
-    result is the unique torsion-free Weyl connection of the induced
-    conformal Lorentzian structure.  Built once per web and tester.
+    Requires w to solve the Hirota system (``hirota_verdicts``).  For
+    k = 1 and k > 2 the connection is diagonal and alpha is the unique
+    one-form making T(V(t), V'(t)) proportional to V(t) for all t; it is
+    recovered by interpolating the bracket function h(t), of degree at
+    most k on a web, at k+1 exact rational nodes.  For k = 2 the result
+    is the unique torsion-free Weyl connection of the induced conformal
+    Lorentzian structure.  Built once per web.
     """
-    return _once(web, ("connection", zero), _canonical_connection, zero)
+    return _once(web, "connection", _weyl_connection if web.k == 2 else _diagonal_connection)
 
 
-def _canonical_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
-    if not is_hirota_solution(web, zero):
-        raise NotAWebError("the function does not satisfy the Hirota system")
-    if web.k == 2:
-        return _weyl_connection(web)
-    return _diagonal_connection(web, zero)
-
-
-def _diagonal_connection(web: VeroneseWeb, zero: ZeroTester) -> WebConnection:
+def _diagonal_connection(web: VeroneseWeb) -> WebConnection:
     basis = [ZERO if (d2 := web.dw2(j, l)) is ZERO else mul(d2, pow_int(web.dw(j), -1), pow_int(web.dw(l), -1))
              for j, l in combinations(range(web.k + 1), 2)]
-    # On a web h(t) has degree at most k: interpolate it at k+1 nodes and
-    # check the bound at one more, trying a second node family once.
-    for start in (0, 101):
-        check, alpha = spectral._diagonal_tables(web.t_params, start)
-        if zero.verdict(_bracket_sum(check, basis)) is Verdict.ZERO:
-            break
-    else:
-        raise InterpolationError("bracket function h(t) violates its degree bound")
+    alpha = spectral._diagonal_tables(web.t_params)
     comps = {f"x{j}": mul(web.dw(j), _bracket_sum(row, basis)) for j, row in enumerate(alpha)}
     return WebConnection(web, "diagonal", alpha=OneForm(web.coords, comps))
 
 
-def flatness_verdict(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
-    """True iff the canonical connection of the web is torsion-free (k > 2).
+def flatness_verdict(web: VeroneseWeb, zero: ZeroTester) -> bool:
+    """True iff the canonical connection of the web is torsion-free (k > 2);
+    w must solve the Hirota system.
 
     Equivalent to d/dx_i (dw/dx_j / dw/dx_l) = 0 for all i outside
     {j, l}, i.e. to w being equivalent to an additively separable
@@ -354,7 +343,7 @@ def flatness_verdict(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> boo
     """
     if web.k <= 2:
         raise WebError("flatness via torsion of the canonical connection needs k > 2")
-    conn = canonical_connection(web, zero)
+    conn = canonical_connection(web)
     coords = web.coords
     comps = (e
              for ia, a in enumerate(coords) for b in coords[ia + 1:]
@@ -480,12 +469,15 @@ class BryantForms:
     alpha: OneForm
 
 
-def bryant_forms(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> BryantForms:
-    """Structure functions and connection forms of the Bryant connection."""
+def bryant_forms(web: VeroneseWeb) -> BryantForms:
+    """Structure functions and connection forms of the Bryant connection of
+    a Hirota solution (``hirota_verdicts``) at k = 3.  Built once per web."""
     if web.k != 3:
         raise WebError("the Bryant connection construction is the k = 3 case")
-    if not is_hirota_solution(web, zero):
-        raise NotAWebError("the function does not satisfy the Hirota system")
+    return _once(web, "bryant", _bryant_forms)
+
+
+def _bryant_forms(web: VeroneseWeb) -> BryantForms:
     nc = null_curve(web)
     eta = nc.coframe
     c: dict[tuple[int, int, int], Expr] = {}

@@ -89,7 +89,7 @@ from .expr import (
 )
 from .parser import MAX_EXPONENT
 
-__all__ = ["Verdict", "ZeroTester", "is_zero", "DEFAULT_TESTER"]
+__all__ = ["Verdict", "ZeroTester", "is_zero"]
 
 
 # The two sampling boxes, as (numerator bound, least and greatest
@@ -294,9 +294,6 @@ class ZeroTester:
         h.update(str(self.seed).encode())
         h.update(e.shash.to_bytes(8, "big"))
         return int.from_bytes(h.digest(), "big")
-
-
-DEFAULT_TESTER = ZeroTester()
 
 
 def is_zero(e: Expr, trials: int = 8, tolerance: float = 1e-9, seed: int = 0) -> Verdict:

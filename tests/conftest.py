@@ -31,9 +31,9 @@ from paraweb.jet import OneForm, VectorField
 from paraweb.report import ProblemSpec, analyze_web
 from paraweb.spectral import _spectral_nodes
 from paraweb.webs import VeroneseWeb
-from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
+from paraweb.zerotest import Verdict, ZeroTester, _pole_free
 
-from oracles import ThreeForm, exterior_derivative, lax_commutator_residuals, omega_at, wedge3
+from oracles import DEFAULT_TESTER, ThreeForm, exterior_derivative, lax_commutator_residuals, omega_at, wedge3
 
 # Non-flat exact Hirota solutions.  With the default spectral constants
 # (0, 1, ..., k+1) the two-exponential ansatz

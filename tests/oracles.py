@@ -7,9 +7,9 @@ residual; the Lie derivative and differential of one-forms, and the
 residuals of the third-order beta equation and of the trace relation,
 which reports do not decide yet.
 
-On the web side: omega(t) and V(t) at a given t, the
-first-order hierarchy, the Lax tuple and its commutators, the rational
-matrices of the null curve's fields and coframe, connections given by
+On the web side: the Hirota verdict as one bool, omega(t) and V(t) at a
+given t, the first-order hierarchy, the Lax tuple and its commutators,
+the rational matrices of the null curve's fields and coframe, connections given by
 their Christoffel tables (the k = 2 Weyl connection and the k = 3 Bryant
 connection, built from their forms on the null frame), torsion, the
 Ricci tensor and its null contraction, the covariant derivative of the
@@ -65,7 +65,7 @@ from paraweb.expr import (
     sub,
 )
 import paraweb.webs as webs
-from paraweb.invariants import CurvatureChain, Residual, _residual, curvature_chain, gamma_k
+from paraweb.invariants import CurvatureChain, Residual, curvature_chain, gamma_k
 from paraweb.jet import FrameError, OdeProblem, OneForm, VectorField, lie_bracket
 from paraweb.webs import (
     BryantForms,
@@ -76,7 +76,11 @@ from paraweb.webs import (
     null_curve,
     omega_coefficient_forms,
 )
-from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester, _pole_free
+from paraweb.zerotest import Verdict, ZeroTester, _pole_free
+
+# The tester of the oracles' callers that pass none.
+DEFAULT_TESTER = ZeroTester()
+
 
 @dataclass(frozen=True)
 class ScalingRule:
@@ -169,17 +173,16 @@ def connection_residuals(
     alpha: OneForm,
     beta: OneForm,
     chain: CurvatureChain | None = None,
-    zero: ZeroTester = DEFAULT_TESTER,
 ) -> list[Residual]:
     """Residuals of the third-order beta equation and the trace relation.
 
     The beta equation reads gamma_k beta''' + (-1)^k K' beta
     + 2 (-1)^k K beta' = (-1)^k dK with K = K_{k-1}; the trace relation
     is 2 alpha' + k beta'' = 0.  Both one-forms are evaluated against
-    V^(0)..V^(k) and each scalar gets a verdict.  Reports do not decide
+    V^(0)..V^(k), one named scalar each.  Reports do not decide
     either yet; this is the reference for a runtime beta residual.
     """
-    chain = chain or curvature_chain(ode, zero)
+    chain = chain or curvature_chain(ode)
     k = ode.k
     x = ode.total_derivative
     ktop = chain.curvatures[k - 1]
@@ -197,9 +200,9 @@ def connection_residuals(
 
     out = []
     for i in range(k + 1):
-        out.append(_residual(f"beta-equation[V^({i})]", eq_beta(chain.fields[i]), zero))
+        out.append(Residual(f"beta-equation[V^({i})]", eq_beta(chain.fields[i])))
     for i in range(k + 1):
-        out.append(_residual(f"trace-relation[V^({i})]", eq_trace(chain.fields[i]), zero))
+        out.append(Residual(f"trace-relation[V^({i})]", eq_trace(chain.fields[i])))
     return out
 
 
@@ -254,6 +257,12 @@ def omega_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> OneForm:
 def null_curve_at(web: VeroneseWeb, tval: Fraction, order: int = 0) -> VectorField:
     """V(t), or its order-th t-derivative, at an exact rational t."""
     return spectral_at(null_curve(web).fields, tval, order)
+
+
+def is_hirota_solution(web: VeroneseWeb, zero: ZeroTester = DEFAULT_TESTER) -> bool:
+    """The report's ``hirota`` verdict: every verdict of ``webs.hirota_verdicts``
+    is zero (on a web that passes ``webs.check_nondegenerate``)."""
+    return all(v is Verdict.ZERO for v in webs.hirota_verdicts(web, zero).values())
 
 
 def eq1_residuals(web: VeroneseWeb) -> dict[tuple[int, int], Expr]:

@@ -114,19 +114,19 @@ def closed_forms_order4(ode):
 class TestCurvatureChain:
     def test_order2_closed_form_exact(self):
         ode = OdeProblem.abstract(2)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         (k0,) = closed_forms_order2(ode)
         assert expand(sub(chain.curvatures[0], k0)) is ZERO
 
     def test_order3_closed_forms_exact(self):
         ode = OdeProblem.abstract(3)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         for got, want in zip(chain.curvatures, closed_forms_order3(ode)):
             assert expand(sub(got, want)) is ZERO
 
     def test_order4_closed_forms_exact(self):
         ode = OdeProblem.abstract(4)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         for got, want in zip(chain.curvatures, closed_forms_order4(ode)):
             assert expand(sub(got, want)) is ZERO
 
@@ -134,7 +134,7 @@ class TestCurvatureChain:
         for order in (3, 4, 5):
             ode = OdeProblem.abstract(order)
             k = ode.k
-            chain = curvature_chain(ode, ZT)
+            chain = curvature_chain(ode)
             dk1, dk = F(ode, **{f"x{k-1}": 1}), F(ode, **{f"x{k}": 1})
             closed = mul(rational((-1) ** k), add_iter([
                 dk1,
@@ -150,18 +150,18 @@ class TestCurvatureChain:
 
     def test_trivial_equation_all_curvatures_vanish(self):
         for order in (2, 4, 6):
-            chain = curvature_chain(OdeProblem.from_rhs(order, "0"), ZT)
+            chain = curvature_chain(OdeProblem.from_rhs(order, "0"))
             assert all(k is ZERO for k in chain.curvatures)
 
     def test_hypergeodesic_example_order3(self):
         # x''' = 3 x''^2 / (2 x') has identically vanishing curvatures
-        chain = curvature_chain(OdeProblem.from_rhs(3, "3*x2^2/(2*x1)"), ZT)
+        chain = curvature_chain(OdeProblem.from_rhs(3, "3*x2^2/(2*x1)"))
         assert all(k is ZERO for k in chain.curvatures)
 
     def test_expansion_residual_vanishes(self):
         for order in (2, 3, 4):
             ode = OdeProblem.abstract(order)
-            chain = curvature_chain(ode, ZT)
+            chain = curvature_chain(ode)
             assert chain.residual_dt is ZERO
             assert ZT.verdict(chain.residual_vk) is Verdict.ZERO
             resid = expansion_residual(chain)
@@ -170,15 +170,15 @@ class TestCurvatureChain:
 
 class TestWunschmann:
     def test_order2_has_no_invariants(self):
-        assert wunschmann_residuals(OdeProblem.abstract(2), zero=ZT) == []
+        assert wunschmann_residuals(OdeProblem.abstract(2)) == []
 
     def test_order3_residual_is_classical_invariant(self):
         ode = OdeProblem.abstract(3)
-        (res,) = wunschmann_residuals(ode, zero=ZT)
+        (res,) = wunschmann_residuals(ode)
         assert expand(sub(res.expr, coordinate_wunschmann_order3(ode))) is ZERO
 
     def test_order4_trivial_equation(self):
-        res = wunschmann_residuals(OdeProblem.from_rhs(4, "0"), zero=ZT)
+        res = wunschmann_residuals(OdeProblem.from_rhs(4, "0"))
         assert [r.expr for r in res] == [ZERO, ZERO]
 
     def test_order4_matches_contact_form_modulo_lower(self):
@@ -187,7 +187,7 @@ class TestWunschmann:
         # differs from the wunschmann[0] residual by
         #   7/10 W1' - 1/4 dF/dx3 W1  with W1 = K1 + K2'
         ode = OdeProblem.abstract(4)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         k0, k1, k2 = chain.curvatures
         d3 = F(ode, x3=1)
         X = lambda e: xf(ode, e)
@@ -197,25 +197,25 @@ class TestWunschmann:
             neg(mul(rational(Fraction(9, 100)), pow_int(k2, 2))),
             neg(mul(rational(Fraction(1, 4)), d3, w1)),
         ])
-        res = wunschmann_residuals(ode, chain, ZT)
+        res = wunschmann_residuals(ode, chain)
         relation = sub(sub(alt, res[0].expr),
                        sub(mul(rational(Fraction(7, 10)), X(w1)),
                            mul(rational(Fraction(1, 4)), d3, w1)))
         assert expand(relation) is ZERO
 
     def test_higher_order_flagged_necessary_only(self):
-        res = wunschmann_residuals(OdeProblem.abstract(5), zero=ZT)
+        res = wunschmann_residuals(OdeProblem.abstract(5))
         assert len(res) == 1 and res[0].note == "necessary condition only"
 
     def test_wunschmann_only_example(self):
         ode = OdeProblem.from_rhs(3, "x2^3")
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         assert chain.curvatures[0] is rational(6) * pow_int(sym("x2"), 6)
         assert chain.curvatures[1] is rational(-3) * pow_int(sym("x2"), 4)
-        wun = wunschmann_residuals(ode, chain, ZT)
-        assert all(r.is_zero for r in wun)
-        car = cartan_residuals(ode, chain, ZT)
-        assert not any(r.is_zero for r in car)
+        wun = wunschmann_residuals(ode, chain)
+        assert all(ZT.verdict(r.expr) is Verdict.ZERO for r in wun)
+        car = cartan_residuals(ode, chain)
+        assert not any(ZT.verdict(r.expr) is Verdict.ZERO for r in car)
 
 
 class TestCartan:
@@ -223,16 +223,16 @@ class TestCartan:
         # engine residual 4V'(K0) + V(K0') equals exactly three times the
         # classical sixteen-term coordinate expression
         ode = OdeProblem.abstract(2)
-        (res,) = cartan_residuals(ode, zero=ZT)
+        (res,) = cartan_residuals(ode)
         assert expand(sub(res.expr, mul(rational(3), coordinate_cartan_order2(ode)))) is ZERO
 
     def test_order2_sign_matters(self):
         # with the opposite sign the residual misclassifies x'' = -x'^3,
         # which is point equivalent to x'' = 0
         ode = OdeProblem.from_rhs(2, "-x1^3")
-        chain = curvature_chain(ode, ZT)
-        (res,) = cartan_residuals(ode, chain, ZT)
-        assert res.is_zero
+        chain = curvature_chain(ode)
+        (res,) = cartan_residuals(ode, chain)
+        assert ZT.verdict(res.expr) is Verdict.ZERO
         x = ode.total_derivative
         v, v1 = chain.fields[0], chain.fields[1]
         k0 = chain.curvatures[0]
@@ -241,7 +241,7 @@ class TestCartan:
 
     def test_order3_coordinate_identity(self):
         ode = OdeProblem.abstract(3)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         v, v1 = chain.fields[0], chain.fields[1]
         k0, k1 = chain.curvatures
         claim = mul(rational(Fraction(-3, 2)), sub(v1.apply(k1), v.apply(k0)))
@@ -251,7 +251,7 @@ class TestCartan:
         # substituting K1' = -2 K0 into 2V'(K1) + V(K1') gives
         # 2(V'(K1) - V(K0)) = -(4/3) C; the -(3/4) factor fails
         ode = OdeProblem.abstract(3)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         v, v1 = chain.fields[0], chain.fields[1]
         k0, k1 = chain.curvatures
         substituted = mul(rational(2), sub(v1.apply(k1), v.apply(k0)))
@@ -263,7 +263,7 @@ class TestCartan:
         # substituting K1 = -K2' into 4V'(K2) - 3V(K1) recovers the
         # residual exactly
         ode = OdeProblem.abstract(4)
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         v, v1 = chain.fields[0], chain.fields[1]
         k2 = chain.curvatures[2]
         x = ode.total_derivative
@@ -272,12 +272,12 @@ class TestCartan:
         substituted = sub(mul(rational(4), v1.apply(k2)),
                           mul(rational(3), v.apply(neg(x.apply(k2)))))
         assert sub(residual, substituted) is ZERO
-        (res,) = cartan_residuals(ode, chain, ZT)
+        (res,) = cartan_residuals(ode, chain)
         assert res.expr is residual
 
     def test_order5_residual_set(self):
         ode = OdeProblem.abstract(5)
-        res = cartan_residuals(ode, zero=ZT)
+        res = cartan_residuals(ode)
         names = [r.name for r in res]
         assert names == [
             "cartan[directional:0]",
@@ -292,7 +292,7 @@ class TestCartan:
         # variables, x'' = -x'^3, both satisfy every residual
         for rhs in ("0", "-x1^3"):
             ode = OdeProblem.from_rhs(2, rhs)
-            assert all(r.is_zero for r in cartan_residuals(ode, zero=ZT))
+            assert all(ZT.verdict(r.expr) is Verdict.ZERO for r in cartan_residuals(ode))
 
     def test_gamma_values(self):
         assert gamma_k(1) == Fraction(-1, 2)
@@ -304,12 +304,12 @@ class TestCartan:
 class TestBeta:
     def test_low_order_not_algebraic(self):
         with pytest.raises(ValueError):
-            beta_coefficient(OdeProblem.abstract(3), zero=ZT)
+            beta_coefficient(OdeProblem.abstract(3))
 
     def test_order4_coefficient(self):
         ode = OdeProblem.abstract(4)
-        chain = curvature_chain(ode, ZT)
-        b, beta = beta_coefficient(ode, chain, ZT)
+        chain = curvature_chain(ode)
+        b, beta = beta_coefficient(ode, chain)
         want = mul(rational(Fraction(-1, 5)), chain.fields[0].apply(chain.curvatures[2]))
         assert expand(sub(b, want)) is ZERO
         for i in range(3):
@@ -319,16 +319,16 @@ class TestBeta:
     def test_order5_coefficient(self):
         # binom(6,3) = 20 and sign (-1)^4: b = V'(K3)/10
         ode = OdeProblem.abstract(5)
-        chain = curvature_chain(ode, ZT)
-        b, beta = beta_coefficient(ode, chain, ZT)
+        chain = curvature_chain(ode)
+        b, beta = beta_coefficient(ode, chain)
         want = mul(rational(Fraction(1, 10)), chain.fields[1].apply(chain.curvatures[3]))
         assert ZT.verdict(sub(b, want)) is Verdict.ZERO
 
     def test_order4_nonzero_coefficient(self):
         # x^(4) = 5 (x^(3))^2 / (3 x^(2)) is totally geodesic with b = -x3/(3 x2^2)
         ode = OdeProblem.from_rhs(4, "5*x3^2/(3*x2)")
-        chain = curvature_chain(ode, ZT)
-        b, beta = beta_coefficient(ode, chain, ZT)
+        chain = curvature_chain(ode)
+        b, beta = beta_coefficient(ode, chain)
         x2, x3 = sym("x2"), sym("x3")
         assert ZT.verdict(add(b, mul(rational(Fraction(1, 3)), x3, pow_int(x2, -2)))) is Verdict.ZERO
         for i in range(3):
@@ -337,7 +337,7 @@ class TestBeta:
 
     def test_trivial_equation_beta_vanishes(self):
         ode = OdeProblem.from_rhs(4, "0")
-        b, beta = beta_coefficient(ode, zero=ZT)
+        b, beta = beta_coefficient(ode)
         assert b is ZERO and beta.comps == {}
 
 
@@ -362,7 +362,7 @@ class TestConnection:
     def test_trivial_equation_all_residuals_vanish(self):
         ode = OdeProblem.from_rhs(4, "0")
         zero_form = OneForm(ode.coords, {})
-        res = connection_residuals(ode, zero_form, zero_form, zero=ZT)
+        res = connection_residuals(ode, zero_form, zero_form)
         assert all(r.expr is ZERO for r in res)
 
     def test_beta_equation_scalar_relations_order4(self):
@@ -372,7 +372,7 @@ class TestConnection:
         # derivative D = X + (dF/dx3)/4
         ctx = OdeProblem.jet_context(4, extra_functions={"b": ("t", "x0", "x1", "x2", "x3")})
         ode = OdeProblem(4, ctx, ctx.opaque_symbol("F"))
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         x = ode.total_derivative
         theta = dual_coframe_oracle(chain.fields[:4], ode.coords[1:], ZT)
         b = ctx.opaque_symbol("b")
@@ -381,7 +381,7 @@ class TestConnection:
         k2, k1 = chain.curvatures[2], chain.curvatures[1]
         m = ScalingRule(ode).multiplier
         D = lambda f: add(x.apply(f), mul(m, f))
-        got = {r.name: r.expr for r in connection_residuals(ode, alpha, beta, chain, ZT)}
+        got = {r.name: r.expr for r in connection_residuals(ode, alpha, beta, chain)}
         v = chain.fields
         bp, bpp, bppp = D(b), D(D(b)), D(D(D(b)))
         expected = {
@@ -403,22 +403,22 @@ class TestConnection:
     def test_beta_equation_on_vk3_vanishes_by_construction(self):
         for order in (4, 5):
             ode = OdeProblem.abstract(order)
-            chain = curvature_chain(ode, ZT)
-            _, beta = beta_coefficient(ode, chain, ZT)
+            chain = curvature_chain(ode)
+            _, beta = beta_coefficient(ode, chain)
             res = {r.name: r for r in connection_residuals(
-                ode, OneForm(ode.coords, {}), beta, chain, ZT)}
+                ode, OneForm(ode.coords, {}), beta, chain)}
             name = f"beta-equation[V^({ode.k - 3})]"
-            assert res[name].is_zero
+            assert ZT.verdict(res[name].expr) is Verdict.ZERO
 
 
 def invariant_report(ode):
     """Oracle for analyze_ode's classification (orders 2-4) and beta_b:
     (Wunschmann holds, Cartan holds, b or None), straight from the
     residual and beta functions."""
-    chain = curvature_chain(ode, ZT)
-    wun = all(r.is_zero for r in wunschmann_residuals(ode, chain, ZT))
-    car = all(r.is_zero for r in cartan_residuals(ode, chain, ZT))
-    beta_b = beta_coefficient(ode, chain, ZT)[0] if ode.order >= 4 and wun and car else None
+    chain = curvature_chain(ode)
+    wun = all(ZT.verdict(r.expr) is Verdict.ZERO for r in wunschmann_residuals(ode, chain))
+    car = all(ZT.verdict(r.expr) is Verdict.ZERO for r in cartan_residuals(ode, chain))
+    beta_b = beta_coefficient(ode, chain)[0] if ode.order >= 4 and wun and car else None
     return wun, car, beta_b
 
 

@@ -180,7 +180,7 @@ class TestDualCoframe:
         from paraweb.invariants import curvature_chain
 
         ode = OdeProblem.from_rhs(4, "0")
-        chain = curvature_chain(ode, ZT)
+        chain = curvature_chain(ode)
         thetas = dual_coframe_oracle(chain.fields[:4], ode.coords[1:], ZT)
         # V^(i) = (-1)^i d/dx(k-i), so theta_i = (-1)^i dx(k-i)
         for i, th in enumerate(thetas):
@@ -192,7 +192,7 @@ class TestDualCoframe:
         for order in (3, 4, 5):
             ode = OdeProblem.abstract(order)
             k = ode.k
-            chain = curvature_chain(ode, ZT)
+            chain = curvature_chain(ode)
             thetas = dual_coframe_oracle(chain.fields[:k + 1], ode.coords[1:], ZT)
             for i in range(k + 1):
                 for j in range(k + 1):
@@ -226,7 +226,7 @@ class TestChainTriangularity:
         odes += [OdeProblem.from_rhs(order, rhs) for order, rhs in CONCRETE_RHS]
         for ode in odes:
             k = ode.k
-            chain = curvature_chain(ode, ZT)
+            chain = curvature_chain(ode)
             for i in range(k + 1):
                 f = chain.fields[i]
                 assert f.comp(f"x{k - i}") is rational((-1) ** i)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -24,11 +25,12 @@ from paraweb.webs import (
     bryant_forms,
     canonical_connection,
     hirota_residuals,
+    hirota_verdicts,
     make_web,
     null_curve,
     omega_coefficient_forms,
 )
-from paraweb.zerotest import DEFAULT_TESTER, Verdict, ZeroTester
+from paraweb.zerotest import Verdict, ZeroTester
 
 import oracles
 from conftest import NONFLAT_W, lax_commutes, zakharevich_oracle
@@ -72,9 +74,9 @@ def _connections(k: int, w: str) -> list[WebConnection | oracles.TableConnection
     web = make_web(k, w)
     if k == 2:
         return [oracles.weyl_connection(web)]
-    conns = [canonical_connection(web, ZT)]
+    conns = [canonical_connection(web)]
     if k == 3:
-        conns.append(oracles.bryant_connection(bryant_forms(web, ZT)))
+        conns.append(oracles.bryant_connection(bryant_forms(web)))
     return conns
 
 
@@ -93,7 +95,7 @@ class TestRicci:
             built.append(factors)
             return mul(*factors)
 
-        conn = canonical_connection(make_web(4, NONFLAT_W[4]), ZT)
+        conn = canonical_connection(make_web(4, NONFLAT_W[4]))
         monkeypatch.setattr(oracles, "mul", recording_mul)
         ricci_tensor(conn)
         assert built and not any(f is ZERO for factors in built for f in factors)
@@ -133,7 +135,7 @@ class TestVerdictMemo:
         # triples through 0, and on a solution so does the triple (1, 2, 3).
         web = make_web(k, w)
         read = [*eq1_residuals(web).values(), *lax_commutator_residuals(web).values()]
-        h123 = hirota_residuals(web, ZT)[(1, 2, 3)][0]
+        h123 = hirota_residuals(web)[(1, 2, 3)]
         tested = []
         verdict_stats = ZeroTester.verdict_stats
 
@@ -181,13 +183,16 @@ class TestVerdictMemo:
             return tester
 
         monkeypatch.setattr(ProblemSpec, "tester", tracked)
-        before = dict(DEFAULT_TESTER._verdicts)
+        # The package keeps no tester of its own that a batch could fill:
+        # only decisions take one, and each problem brings its own.
+        modules = [m for name, m in sys.modules.items() if name.startswith("paraweb.")]
+        assert len(modules) >= 9
+        assert not [v for m in modules for v in vars(m).values() if isinstance(v, ZeroTester)]
         golden = json.loads((DATA / "golden_problems.json").read_text(encoding="utf-8"))
         # listed twice, the repeats reuse the entries of the first listing
         for doc in (golden, {"problems": golden["problems"] * 2}):
             refs.clear()
             report, _ = analyze_batch(doc)
-            assert DEFAULT_TESTER._verdicts == before
             del report
             gc.collect()
             assert refs and all(ref() is None for ref in refs)
@@ -198,22 +203,25 @@ class TestWebObjects:
         web = make_web(3, NONFLAT_W[3])
         assert null_curve(web) is null_curve(web)
         assert omega_coefficient_forms(web) is omega_coefficient_forms(web)
-        assert hirota_residuals(web, ZT) is hirota_residuals(web, ZT)
-        assert canonical_connection(web, ZT) is canonical_connection(web, ZT)
-        assert hirota_residuals(web, ZeroTester(seed=1)) is not hirota_residuals(web, ZT)
+        assert canonical_connection(web) is canonical_connection(web)
+        assert bryant_forms(web) is bryant_forms(web)
+        # one build, whatever tester decides it
+        built = hirota_residuals(web)
+        assert hirota_verdicts(web, ZeroTester(seed=1)) == hirota_verdicts(web, ZT)
+        assert hirota_residuals(web) is built
 
     @pytest.mark.parametrize("k,w", [(3, NONFLAT_W[3]), (5, "x0 + x1^2/2 + x2 + x3 + x4 + exp(x5)")])
     def test_report_builds_hirota_and_connection_once(self, monkeypatch, k, w):
         built = []
-        for name in ("_hirota_residuals", "_canonical_connection"):
-            def counting(web, zero, _build=getattr(webs_mod, name), _name=name):
+        for name in ("_hirota_residuals", "_diagonal_connection"):
+            def counting(web, _build=getattr(webs_mod, name), _name=name):
                 built.append(_name)
-                return _build(web, zero)
+                return _build(web)
 
             monkeypatch.setattr(webs_mod, name, counting)
         rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": k, "w": w}))
         assert rep["verdicts"]["hirota"] and "flat" in rep["verdicts"]
-        assert sorted(built) == ["_canonical_connection", "_hirota_residuals"]
+        assert sorted(built) == ["_diagonal_connection", "_hirota_residuals"]
 
     def test_null_dual_is_read_not_inverted(self, monkeypatch):
         # A k = 3 report reads the dual of the null frame from omega's

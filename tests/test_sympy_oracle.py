@@ -30,7 +30,7 @@ from math import factorial
 import pytest
 
 from paraweb.report import analyze_batch
-from paraweb.webs import flatness_verdict, hirota_residuals, make_web
+from paraweb.webs import flatness_verdict, hirota_verdicts, make_web
 from paraweb.zerotest import Verdict, ZeroTester
 
 from conftest import NONFLAT_W, NONFLAT_W5
@@ -133,7 +133,7 @@ class Oracle:
 def test_exp_web_verdicts_agree_with_sympy(k, w):
     web, oracle = make_web(k, w), Oracle(k, w)
     engine = {
-        "hirota": {key: v for key, (_, v) in hirota_residuals(web, ZT).items()},
+        "hirota": hirota_verdicts(web, ZT),
         # reports print these two with the Hirota verdicts; here each is tested
         "hierarchy": {key: ZT.verdict(e) for key, e in eq1_residuals(web).items()},
         "lax": {key: ZT.verdict(e) for key, e in lax_commutator_residuals(web).items()},

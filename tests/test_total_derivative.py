@@ -189,7 +189,7 @@ def test_chain_is_the_cofactor_chain(order, rhs):
     # equal as functions, not as trees, so compared by the exact zero test
     # with every function node frozen to a symbol of its own.
     ode = OdeProblem.from_rhs(order, rhs)
-    chain = curvature_chain(ode, ZT)
+    chain = curvature_chain(ode)
     fields, curvatures = cofactor_chain(ode)
     pairs = [(got.comp(c), want.comp(c)) for got, want in zip(chain.fields, fields, strict=True)
              for c in ode.coords]
@@ -202,10 +202,10 @@ def test_chain_is_the_cofactor_chain(order, rhs):
 
 @pytest.mark.parametrize("order,rhs", CHAIN_PROBLEMS)
 def test_curvatures_match_the_reference_chain(order, rhs, monkeypatch):
-    got = curvature_chain(OdeProblem.from_rhs(order, rhs), ZT).curvatures
+    got = curvature_chain(OdeProblem.from_rhs(order, rhs)).curvatures
     with monkeypatch.context() as m:
         m.setattr(TotalDerivative, "apply", VectorField.apply)
-        want = curvature_chain(OdeProblem.from_rhs(order, rhs), ZT).curvatures
+        want = curvature_chain(OdeProblem.from_rhs(order, rhs)).curvatures
     assert len(got) == len(want) == order - 1
     for j, (a, b) in enumerate(zip(got, want)):
         assert EXACT.verdict(sub(a, b)) is Verdict.ZERO, f"K_{j}"
@@ -223,9 +223,9 @@ def test_one_total_derivative_per_problem():
     # the cofactors went through the problem's X ...
     assert all(g in x._memo for g in cofactors[:-1])
     # ... and the chain and the residuals reuse it
-    chain = curvature_chain(ode, ZT)
-    wunschmann_residuals(ode, chain, ZT)
-    cartan_residuals(ode, chain, ZT)
+    chain = curvature_chain(ode)
+    wunschmann_residuals(ode, chain)
+    cartan_residuals(ode, chain)
     assert ode.total_derivative is x
     assert chain.curvatures[ode.k - 1] in x._memo
 
@@ -236,8 +236,8 @@ class _Probe:
 
 def test_total_derivative_is_freed_with_its_problem():
     ode = OdeProblem.abstract(4)
-    chain = curvature_chain(ode, ZT)
-    residuals = wunschmann_residuals(ode, chain, ZT) + cartan_residuals(ode, chain, ZT)
+    chain = curvature_chain(ode)
+    residuals = wunschmann_residuals(ode, chain) + cartan_residuals(ode, chain)
     x = ode.total_derivative
     assert x._memo
     # Expression nodes are interned for the life of the process, so a
@@ -433,7 +433,7 @@ def staged_chain(ode: OdeProblem):
 @pytest.mark.parametrize("order,rhs", CHAIN_PROBLEMS[:4] + [(3, rhs) for rhs in concrete_rhs(3)])
 def test_chain_is_the_staged_chain(order, rhs):
     ode = OdeProblem.from_rhs(order, rhs)
-    chain = curvature_chain(ode, ZT)
+    chain = curvature_chain(ode)
     fields, curvatures = staged_chain(ode)
     for got, want in zip(chain.fields, fields, strict=True):
         assert all(got.comp(c) is want.comp(c) for c in ode.coords)
@@ -442,7 +442,7 @@ def test_chain_is_the_staged_chain(order, rhs):
 
 def test_derivatives_of_chain_components_are_the_staged_nodes():
     ode = OdeProblem.abstract(4)
-    chain = curvature_chain(ode, ZT)
+    chain = curvature_chain(ode)
     x = ode.total_derivative
     roots = [e for f in chain.fields for e in f.comps.values()] + list(chain.curvatures)
     memo: dict = {}

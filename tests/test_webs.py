@@ -14,7 +14,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,15 +44,14 @@ import paraweb.spectral as spectral
 import paraweb.webs as webs
 from paraweb.webs import (
     DegenerateWebError,
-    InterpolationError,
-    NotAWebError,
     WebError,
     bryant_forms,
     canonical_connection,
+    check_nondegenerate,
     conformal_metric,
     flatness_verdict,
     hirota_residuals,
-    is_hirota_solution,
+    hirota_verdicts,
     make_web,
     null_curve,
     omega_coefficient_forms,
@@ -80,6 +79,7 @@ from oracles import (
     coframe_matrix,
     eq1_residuals,
     exterior_derivative,
+    is_hirota_solution,
     lax_commutator_residuals,
     lax_tuple,
     null_curve_at,
@@ -111,8 +111,10 @@ class TestConstruction:
             make_web(2, "x0+x1+x2", t_params=(0, 1, 1, 3))
 
     def test_degenerate_presentation_rejected(self):
-        with pytest.raises(DegenerateWebError):
-            make_web(3, "x0*x1")
+        web = make_web(3, "x0*x1")
+        with pytest.raises(DegenerateWebError, match="dw/dx2"):
+            check_nondegenerate(web, ZT)
+        check_nondegenerate(make_web(3, "x0*x1 + x2 + x3"), ZT)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -300,12 +302,11 @@ class TestNullCurve:
 class TestHirotaLax:
     def test_separable_solves_exactly(self):
         web = make_web(3, "x0+x1+x2+x3")
-        assert all(e is ZERO for e, _ in hirota_residuals(web, ZT).values())
+        assert all(e is ZERO for e in hirota_residuals(web).values())
 
     def test_product_is_not_a_solution(self):
         web = make_web(2, "x0*x1*x2 + x0 + x1 + x2")
-        hr = hirota_residuals(web, ZT)
-        assert any(v is Verdict.NONZERO for _, v in hr.values())
+        assert any(v is Verdict.NONZERO for v in hirota_verdicts(web, ZT).values())
 
     def test_nonflat_exponential_solutions(self):
         for k, w in NONFLAT_W.items():
@@ -443,7 +444,7 @@ class TestOneVerdict:
         web = make_web(k, "w", one_verdict_t_params(k, kind))
         t = web.t_params
         top = t[-1]
-        h = {key: e for key, (e, _) in hirota_residuals(web, EXACT).items()}
+        h = hirota_residuals(web)
         hierarchy, lax = eq1_residuals(web), lax_commutator_residuals(web)
         pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
         factor = {0: -t[0] * top, 1: t[0] + top, 2: Fraction(-1)}
@@ -508,14 +509,22 @@ FLATNESS_WEBS = (
 
 
 class TestCanonicalConnection:
-    def test_requires_solution(self):
-        web = make_web(3, "x0*x1*x2 + x0 + x1 + x2 + x3")
-        with pytest.raises(NotAWebError):
-            canonical_connection(web, ZT)
+    def test_requires_solution(self, monkeypatch):
+        # The connection is that of a Hirota solution: a report decides the
+        # Hirota system first, and builds the connection (for flatness too)
+        # only on a solution.
+        built = []
+        real = webs._diagonal_connection
+        monkeypatch.setattr(webs, "_diagonal_connection", lambda web: built.append(web.w) or real(web))
+        for w, solves in (("x0*x1*x2 + x0 + x1 + x2 + x3", False), (NONFLAT_W[3], True)):
+            rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": w}))
+            assert rep["verdicts"]["hirota"] is solves, w
+            assert ("connection" in rep["derived"]) is ("flat" in rep["verdicts"]) is solves, w
+        assert len(built) == 1
 
     def test_k1_explicit_formulas(self):
         web = make_web(1, "x0 + x1 + x0*x1")
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         g00 = conn.christoffel("x0", "x0", "x0")
         g11 = conn.christoffel("x1", "x1", "x1")
         want00 = sub(div(web.dw2(0, 0), web.dw(0)), div(web.dw2(0, 1), web.dw(1)))
@@ -538,14 +547,14 @@ class TestCanonicalConnection:
         # At k = 1 the diagonal tables give alpha = (-w01/w1, -w01/w0), the
         # very nodes of the closed form, for any spectral constants.
         web = make_web(1, w, t_params)
-        alpha = canonical_connection(web, ZT).alpha
+        alpha = canonical_connection(web).alpha
         assert alpha.comp("x0") is neg(div(web.dw2(0, 1), web.dw(1)))
         assert alpha.comp("x1") is neg(div(web.dw2(0, 1), web.dw(0)))
 
     def test_k1_preserves_null_directions(self):
         # nabla_Y V(t) proportional to V(t) for each t
         web = make_web(1, "x0 + x1 + x0*x1")
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         for tv in (Fraction(3), Fraction(-1, 2)):
             v = null_curve_at(web, tv)
             for a in web.coords:
@@ -562,14 +571,14 @@ class TestCanonicalConnection:
 
     def test_flat_web_has_zero_alpha(self):
         web = make_web(3, "x0+x1+x2+x3")
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         assert conn.alpha.comps == {}
         assert all(conn.christoffel(a, b, b) is ZERO for a in web.coords for b in web.coords)
 
     def test_torsion_normalisation_of_alpha(self):
         # the defining property: T(V(t), V'(t)) is proportional to V(t)
         web = make_web(3, NONFLAT_W[3])
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         tor = torsion(conn)
         for tv in (Fraction(6), Fraction(-1, 3)):
             v, vp = null_curve_at(web, tv), null_curve_at(web, tv, order=1)
@@ -598,7 +607,7 @@ class TestCanonicalConnection:
         # oracle, the same nodes in the same order, up to the first
         # nonzero one, and agrees with the oracle's full torsion verdict.
         tester = ZeroTester()
-        conn = canonical_connection(web, tester)
+        conn = canonical_connection(web)
         real, seen = ZeroTester.verdict, []
         monkeypatch.setattr(ZeroTester, "verdict", lambda self, e: seen.append(e) or real(self, e))
         assert flatness_verdict(web, tester) is expect
@@ -619,7 +628,7 @@ class TestCanonicalConnection:
         # for k > 2 the canonical connection preserves each null
         # direction on the nose: nabla_Y V(t) = alpha(Y) V(t)
         web = make_web(3, NONFLAT_W[3])
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         for tv in (Fraction(5), Fraction(-1, 2)):
             v = null_curve_at(web, tv)
             for a in web.coords:
@@ -637,11 +646,21 @@ class TestCanonicalConnection:
 
     def test_h_interpolation_consistency_is_checked(self):
         # the bracket function h(t) of a genuine web obeys its degree
-        # bound, so construction succeeds and the connection is the same
-        # from either node family
+        # bound at either node family (the check row of the oracle's
+        # tables), so the tables interpolate it at k + 1 nodes
         web = make_web(4, "x0+x1+x2+x3+x4 + 0*x0")
-        conn = canonical_connection(web, ZT)
-        assert conn.alpha.comps == {}
+        assert is_hirota_solution(web, ZT)
+        assert [degree_check(web, start) for start in (0, 101)] == [ZERO, ZERO]
+        assert canonical_connection(web).alpha.comps == {}
+
+
+def degree_check(web, start):
+    """The check row of ``oracles.diagonal_tables`` over the b_jl: the
+    interpolant of h through the k + 1 nodes from ``start``, at the next
+    node, minus h there.  It vanishes when h has degree at most k."""
+    check, _ = oracles.diagonal_tables(web.t_params, start)
+    basis = [div(web.dw2(j, l), mul(web.dw(j), web.dw(l))) for j, l in combinations(range(web.k + 1), 2)]
+    return add_iter(mul(rational(c), b) for c, b in zip(check, basis) if c)
 
 
 def separable_w(k):
@@ -776,7 +795,7 @@ class TestFrameBrackets:
         nodes = spectral._spectral_nodes(web.t_params, k + 2)
         for s in nodes:
             assert EXACT.verdict(sub(table_h(web, s), bracket_h_oracle(web, s))) is Verdict.ZERO, s
-        alpha = webs._diagonal_connection(web, EXACT).alpha
+        alpha = webs._diagonal_connection(web).alpha
         want = alpha_oracle(web, nodes[: k + 1])
         for c in web.coords:
             assert EXACT.verdict(sub(alpha.comp(c), want[c])) is Verdict.ZERO, c
@@ -801,41 +820,28 @@ class TestFrameBrackets:
     @pytest.mark.parametrize("k", (3, 4, 5))
     def test_nonflat_alpha_strings_are_small(self, k):
         web = make_web(k, NONFLAT_W[k] if k in NONFLAT_W else NONFLAT_W5)
-        alpha = canonical_connection(web, ZT).alpha
+        alpha = canonical_connection(web).alpha
         assert len(alpha.comps) == k + 1
         assert all(len(to_string(e)) <= 5000 for e in alpha.comps.values())
 
-    def test_degree_bound_retry_and_failure(self, monkeypatch, fresh_tables):
-        web = make_web(3, NONFLAT_W[3])
-        want = webs._diagonal_connection(web, ZT).alpha
-        real_h = spectral._bracket_h
-        seen = []
+    def test_degree_check_row_repeats_the_hirota_verdict(self, corpus):
+        # On a web h(t) has degree at most k, which the interpolation of
+        # the diagonal connection rests on, so the connection checks no
+        # degree bound.  The oracle's check row, at both node families,
+        # vanishes exactly on every Hirota solution and on no other web.
+        # NONFLAT_HIGH_W[8] has exponents beyond parser.MAX_EXPONENT, so it
+        # is sampled in floats, where EXACT's tolerance 0 fails.
+        cases = [(k, w, tag != "random", EXACT) for k, w, tag in corpus]
+        cases += [(k, w, True, EXACT if k < 8 else ZT) for k, w in NONFLAT_HIGH_W.items()]
+        cases.append((3, NONFLAT_POLY_W3, True, EXACT))
+        for k, w, solves, tester in cases:
+            web = make_web(k, w)
+            assert is_hirota_solution(web, tester) is solves, w
+            want = Verdict.ZERO if solves else Verdict.NONZERO
+            for start in (0, 101):
+                assert tester.verdict(degree_check(web, start)) is want, (w, start)
 
-        def off_degree(limit):
-            # h plus s^(k+1) sum_jl b_jl, which breaks the degree bound, at
-            # nodes below limit
-            def h(t, nodes):
-                seen.extend(nodes)
-                scales, rows = real_h(t, nodes)
-                return scales, [[c + s ** (len(t) - 1) / f if s < limit else c for c, f in zip(row, scales)]
-                                for s, row in zip(nodes, rows)]
-            return h
-
-        # the first node family starts at 0, the retry at 101
-        spectral._diagonal_tables.cache_clear()
-        monkeypatch.setattr(spectral, "_bracket_h", off_degree(101))
-        alpha = webs._diagonal_connection(web, ZT).alpha
-        assert len(seen) == 2 * (web.k + 2) and max(seen) >= 101
-        # other nodes give another tree for the same alpha
-        for c in web.coords:
-            assert EXACT.verdict(sub(alpha.comp(c), want.comp(c))) is Verdict.ZERO, c
-
-        spectral._diagonal_tables.cache_clear()
-        monkeypatch.setattr(spectral, "_bracket_h", off_degree(math.inf))
-        with pytest.raises(InterpolationError):
-            canonical_connection(web, ZT)
-
-    def test_tables_are_built_once_per_constants_and_node_family(self, monkeypatch, fresh_tables):
+    def test_tables_are_built_once_per_constants(self, monkeypatch, fresh_tables):
         real_h = spectral._bracket_h
         seen = []
 
@@ -845,19 +851,16 @@ class TestFrameBrackets:
 
         monkeypatch.setattr(spectral, "_bracket_h", counting)
         web = make_web(3, NONFLAT_W[3])
-        canonical_connection(web, ZT)
-        assert len(seen) == web.k + 2
+        canonical_connection(web)
+        assert len(seen) == web.k + 1
         # another web with the same spectral constants builds no table
-        canonical_connection(make_web(3, "x0 + x1^2/2 + x2 + x3"), ZT)
-        assert len(seen) == web.k + 2
-        # other spectral constants, and the other node family, each build one
-        canonical_connection(make_web(3, NONFLAT_SHIFTED_W3, SHIFTED_T3), ZT)
-        assert len(seen) == 2 * (web.k + 2)
-        retry = spectral._diagonal_tables(web.t_params, 101)
-        assert len(seen) == 3 * (web.k + 2) and min(s for _, s in seen[-web.k - 2:]) == 101
-        assert retry is not spectral._diagonal_tables(web.t_params, 0)
-        assert retry is spectral._diagonal_tables(web.t_params, 101)
-        assert len(seen) == 3 * (web.k + 2)
+        canonical_connection(make_web(3, "x0 + x1^2/2 + x2 + x3"))
+        assert len(seen) == web.k + 1
+        # other spectral constants build one
+        canonical_connection(make_web(3, NONFLAT_SHIFTED_W3, SHIFTED_T3))
+        assert len(seen) == 2 * (web.k + 1)
+        assert spectral._diagonal_tables(web.t_params) is spectral._diagonal_tables(web.t_params)
+        assert len(seen) == 2 * (web.k + 1)
 
 
 class TestWeylStructure:
@@ -866,7 +869,7 @@ class TestWeylStructure:
         # and (1,2); on a Hirota solution the (1,2)/(2,0) version agrees
         web = make_web(2, NONFLAT_W[2])
         t = web.t_params
-        f01 = canonical_connection(web, ZT).f
+        f01 = canonical_connection(web).f
         lead = Fraction(-1, 4) / ((t[3] - t[2]) * (t[1] - t[0]))
         f12 = mul(rational(lead), sub(
             div(web.dw2(1, 2), mul(web.dw(1), web.dw(2))),
@@ -875,7 +878,7 @@ class TestWeylStructure:
 
     def test_weyl_connection_separable(self):
         web = make_web(2, "x0+x1+x2")
-        assert ZT.verdict(canonical_connection(web, ZT).f) is Verdict.ZERO
+        assert ZT.verdict(canonical_connection(web).f) is Verdict.ZERO
         table = weyl_connection(web)
         assert torsion_free(table, ZT)
         res = oracles.weyl_compatibility_residuals(table, zero=ZT)
@@ -883,7 +886,7 @@ class TestWeylStructure:
 
     def test_weyl_connection_nonflat(self):
         web = make_web(2, NONFLAT_W[2])
-        assert ZT.verdict(canonical_connection(web, ZT).f) is Verdict.NONZERO
+        assert ZT.verdict(canonical_connection(web).f) is Verdict.NONZERO
         table = weyl_connection(web)
         assert torsion_free(table, ZT)
         res = oracles.weyl_compatibility_residuals(table, zero=ZT)
@@ -908,7 +911,7 @@ class TestWeylStructure:
                             ("x1*x2 + x0*x1^5*x2^2", None)):
             web = make_web(2, w, t_params)
             assert is_hirota_solution(web, EXACT)
-            phi = weyl_form(canonical_connection(web, EXACT))
+            phi = weyl_form(canonical_connection(web))
             for i in range(3):
                 want = add_iter(div(web.dw2(i, j), web.dw(j)) for j in range(3) if j != i)
                 assert EXACT.verdict(sub(phi.comp(f"x{i}"), want)) is Verdict.ZERO, (w, i)
@@ -1015,7 +1018,7 @@ class TestRicci:
         # of ln(dw/dx_c): Ric_bc = d_c alpha_b - d_b alpha_c.  Ric is then
         # antisymmetric and Ric(V, V) = 0, which the report relies on.
         web = make_web(k, w)
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         assert conn.kind == "diagonal"
         alpha = conn.alpha
         ric = ricci_tensor(conn)
@@ -1039,7 +1042,7 @@ class TestRicci:
 
     def test_flat_web_is_ricci_flat(self):
         web = make_web(3, "x0+x1+x2+x3")
-        conn = canonical_connection(web, ZT)
+        conn = canonical_connection(web)
         assert all(e is ZERO for e in ricci_tensor(conn).values())
 
     def test_weyl_ricci_is_null_exactly(self, corpus):
@@ -1058,7 +1061,7 @@ class TestRicci:
         cases.append(make_web(2, "exp(x1+x2) + exp(x0+9*x1+4*x2)", (0, 1, 2, 5)))
         cases += [make_web(2, w, T2) for w in ("x0 + x1^2/2 + x2", "sqrt(x0-2) + x1 + x2")]
         for web in cases:
-            assert canonical_connection(web, EXACT).kind == "weyl" and is_hirota_solution(web, EXACT), web.w
+            assert canonical_connection(web).kind == "weyl" and is_hirota_solution(web, EXACT), web.w
             conn = weyl_connection(web)
             ric = ricci_tensor(conn)
             for tv in RICCI_NULL_NODES:
@@ -1099,10 +1102,10 @@ class TestRicci:
 class TestBryant:
     def test_requires_k3(self):
         with pytest.raises(WebError):
-            bryant_forms(make_web(2, "x0+x1+x2"), ZT)
+            bryant_forms(make_web(2, "x0+x1+x2"))
 
     def test_flat_web_all_zero(self):
-        bf = bryant_forms(make_web(3, "x0+x1+x2+x3"), ZT)
+        bf = bryant_forms(make_web(3, "x0+x1+x2+x3"))
         assert all(e is ZERO for e in bf.c.values())
         assert all(not b.comps for b in oracles.bryant_betas(bf))
         assert not bf.alpha.comps
@@ -1111,7 +1114,7 @@ class TestBryant:
         # stored for i < j only; the accessor's antisymmetry is checked
         # through the dual pairing against the brackets
         web = make_web(3, NONFLAT_W[3])
-        bf = bryant_forms(web, ZT)
+        bf = bryant_forms(web)
         nc = null_curve(web)
         br = lie_bracket(nc.fields[2], nc.fields[1])
         want = neg(bf.c[(1, 2, 0)])
@@ -1119,15 +1122,21 @@ class TestBryant:
 
     def test_nonflat_torsion_free_with_nonzero_beta(self):
         web = make_web(3, NONFLAT_W[3])
-        bf = bryant_forms(web, ZT)
+        bf = bryant_forms(web)
         assert any(ZT.verdict(v) is Verdict.NONZERO for b in oracles.bryant_betas(bf) for v in b.comps.values())
         tres = oracles.bryant_torsion_residuals(bf, ZT)
         assert all(v is Verdict.ZERO for _, v in tres.values())
 
-    def test_requires_solution(self):
-        web = make_web(3, "x0*x1*x2 + x0 + x1 + x2 + x3")
-        with pytest.raises(NotAWebError):
-            bryant_forms(web, ZT)
+    def test_requires_solution(self, monkeypatch):
+        # The Bryant forms are those of a Hirota solution: a report decides
+        # the Hirota system first, and builds them only on a solution.
+        built = []
+        real = webs._bryant_forms
+        monkeypatch.setattr(webs, "_bryant_forms", lambda web: built.append(web.w) or real(web))
+        for w, solves in (("x0*x1*x2 + x0 + x1 + x2 + x3", False), (NONFLAT_W[3], True)):
+            rep = analyze_web(ProblemSpec.from_dict({"kind": "web", "k": 3, "w": w}))
+            assert rep["verdicts"]["hirota"] is ("bryant" in rep["derived"]) is solves, w
+        assert len(built) == 1
 
 
 class TestZakharevich:
@@ -1149,12 +1158,12 @@ class TestZakharevich:
         assert not is_hirota_solution(not_a_web, EXACT)
         for web in cases:
             k, t = web.k, web.t_params
-            hr = hirota_residuals(web, EXACT)
+            hr = hirota_residuals(web)
             for s in spectral._spectral_nodes(web.t_params, k + 3):
                 three = omega_wedge_d_omega(web, s)
                 assert set(three.comps) <= {tuple(f"x{i}" for i in key) for key in hr}
                 p = math.prod(s - t[j] for j in range(k + 1))
-                for (a, b, c), (h, _) in hr.items():
+                for (a, b, c), h in hr.items():
                     factor = p * p * (s - t[k + 1]) / ((s - t[a]) * (s - t[b]) * (s - t[c]))
                     diff = sub(three.comp(f"x{a}", f"x{b}", f"x{c}"), mul(rational(factor), h))
                     assert EXACT.verdict(diff) is Verdict.ZERO, (web.w, s, (a, b, c))
